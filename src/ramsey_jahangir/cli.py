@@ -26,14 +26,7 @@ from .families import build, format_spec, parse_spec
 from .graphs import Graph, from_graph6, to_graph6
 from .oracle import RamseyIndeterminate, certificate_to_json, ramsey
 from .suites import SUITES, run_suite
-from .witness import (
-    MaximalityViolation,
-    WheelNotFound,
-    extract_t_paths,
-    extract_theorem1,
-    extract_theorem2,
-    trace_document,
-)
+from .witness import MaximalityViolation, WheelNotFound, extract, trace_document
 
 __all__ = ["run", "entry"]
 
@@ -60,7 +53,7 @@ def _parser() -> argparse.ArgumentParser:
     p_wit.add_argument("-t", type=int, default=1, help="number of disjoint paths (theorem 3)")
     p_wit.add_argument("--budget", type=int, default=None)
     p_wit.add_argument("--force", action="store_true", help="skip hypothesis checks")
-    p_wit.add_argument("--format", choices=("json", "graph6", "human"), default="json")
+    p_wit.add_argument("--format", choices=("json", "human"), default="json")
     p_wit.add_argument("--out", metavar="FILE", default=None)
 
     p_ram = sub.add_parser("ramsey", help="certified small Ramsey value")
@@ -68,7 +61,7 @@ def _parser() -> argparse.ArgumentParser:
     p_ram.add_argument("h", help="pattern found in the complement side")
     p_ram.add_argument("--cap", type=int, required=True, help="exclusive scan bound")
     p_ram.add_argument("--budget", type=int, default=None)
-    p_ram.add_argument("--format", choices=("json", "graph6", "human"), default="json")
+    p_ram.add_argument("--format", choices=("json", "human"), default="json")
     p_ram.add_argument("--out", metavar="FILE", default=None)
 
     p_suite = sub.add_parser("suite", help="run a seeded extraction suite")
@@ -76,7 +69,7 @@ def _parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--seed", type=int, default=0)
     p_suite.add_argument("--count", type=int, default=10)
     p_suite.add_argument("--budget", type=int, default=None)
-    p_suite.add_argument("--format", choices=("json", "graph6", "human"), default="json")
+    p_suite.add_argument("--format", choices=("json", "human"), default="json")
     p_suite.add_argument("--out", metavar="FILE", default=None)
     return parser
 
@@ -139,8 +132,6 @@ def _read_codes(source: str) -> list[str]:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    if args.format == "graph6":
-        raise ValueError("witness output has no graph6 form; use json or human")
     if args.theorem != 3 and args.t != 1:
         raise ValueError("-t applies to --theorem 3 only")
     codes = _read_codes(args.input)
@@ -149,19 +140,10 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     docs = []
     for code in codes:
         host = from_graph6(code)
-        if args.theorem == 1:
-            witness = extract_theorem1(
-                host, args.n, args.s, args.m, budget=args.budget, force=args.force
-            )
-        elif args.theorem == 2:
-            witness = extract_theorem2(
-                host, args.n, args.s, args.m, budget=args.budget, force=args.force
-            )
-        else:
-            witness = extract_t_paths(
-                host, args.t, args.n, args.s, args.m,
-                budget=args.budget, force=args.force,
-            )
+        witness = extract(
+            host, args.theorem, args.n, args.s, args.m, args.t,
+            budget=args.budget, force=args.force,
+        )
         docs.append(trace_document(host, witness))
     if args.format == "human":
         blocks = [
@@ -177,8 +159,6 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_ramsey(args: argparse.Namespace) -> int:
-    if args.format == "graph6":
-        raise ValueError("ramsey output has no graph6 form; use json or human")
     g_spec = parse_spec(args.g)
     h_spec = parse_spec(args.h)
     cert = ramsey(g_spec, h_spec, args.cap, budget=args.budget)
@@ -195,8 +175,6 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    if args.format == "graph6":
-        raise ValueError("suite output has no graph6 form; use json or human")
     doc = run_suite(args.name, args.seed, args.count, budget=args.budget)
     if args.format == "human":
         lines = [

@@ -10,17 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .families import (
-    CliqueUnion,
-    Complete,
-    Cycle,
-    DisjointPaths,
-    Jahangir,
-    Path,
-    PatternSpec,
-    Wheel,
-    build,
-)
+from .families import Jahangir, PatternSpec, Wheel, build, pattern_edges
 from .graphs import Graph, components, iter_bits
 
 DEFAULT_BUDGET = 50_000_000
@@ -79,8 +69,6 @@ def check_embedding(host: Graph, emb: Embedding) -> str | None:
             return f"image {v} out of range"
     if len(set(emb.mapping)) != len(emb.mapping):
         return "mapping is not injective"
-    from .families import pattern_edges
-
     for u, v in pattern_edges(emb.pattern):
         if not host.has_edge(emb.mapping[u], emb.mapping[v]):
             return f"missing edge {emb.mapping[u]},{emb.mapping[v]} (pattern {u},{v})"
@@ -89,15 +77,6 @@ def check_embedding(host: Graph, emb: Embedding) -> str | None:
 
 def verify_embedding(host: Graph, emb: Embedding) -> bool:
     return check_embedding(host, emb) is None
-
-
-def is_path(g: Graph, seq: Sequence[int]) -> bool:
-    """Is ``seq`` a simple path in g (distinct vertices, consecutive edges)?"""
-    if len(set(seq)) != len(seq):
-        return False
-    if any(not 0 <= v < g.order for v in seq):
-        return False
-    return all(g.has_edge(seq[i], seq[i + 1]) for i in range(len(seq) - 1))
 
 
 @dataclass(frozen=True)

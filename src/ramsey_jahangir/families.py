@@ -8,18 +8,31 @@ sit at rim positions 0, s, 2s, ...
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import ClassVar, get_args
 
 from .graphs import Graph, from_edges
 
 
-class UnsupportedPartitionError(ValueError):
-    """Cycle containment question outside the supported partition shapes."""
+class _Family:
+    """One pattern family: its fields, text form, parse rule and edge list.
+
+    ``SYNTAX`` matches the upper-cased text form in full; by default each
+    capture group is one integer field, in field order.
+    """
+
+    SYNTAX: ClassVar[re.Pattern[str]]
+
+    @classmethod
+    def from_match(cls, match: re.Match[str]) -> PatternSpec:
+        return cls(*(int(group) for group in match.groups()))
 
 
 @dataclass(frozen=True)
-class Path:
+class Path(_Family):
     n: int
+    SYNTAX = re.compile(r"P(\d+)")
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -29,10 +42,17 @@ class Path:
     def order(self) -> int:
         return self.n
 
+    def text(self) -> str:
+        return f"P{self.n}"
+
+    def edges(self) -> list[tuple[int, int]]:
+        return [(i, i + 1) for i in range(self.n - 1)]
+
 
 @dataclass(frozen=True)
-class Cycle:
+class Cycle(_Family):
     n: int
+    SYNTAX = re.compile(r"C(\d+)")
 
     def __post_init__(self) -> None:
         if self.n < 3:
@@ -42,12 +62,19 @@ class Cycle:
     def order(self) -> int:
         return self.n
 
+    def text(self) -> str:
+        return f"C{self.n}"
+
+    def edges(self) -> list[tuple[int, int]]:
+        return [(i, (i + 1) % self.n) for i in range(self.n)]
+
 
 @dataclass(frozen=True)
-class Wheel:
+class Wheel(_Family):
     """Cycle on k rim vertices plus a hub adjacent to every rim vertex."""
 
     k: int
+    SYNTAX = re.compile(r"W(\d+)")
 
     def __post_init__(self) -> None:
         if self.k < 3:
@@ -57,9 +84,15 @@ class Wheel:
     def order(self) -> int:
         return self.k + 1
 
+    def text(self) -> str:
+        return f"W{self.k}"
+
+    def edges(self) -> list[tuple[int, int]]:
+        return Cycle(self.k).edges() + [(i, self.k) for i in range(self.k)]
+
 
 @dataclass(frozen=True)
-class Jahangir:
+class Jahangir(_Family):
     """Cycle on s*m rim vertices plus a hub on every s-th rim vertex.
 
     The hub is adjacent to the m rim vertices at mutual rim distance s,
@@ -68,6 +101,7 @@ class Jahangir:
 
     s: int
     m: int
+    SYNTAX = re.compile(r"J(\d+),(\d+)")
 
     def __post_init__(self) -> None:
         if self.s < 2:
@@ -79,13 +113,21 @@ class Jahangir:
     def order(self) -> int:
         return self.s * self.m + 1
 
+    def text(self) -> str:
+        return f"J{self.s},{self.m}"
+
+    def edges(self) -> list[tuple[int, int]]:
+        sm = self.s * self.m
+        return Cycle(sm).edges() + [(j * self.s, sm) for j in range(self.m)]
+
 
 @dataclass(frozen=True)
-class DisjointPaths:
+class DisjointPaths(_Family):
     """t vertex-disjoint paths, each on n vertices."""
 
     t: int
     n: int
+    SYNTAX = re.compile(r"(\d+)P(\d+)")
 
     def __post_init__(self) -> None:
         if self.t < 1:
@@ -97,23 +139,24 @@ class DisjointPaths:
     def order(self) -> int:
         return self.t * self.n
 
+    def text(self) -> str:
+        return f"{self.t}P{self.n}"
 
-@dataclass(frozen=True)
-class Complete:
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("complete graph needs n >= 1")
-
-    @property
-    def order(self) -> int:
-        return self.n
+    def edges(self) -> list[tuple[int, int]]:
+        block = Path(self.n).edges()
+        return [
+            (base + u, base + v)
+            for base in range(0, self.order, self.n)
+            for u, v in block
+        ]
 
 
 @dataclass(frozen=True)
-class CliqueUnion:
+class CliqueUnion(_Family):
+    """Disjoint cliques of the given sizes, numbered block by block."""
+
     sizes: tuple[int, ...]
+    SYNTAX = re.compile(r"K\d+(?:\+K\d+)*")
 
     def __post_init__(self) -> None:
         if not self.sizes:
@@ -121,43 +164,37 @@ class CliqueUnion:
         if any(s < 1 for s in self.sizes):
             raise ValueError("clique sizes must be positive")
 
+    @classmethod
+    def from_match(cls, match: re.Match[str]) -> CliqueUnion:
+        return cls(tuple(int(size) for size in match[0][1:].split("+K")))
+
     @property
     def order(self) -> int:
         return sum(self.sizes)
 
+    def text(self) -> str:
+        return "+".join(f"K{s}" for s in self.sizes)
 
-PatternSpec = Path | Cycle | Wheel | Jahangir | DisjointPaths | Complete | CliqueUnion
+    def edges(self) -> list[tuple[int, int]]:
+        out = []
+        base = 0
+        for size in self.sizes:
+            out.extend((base + i, base + j) for j in range(size) for i in range(j))
+            base += size
+        return out
+
+
+def Complete(n: int) -> CliqueUnion:
+    """K_n, the one-clique union; ``K5`` parses to the same value."""
+    return CliqueUnion((n,))
+
+
+PatternSpec = Path | Cycle | Wheel | Jahangir | DisjointPaths | CliqueUnion
 
 
 def pattern_edges(spec: PatternSpec) -> list[tuple[int, int]]:
     """Edge list of the canonical labeling of ``spec``."""
-    if isinstance(spec, Path):
-        return [(i, i + 1) for i in range(spec.n - 1)]
-    if isinstance(spec, Cycle):
-        return [(i, (i + 1) % spec.n) for i in range(spec.n)]
-    if isinstance(spec, Wheel):
-        rim = [(i, (i + 1) % spec.k) for i in range(spec.k)]
-        return rim + [(i, spec.k) for i in range(spec.k)]
-    if isinstance(spec, Jahangir):
-        sm = spec.s * spec.m
-        rim = [(i, (i + 1) % sm) for i in range(sm)]
-        return rim + [(j * spec.s, sm) for j in range(spec.m)]
-    if isinstance(spec, DisjointPaths):
-        out = []
-        for block in range(spec.t):
-            base = block * spec.n
-            out.extend((base + i, base + i + 1) for i in range(spec.n - 1))
-        return out
-    if isinstance(spec, Complete):
-        return [(i, j) for j in range(spec.n) for i in range(j)]
-    if isinstance(spec, CliqueUnion):
-        out = []
-        base = 0
-        for size in spec.sizes:
-            out.extend((base + i, base + j) for j in range(size) for i in range(j))
-            base += size
-        return out
-    raise TypeError(f"not a pattern spec: {spec!r}")
+    return spec.edges()
 
 
 def build(spec: PatternSpec) -> Graph:
@@ -165,21 +202,7 @@ def build(spec: PatternSpec) -> Graph:
 
 
 def format_spec(spec: PatternSpec) -> str:
-    if isinstance(spec, Path):
-        return f"P{spec.n}"
-    if isinstance(spec, Cycle):
-        return f"C{spec.n}"
-    if isinstance(spec, Wheel):
-        return f"W{spec.k}"
-    if isinstance(spec, Jahangir):
-        return f"J{spec.s},{spec.m}"
-    if isinstance(spec, DisjointPaths):
-        return f"{spec.t}P{spec.n}"
-    if isinstance(spec, Complete):
-        return f"K{spec.n}"
-    if isinstance(spec, CliqueUnion):
-        return "+".join(f"K{s}" for s in spec.sizes)
-    raise TypeError(f"not a pattern spec: {spec!r}")
+    return spec.text()
 
 
 def parse_spec(text: str) -> PatternSpec:
@@ -190,36 +213,11 @@ def parse_spec(text: str) -> PatternSpec:
     """
     if any(ch.isspace() for ch in text):
         raise ValueError(f"whitespace not allowed in pattern {text!r}")
-    t = text.upper()
-    if not t:
-        raise ValueError("empty pattern")
-    if "+" in t:
-        sizes = []
-        for part in t.split("+"):
-            if not part.startswith("K") or not part[1:].isdigit():
-                raise ValueError(f"bad clique-union component {part!r} in {text!r}")
-            sizes.append(int(part[1:]))
-        return CliqueUnion(tuple(sizes))
-    head = t[0]
-    if head == "P" and t[1:].isdigit():
-        return Path(int(t[1:]))
-    if head == "C" and t[1:].isdigit():
-        return Cycle(int(t[1:]))
-    if head == "W" and t[1:].isdigit():
-        return Wheel(int(t[1:]))
-    if head == "K" and t[1:].isdigit():
-        return Complete(int(t[1:]))
-    if head == "J":
-        bits = t[1:].split(",")
-        if len(bits) == 2 and all(b.isdigit() for b in bits):
-            return Jahangir(int(bits[0]), int(bits[1]))
-        raise ValueError(f"bad pattern {text!r}: expected Js,m with integer s, m")
-    if t[0].isdigit():
-        digits = 0
-        while digits < len(t) and t[digits].isdigit():
-            digits += 1
-        if digits < len(t) and t[digits] == "P" and t[digits + 1 :].isdigit():
-            return DisjointPaths(int(t[:digits]), int(t[digits + 1 :]))
+    upper = text.upper()
+    for family in get_args(PatternSpec):
+        match = family.SYNTAX.fullmatch(upper)
+        if match:
+            return family.from_match(match)
     raise ValueError(f"unrecognized pattern {text!r}")
 
 
@@ -338,40 +336,3 @@ def build_complete_multipartite(part_sizes: list[int] | tuple[int, ...]) -> Grap
                 for v in range(starts[b], starts[b] + parts[b]):
                     edge_list.append((u, v))
     return from_edges(n, edge_list)
-
-
-def multipartite_contains_even_cycle(
-    part_sizes: list[int] | tuple[int, ...],
-    cycle_len: int,
-    *,
-    search_cap: int = 12,
-    budget: int | None = None,
-) -> bool:
-    """Does the complete multipartite graph with these parts contain C_L?
-
-    Two parts are answered exactly by the bipartite rule (L even and both
-    parts at least L/2).  More parts fall back to explicit search when the
-    total order is within ``search_cap``; beyond that the question is
-    refused rather than guessed.
-    """
-    parts = list(part_sizes)
-    if not parts or any(p < 1 for p in parts):
-        raise ValueError("part sizes must be positive")
-    if cycle_len < 3:
-        raise ValueError("cycle length >= 3 required")
-    if len(parts) == 1:
-        return False
-    if len(parts) == 2:
-        a, b = parts
-        return cycle_len % 2 == 0 and min(a, b) >= cycle_len // 2
-    if sum(parts) <= search_cap:
-        from .embedding import find_subgraph
-
-        host = build_complete_multipartite(parts)
-        result = find_subgraph(host, Cycle(cycle_len), budget=budget)
-        if result.status == "unknown":
-            raise UnsupportedPartitionError("search budget exhausted")
-        return result.status == "present"
-    raise UnsupportedPartitionError(
-        f"3+ parts with total order {sum(parts)} exceeds the search cap {search_cap}"
-    )

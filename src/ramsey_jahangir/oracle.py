@@ -4,9 +4,8 @@ Everything here is exact and deterministic.  Canonical forms come from an
 equitable-refinement search over vertex individualizations; enumeration
 grows one order at a time and deduplicates canonically; ``arrows`` sweeps
 every isomorphism class of a given order; ``ramsey`` turns such sweeps
-into a machine-checkable certificate.  Two independent counting methods
-(cycle-index arithmetic and brute-force canonicalization of all labelled
-graphs) exist purely to cross-check the enumerator.
+into a machine-checkable certificate.  Cycle-index arithmetic counts the
+classes independently, to cross-check the enumerator and certificates.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .graphs import (
     clique_union_sizes,
     complement,
     empty,
-    from_edges,
     from_graph6,
     relabel,
     to_graph6,
@@ -43,7 +41,6 @@ __all__ = [
     "are_isomorphic",
     "enumerate_graphs",
     "count_classes_cycle_index",
-    "count_classes_naive",
     "ArrowsReport",
     "arrows",
     "RamseyCertificate",
@@ -258,24 +255,6 @@ def count_classes_cycle_index(n: int) -> int:
         total += ways << q
     assert total % factorial(n) == 0
     return total // factorial(n)
-
-
-def count_classes_naive(n: int) -> int:
-    """Canonicalize every labelled graph on ``n`` vertices and count codes.
-
-    Exponential in the number of vertex pairs; kept only as an independent
-    cross-check of the other two methods at tiny orders.
-    """
-    if n < 0:
-        raise ValueError("n >= 0 required")
-    if n > 6:
-        raise EnumerationCapError("naive counting is capped at order 6")
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    seen: set[str] = set()
-    for code in range(1 << len(pairs)):
-        edges = [pairs[b] for b in range(len(pairs)) if code >> b & 1]
-        seen.add(to_graph6(canonical_graph(from_edges(n, edges))))
-    return len(seen)
 
 
 # --------------------------------------------------------------------------

@@ -26,12 +26,7 @@ from dataclasses import dataclass
 
 from .embedding import Budget
 from .graphs import Graph, from_edges, relabel, to_graph6
-from .witness import (
-    extract_t_paths,
-    extract_theorem1,
-    extract_theorem2,
-    trace_document,
-)
+from .witness import extract, trace_document
 
 __all__ = [
     "SUITE_COMPONENT_CAP",
@@ -132,14 +127,6 @@ def generate_case(spec: SuiteSpec, seed: int, index: int) -> Graph:
     raise ValueError(f"unknown suite kind {spec.kind!r}")
 
 
-def _extract(spec: SuiteSpec, g: Graph, budget: int | Budget | None):
-    if spec.theorem == 1:
-        return extract_theorem1(g, spec.n, spec.s, spec.m, budget=budget)
-    if spec.theorem == 2:
-        return extract_theorem2(g, spec.n, spec.s, spec.m, budget=budget)
-    return extract_t_paths(g, spec.t, spec.n, spec.s, spec.m, budget=budget)
-
-
 def run_suite(
     name: str, seed: int, count: int, budget: int | Budget | None = None
 ) -> dict:
@@ -160,7 +147,7 @@ def run_suite(
     cases = []
     for index in range(count):
         g = generate_case(spec, seed, index)
-        witness = _extract(spec, g, budget)
+        witness = extract(g, spec.theorem, spec.n, spec.s, spec.m, spec.t, budget=budget)
         record = {"index": index, "graph6": to_graph6(g)}
         record.update(trace_document(g, witness))
         cases.append(record)

@@ -6,7 +6,7 @@ embedding inside the host's complement.  The three public entry points
 cover the three regimes supported by the library: even rim step
 (``extract_theorem1``), odd rim step with even or odd spoke count
 (``extract_theorem2``), and several disjoint paths at once
-(``extract_t_paths``).
+(``extract_t_paths``); ``extract`` picks one of them by theorem number.
 
 The constructions lean on maximality: a maximum-length path's endpoint
 cannot be adjacent to anything that could extend it, and those forced
@@ -35,6 +35,7 @@ from .embedding import (
     verify_embedding,
 )
 from .families import (
+    Cycle,
     DisjointPaths,
     Jahangir,
     Path,
@@ -46,7 +47,6 @@ from .families import (
     build,
     extremal_graph,
     format_spec,
-    multipartite_contains_even_cycle,
 )
 from .graphs import Graph, clique_union_sizes, complement, components, induced
 
@@ -64,6 +64,7 @@ __all__ = [
     "extract_theorem1",
     "extract_theorem2",
     "extract_t_paths",
+    "extract",
     "wheel_to_jahangir",
     "verify_witness",
     "verify_extremal",
@@ -341,6 +342,37 @@ def _path_witness(f: Graph, theorem: str, n: int, found: PathWitness) -> Dichoto
     return _ensure(f, DichotomyWitness("paths", emb, trace))
 
 
+def _lift(
+    inner: DichotomyWitness, f: Graph, idx: tuple[int, ...], theorem: str, case: str
+) -> DichotomyWitness:
+    """Carry a witness found in an induced subgraph of ``f`` back to ``f``.
+
+    ``idx`` maps the subgraph's vertices to host vertices.  Deleting host
+    vertices only shrinks the complement, so a Jahangir in the subgraph's
+    complement is one in the host's complement.
+    """
+    tr = inner.trace
+
+    def pairs(edges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+        return tuple((idx[a], idx[b]) for a, b in edges)
+
+    trace = ExtractionTrace(
+        theorem,
+        case,
+        tr.k,
+        tuple(tuple(idx[v] for v in p) for p in tr.paths),
+        pairs(tr.augmented_edges),
+        {role: idx[v] for role, v in tr.selections.items()},
+        tuple(tuple(idx[v] for v in quad) for quad in tr.quadruples),
+        pairs(tr.couples_a),
+        pairs(tr.couples_b),
+    )
+    emb = Embedding(
+        inner.embedding.pattern, f.order, tuple(idx[v] for v in inner.embedding.mapping)
+    )
+    return _ensure(f, DichotomyWitness(inner.kind, emb, trace))
+
+
 def _edgeless_witness(f: Graph, theorem: str, s: int, m: int) -> DichotomyWitness:
     """Host has no edges: its complement is complete, so identity placement works."""
     sm = s * m
@@ -529,17 +561,7 @@ def extract_theorem2(
     if m % 2 == 0:
         return _theorem2_even(f, first, s, m, bud)
     if k < sm - 1:
-        rim, hub, system, roles = _oddm_endpoint_rim(f, s, m, k, "Thm2-OddM-Case1", bud)
-        trace = ExtractionTrace(
-            "Thm2",
-            "Thm2-OddM-Case1",
-            k,
-            system.paths,
-            system.augmented_edges,
-            roles,
-        )
-        emb = Embedding(Jahangir(s, m), f.order, tuple(rim) + (hub,))
-        return _ensure(f, DichotomyWitness("jahangir", emb, trace))
+        return _ensure(f, _oddm_endpoint_witness(f, s, m, k, "Thm2-OddM-Case1", bud))
     on_first = set(first)
     rest = [v for v in range(f.order) if v not in on_first]
     sub, idx = induced(f, rest)
@@ -547,7 +569,10 @@ def extract_theorem2(
     if len(second_local) >= sm - 1:
         second = tuple(idx[v] for v in second_local)
         return _theorem2_oddm_case2(f, first, second, s, m)
-    return _theorem2_oddm_case3(f, sub, idx, s, m, k, bud)
+    # One long path: everything off it holds only short paths, so the
+    # endpoint-rim construction runs in that block and lifts back.
+    case = "Thm2-OddM-Case3"
+    return _lift(_oddm_endpoint_witness(sub, s, m, k, case, bud), f, idx, "Thm2", case)
 
 
 def _theorem2_even(
@@ -590,10 +615,14 @@ def wheel_to_jahangir(wheel_embedding: Embedding, s: int, m: int) -> Embedding:
     return Embedding(Jahangir(s, m), wheel_embedding.host_order, wheel_embedding.mapping)
 
 
-def _oddm_endpoint_rim(
+def _oddm_endpoint_witness(
     g: Graph, s: int, m: int, k: int, case: str, bud: Budget
-) -> tuple[list[int], int, PathSystem, dict[str, int]]:
-    """Odd spoke count, short paths: endpoints plus one spare fill the rim."""
+) -> DichotomyWitness:
+    """Odd spoke count, short paths: endpoints plus one spare fill the rim.
+
+    The witness is not verified here; the caller verifies it on the host it
+    hands out.
+    """
     count = (s * m - 1) // 2
     system = build_path_system(g, count, bud)
     if len(system.remainder) < 2:
@@ -603,8 +632,11 @@ def _oddm_endpoint_rim(
         )
     x, y = system.remainder[:2]
     rim, hub = _assemble_endpoint_rim(g, system.paths, [x, y], 1, s, m)
-    roles = {"x": x, "y": y, "hub": hub}
-    return rim, hub, system, roles
+    trace = ExtractionTrace(
+        "Thm2", case, k, system.paths, system.augmented_edges, {"x": x, "y": y, "hub": hub}
+    )
+    emb = Embedding(Jahangir(s, m), g.order, tuple(rim) + (hub,))
+    return DichotomyWitness("jahangir", emb, trace)
 
 
 def _couples(path: PathWitness, q: int) -> tuple[tuple[int, int], ...]:
@@ -706,36 +738,6 @@ def _theorem2_oddm_case2(
     return _ensure(f, DichotomyWitness("jahangir", emb, trace))
 
 
-def _theorem2_oddm_case3(
-    f: Graph,
-    sub: Graph,
-    idx: tuple[int, ...],
-    s: int,
-    m: int,
-    k: int,
-    bud: Budget,
-) -> DichotomyWitness:
-    """Odd spoke count, one long path: rerun the short-path rim off the path.
-
-    Everything outside the maximum path only holds short paths, so the
-    endpoint-rim construction runs inside that block and its witness lifts
-    back through the index map.
-    """
-    rim_s, hub_s, system, roles = _oddm_endpoint_rim(
-        sub, s, m, k, "Thm2-OddM-Case3", bud
-    )
-    rim = [idx[v] for v in rim_s]
-    hub = idx[hub_s]
-    paths = tuple(tuple(idx[v] for v in p) for p in system.paths)
-    augmented = tuple((idx[a], idx[b]) for a, b in system.augmented_edges)
-    selections = {role: idx[v] for role, v in roles.items()}
-    trace = ExtractionTrace(
-        "Thm2", "Thm2-OddM-Case3", k, paths, augmented, selections
-    )
-    emb = Embedding(Jahangir(s, m), f.order, tuple(rim) + (hub,))
-    return _ensure(f, DichotomyWitness("jahangir", emb, trace))
-
-
 # --------------------------------------------------------------------------
 # several disjoint paths
 
@@ -780,24 +782,7 @@ def extract_t_paths(
         sub, idx = induced(f, remaining)
         inner = extract_theorem1(sub, n, s, m, budget=bud, force=force)
         if inner.kind == "jahangir":
-            tr = inner.trace
-            trace = ExtractionTrace(
-                "Thm3",
-                f"Thm3-step{step}",
-                tr.k,
-                tuple(tuple(idx[v] for v in p) for p in tr.paths),
-                tuple((idx[a], idx[b]) for a, b in tr.augmented_edges),
-                {role: idx[v] for role, v in tr.selections.items()},
-                tuple(tuple(idx[v] for v in quad) for quad in tr.quadruples),
-                tuple((idx[a], idx[b]) for a, b in tr.couples_a),
-                tuple((idx[a], idx[b]) for a, b in tr.couples_b),
-            )
-            emb = Embedding(
-                inner.embedding.pattern,
-                f.order,
-                tuple(idx[v] for v in inner.embedding.mapping),
-            )
-            return _ensure(f, DichotomyWitness("jahangir", emb, trace))
+            return _lift(inner, f, idx, "Thm3", f"Thm3-step{step}")
         path = tuple(idx[v] for v in inner.paths[0])
         collected.append(path)
         last_k = inner.trace.k
@@ -808,6 +793,28 @@ def extract_t_paths(
     )
     trace = ExtractionTrace("Thm3", f"Thm3-step{t}", last_k, tuple(collected), ())
     return _ensure(f, DichotomyWitness("paths", emb, trace))
+
+
+def extract(
+    f: Graph,
+    theorem: int,
+    n: int,
+    s: int,
+    m: int,
+    t: int = 1,
+    budget: int | Budget | None = None,
+    force: bool = False,
+) -> DichotomyWitness:
+    """Run the extractor for ``theorem``: 1 (:func:`extract_theorem1`), 2
+    (:func:`extract_theorem2`) or 3 (:func:`extract_t_paths`, the only one
+    that reads ``t``)."""
+    if theorem == 1:
+        return extract_theorem1(f, n, s, m, budget=budget, force=force)
+    if theorem == 2:
+        return extract_theorem2(f, n, s, m, budget=budget, force=force)
+    if theorem == 3:
+        return extract_t_paths(f, t, n, s, m, budget=budget, force=force)
+    raise ValueError(f"no extractor for theorem {theorem!r}")
 
 
 # --------------------------------------------------------------------------
@@ -875,7 +882,7 @@ def verify_extremal(
             checks.append(
                 (
                     "rim-cycle-vs-bipartite-complement",
-                    not multipartite_contains_even_cycle(parts, sm),
+                    not fits_complete_multipartite(build(Cycle(sm)), parts),
                 )
             )
         if isinstance(case, Thm2EvenM):

@@ -3,7 +3,8 @@
 Everything here is deliberately dumb: a second graph6 encoder written
 straight from the format description, containment by trying every
 injection, longest paths by scanning every vertex permutation.  None of it
-shares search logic with the package.
+shares search logic with the package; class counting by brute force uses
+the package's canonical form only to name each labelled graph's class.
 """
 
 from __future__ import annotations
@@ -11,7 +12,13 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
-from ramsey_jahangir import Graph, from_edges
+from ramsey_jahangir import (
+    EnumerationCapError,
+    Graph,
+    canonical_graph,
+    from_edges,
+    to_graph6,
+)
 
 
 def naive_graph6(order: int, edges) -> str:
@@ -61,6 +68,24 @@ def longest_path_brute(g: Graph) -> int:
             if best == g.order:
                 return best
     return best
+
+
+def count_classes_naive(n: int) -> int:
+    """Canonicalize every labelled graph on ``n`` vertices and count codes.
+
+    Exponential in the number of vertex pairs; an independent cross-check
+    of the cycle index and the enumerator at tiny orders.
+    """
+    if n < 0:
+        raise ValueError("n >= 0 required")
+    if n > 6:
+        raise EnumerationCapError("naive counting is capped at order 6")
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    seen: set[str] = set()
+    for code in range(1 << len(pairs)):
+        edges = [pairs[b] for b in range(len(pairs)) if code >> b & 1]
+        seen.add(to_graph6(canonical_graph(from_edges(n, edges))))
+    return len(seen)
 
 
 def random_graph(rng: random.Random, order: int, p: float = 0.5) -> Graph:

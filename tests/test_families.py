@@ -11,14 +11,13 @@ from ramsey_jahangir import (
     Thm2EvenM,
     Thm2OddM,
     Thm3,
-    UnsupportedPartitionError,
     Wheel,
     build,
     build_complete_multipartite,
     clique_union_sizes,
     extremal_graph,
+    fits_complete_multipartite,
     format_spec,
-    multipartite_contains_even_cycle,
     parse_spec,
     pattern_edges,
 )
@@ -100,6 +99,7 @@ def test_format_round_trip():
         Jahangir(2, 3),
         DisjointPaths(2, 23),
         Complete(5),
+        CliqueUnion((3,)),
         CliqueUnion((3, 1)),
     ]
     for spec in specs:
@@ -111,6 +111,7 @@ def test_parse_spec_text():
     assert parse_spec("p23") == Path(23)  # case-insensitive
     assert parse_spec("J2,3") == Jahangir(2, 3)
     assert parse_spec("2P23") == DisjointPaths(2, 23)
+    assert parse_spec("K5") == Complete(5) == CliqueUnion((5,))
     assert parse_spec("K3+K1") == CliqueUnion((3, 1))
     assert parse_spec("k3+k1") == CliqueUnion((3, 1))
     for bad in ("", "P", "X5", "J2", "J2,", "2,3", "P 5", " P5", "K3+", "P-1"):
@@ -164,21 +165,25 @@ def test_build_complete_multipartite():
     assert g.has_edge(0, 2)
 
 
+def _multipartite_has_cycle(parts, length):
+    return fits_complete_multipartite(build(Cycle(length)), parts)
+
+
 def test_multipartite_even_cycle_two_parts():
     # C_L fits K_{a,b} iff L is even and min(a, b) >= L/2
-    assert multipartite_contains_even_cycle((3, 3), 6)
-    assert not multipartite_contains_even_cycle((2, 22), 6)
-    assert not multipartite_contains_even_cycle((3, 3), 5)
-    assert not multipartite_contains_even_cycle((40, 40), 7)
+    assert _multipartite_has_cycle((3, 3), 6)
+    assert not _multipartite_has_cycle((2, 22), 6)
+    assert not _multipartite_has_cycle((3, 3), 5)
+    assert not _multipartite_has_cycle((40, 40), 7)
+    for a in range(1, 9):
+        for b in range(a, 9):
+            for length in range(3, 13):
+                rule = length % 2 == 0 and a >= length // 2
+                assert _multipartite_has_cycle((a, b), length) == rule
 
 
 def test_multipartite_even_cycle_three_parts_small():
-    assert multipartite_contains_even_cycle((2, 2, 2), 6)
+    assert _multipartite_has_cycle((2, 2, 2), 6)
     # C_4 = a-c-b-d-a lives in K_{1,1,2} even though no two parts suffice
-    assert multipartite_contains_even_cycle((1, 1, 2), 4)
-    assert not multipartite_contains_even_cycle((1, 1, 1), 4)
-
-
-def test_multipartite_even_cycle_unsupported():
-    with pytest.raises(UnsupportedPartitionError):
-        multipartite_contains_even_cycle((10, 10, 10), 8)
+    assert _multipartite_has_cycle((1, 1, 2), 4)
+    assert not _multipartite_has_cycle((1, 1, 1), 4)

@@ -6,6 +6,7 @@ import pytest
 from ramsey_jahangir import (
     CanonicalCapError,
     CertificateError,
+    CliqueUnion,
     Complete,
     Cycle,
     EnumerationCapError,
@@ -22,7 +23,6 @@ from ramsey_jahangir import (
     complement,
     complete,
     count_classes_cycle_index,
-    count_classes_naive,
     disjoint_union,
     empty,
     enumerate_graphs,
@@ -33,7 +33,7 @@ from ramsey_jahangir import (
     to_graph6,
 )
 
-from helpers_naive import random_graph
+from helpers_naive import count_classes_naive, random_graph
 
 # number of isomorphism classes on n vertices, n = 0..
 CLASS_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044]
@@ -158,6 +158,9 @@ def test_certificate_json_round_trip():
     text = certificate_to_json(cert)
     back = certificate_from_json(text)
     assert back == cert
+    # a one-clique union prints as K3 and must parse back to the same spec
+    cert = ramsey(Path(3), CliqueUnion((3,)), cap=8)
+    assert certificate_from_json(certificate_to_json(cert)) == cert
 
 
 def test_certificate_rejects_tampering():

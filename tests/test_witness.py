@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -21,6 +22,7 @@ from ramsey_jahangir import (
     complete,
     disjoint_union,
     empty,
+    extract,
     extract_t_paths,
     extract_theorem1,
     extract_theorem2,
@@ -216,6 +218,16 @@ def test_t_equal_one_is_the_plain_extractor():
     assert extract_t_paths(host, 1, 23, 2, 3) == extract_theorem1(host, 23, 2, 3)
 
 
+def test_extract_dispatches_by_theorem():
+    host = triangles_host()
+    assert extract(host, 1, 23, 2, 3) == extract_theorem1(host, 23, 2, 3)
+    assert extract(empty(23), 2, 12, 3, 2) == extract_theorem2(empty(23), 12, 3, 2)
+    big = _union(complete(23), *([complete(3)] * 8), empty(1))
+    assert extract(big, 3, 23, 2, 3, t=2) == extract_t_paths(big, 2, 23, 2, 3)
+    with pytest.raises(ValueError):
+        extract(host, 4, 23, 2, 3)
+
+
 # ------------------------------------------------------ error contract
 
 
@@ -290,6 +302,54 @@ def test_trace_json_is_deterministic():
     a = trace_json(host, extract_theorem1(host, 23, 2, 3))
     b = trace_json(host, extract_theorem1(host, 23, 2, 3))
     assert a == b
+
+
+# Digests of trace_json recorded before the induced-subgraph lifting in
+# Thm2-OddM-Case3 and Thm3-step* was shared; the hosts cover lifted paths,
+# selections, augmented edges and quadruples.
+LIFTED_TRACES = [
+    (
+        lambda: _union(build(Path(20)), *([build(Path(7))] * 6), empty(2)),
+        lambda h: extract_theorem2(h, 32, 3, 3),
+        "Thm2-OddM-Case3",
+        "e06a3f611ca17beaf2f145705cd537048d091af27feea84a88c36fafb4a684ef",
+    ),
+    (
+        lambda: _union(complete(23), *([complete(3)] * 8), empty(1)),
+        lambda h: extract_t_paths(h, 2, 23, 2, 3),
+        "Thm3-step2",
+        "aecbdf80ae037f3da815b0fa2a92283f2a70883094f1c6c8fc36ea24a30c2fcb",
+    ),
+    (
+        lambda: _union(complete(23), build(Path(20)), empty(5)),
+        lambda h: extract_t_paths(h, 2, 23, 2, 3),
+        "Thm3-step2",
+        "9befbf229a3bd0d87d92f6a4cf4da5bfb6576975ef90ae807e41050b54ea69cc",
+    ),
+    (
+        lambda: _union(complete(23), complete(3), empty(22)),
+        lambda h: extract_t_paths(h, 2, 23, 2, 3),
+        "Thm3-step2",
+        "866b1de851a86e35aa1b6299842c8b88774f2995c13e088d9667b9065b27a337",
+    ),
+]
+
+
+@pytest.mark.parametrize("make_host, run, case, digest", LIFTED_TRACES)
+def test_lifted_trace_bytes_are_pinned(make_host, run, case, digest):
+    host = make_host()
+    w = run(host)
+    assert w.kind == "jahangir"
+    assert w.trace.case == case
+    assert hashlib.sha256(trace_json(host, w).encode()).hexdigest() == digest
+
+
+def test_lifted_trace_keeps_unserialized_fields():
+    host = _union(complete(23), build(Path(20)), empty(5))
+    w = extract_t_paths(host, 2, 23, 2, 3)
+    assert w.trace.quadruples == ((24, 25, 26, 27), (28, 29, 30, 31))
+    host = _union(complete(23), complete(3), empty(22))
+    assert extract_t_paths(host, 2, 23, 2, 3).trace.augmented_edges == ((26, 27),)
 
 
 # ------------------------------------------------- extremal lower bounds
