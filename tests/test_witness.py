@@ -304,9 +304,9 @@ def test_trace_json_is_deterministic():
     assert a == b
 
 
-# Digests of trace_json recorded before the induced-subgraph lifting in
-# Thm2-OddM-Case3 and Thm3-step* was shared; the hosts cover lifted paths,
-# selections, augmented edges and quadruples.
+# Pinned trace_json digests for hosts whose Jahangir is found in an induced
+# subgraph and lifted back to the host (Thm2-OddM-Case3, Thm3-step2); the
+# hosts cover lifted paths, selections, augmented edges and quadruples.
 LIFTED_TRACES = [
     (
         lambda: _union(build(Path(20)), *([build(Path(7))] * 6), empty(2)),
