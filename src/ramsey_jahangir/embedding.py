@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .families import Jahangir, PatternSpec, Wheel, build, pattern_edges
+from .families import PatternSpec, build, pattern_edges
 from .graphs import Graph, components, iter_bits
 
 DEFAULT_BUDGET = 50_000_000
@@ -90,12 +90,15 @@ class SubgraphSearch:
 def _search_order(spec: PatternSpec) -> list[int]:
     """Pattern vertices in a connectivity-respecting order.
 
-    Hub-first for wheels and Jahangir patterns so the rim search is pinned
-    inside (for the Jahangir, periodically inside) the hub's neighborhood.
+    Hub first for the families with a hub (wheels and Jahangir patterns),
+    so the rim search is pinned inside (for the Jahangir, periodically
+    inside) the hub's neighborhood.
     """
-    if isinstance(spec, (Wheel, Jahangir)):
-        return [spec.order - 1] + list(range(spec.order - 1))
-    return list(range(spec.order))
+    order = list(range(spec.order))
+    if spec.hub is not None:
+        order.remove(spec.hub)
+        order.insert(0, spec.hub)
+    return order
 
 
 def find_subgraph(host: Graph, spec: PatternSpec, budget: int | Budget | None = None) -> SubgraphSearch:

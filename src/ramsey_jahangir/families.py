@@ -19,7 +19,8 @@ class _Family:
     """One pattern family: its fields, text form, parse rule and edge list.
 
     ``SYNTAX`` matches the upper-cased text form in full; by default each
-    capture group is one integer field, in field order.
+    capture group is one integer field, in field order.  ``hub`` is the
+    vertex adjacent to the whole rim in the families that have one.
     """
 
     SYNTAX: ClassVar[re.Pattern[str]]
@@ -27,6 +28,10 @@ class _Family:
     @classmethod
     def from_match(cls, match: re.Match[str]) -> PatternSpec:
         return cls(*(int(group) for group in match.groups()))
+
+    @property
+    def hub(self) -> int | None:
+        return None
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,10 @@ class Wheel(_Family):
     def order(self) -> int:
         return self.k + 1
 
+    @property
+    def hub(self) -> int:
+        return self.k
+
     def text(self) -> str:
         return f"W{self.k}"
 
@@ -112,6 +121,10 @@ class Jahangir(_Family):
     @property
     def order(self) -> int:
         return self.s * self.m + 1
+
+    @property
+    def hub(self) -> int:
+        return self.s * self.m
 
     def text(self) -> str:
         return f"J{self.s},{self.m}"
@@ -317,22 +330,3 @@ def extremal_graph(case: TheoremCase) -> Graph:
     if isinstance(case, Thm3):
         return build(CliqueUnion((case.s * case.m // 2 - 1, case.t * case.n - 1)))
     raise TypeError(f"not a theorem case: {case!r}")
-
-
-def build_complete_multipartite(part_sizes: list[int] | tuple[int, ...]) -> Graph:
-    parts = list(part_sizes)
-    if not parts or any(p < 1 for p in parts):
-        raise ValueError("part sizes must be positive")
-    n = sum(parts)
-    starts = []
-    base = 0
-    for p in parts:
-        starts.append(base)
-        base += p
-    edge_list = []
-    for a in range(len(parts)):
-        for b in range(a + 1, len(parts)):
-            for u in range(starts[a], starts[a] + parts[a]):
-                for v in range(starts[b], starts[b] + parts[b]):
-                    edge_list.append((u, v))
-    return from_edges(n, edge_list)

@@ -173,15 +173,14 @@ def components(g: Graph) -> list[list[int]]:
 def clique_union_sizes(g: Graph) -> tuple[int, ...] | None:
     """Component sizes, largest first, if g is a disjoint union of cliques.
 
-    Returns None as soon as any component misses an internal edge.
+    g is one exactly when its distinct closed neighbourhoods N[v] are
+    pairwise disjoint; as they cover the vertex set, that holds exactly
+    when their sizes sum to the order.
     """
-    sizes = []
-    for comp in components(g):
-        k = len(comp)
-        if sum(g.degree(v) for v in comp) != k * (k - 1):
-            return None
-        sizes.append(k)
-    sizes.sort(reverse=True)
+    closed = {row | 1 << v for v, row in enumerate(g.adj)}
+    sizes = sorted((hood.bit_count() for hood in closed), reverse=True)
+    if sum(sizes) != g.order:
+        return None
     return tuple(sizes)
 
 

@@ -78,34 +78,60 @@ class CanonicalForm:
     encoding: str
 
 
-def _refine(g: Graph, cells: list[list[int]]) -> list[list[int]]:
-    """Equitable refinement: split cells by neighbour counts into all cells.
+def _refine(g: Graph, cells: list[int], new: list[int] | None = None) -> list[int]:
+    """Equitable refinement of an ordered partition, cells as vertex masks.
 
-    Signatures are compared as tuples and subcells come out in ascending
-    signature order, so the result depends only on the input partition.
+    Each round splits every cell by its vertices' neighbour counts against
+    the cells in ``new`` (all cells when None), taken in partition order;
+    the subcells replace the cell in ascending order of those counts.  The
+    next round counts only against the subcells this round created, less
+    the last subcell of each split: the counts against an older cell, or
+    against a split cell as a whole, are already the same throughout each
+    cell, so they can neither split a cell nor reorder its subcells.  The
+    result is what counting against every cell in every round would give,
+    and depends only on the input partition.  A caller that splits one
+    cell of an equitable partition into {v} and the rest passes
+    ``new=[1 << v]``; such a round costs one mask operation per cell.
     """
-    while True:
-        masks = [sum(1 << v for v in cell) for cell in cells]
-        out: list[list[int]] = []
-        changed = False
-        for cell in cells:
-            if len(cell) == 1:
-                out.append(cell)
-                continue
-            sigs = {
-                v: tuple((g.adj[v] & mask).bit_count() for mask in masks)
-                for v in cell
-            }
-            distinct = sorted(set(sigs.values()))
-            if len(distinct) == 1:
-                out.append(cell)
-                continue
-            changed = True
-            for sig in distinct:
-                out.append([v for v in cell if sigs[v] == sig])
-        if not changed:
-            return out
-        cells = out
+    adj = g.adj
+    shift = g.order.bit_length()  # counts stay below 1 << shift
+    if new is None:
+        new = cells
+    while new:
+        out: list[int] = []
+        fresh: list[int] = []
+        if len(new) == 1 and not new[0] & (new[0] - 1):
+            row = adj[new[0].bit_length() - 1]
+            for cell in cells:
+                hit = cell & row
+                if hit and hit != cell:
+                    out += (cell ^ hit, hit)
+                    fresh.append(cell ^ hit)
+                else:
+                    out.append(cell)
+        else:
+            for cell in cells:
+                if not cell & (cell - 1):
+                    out.append(cell)
+                    continue
+                parts: dict[int, int] = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    row = adj[low.bit_length() - 1]
+                    key = 0
+                    for mask in new:
+                        key = key << shift | (row & mask).bit_count()
+                    parts[key] = parts.get(key, 0) | low
+                    rest ^= low
+                if len(parts) == 1:
+                    out.append(cell)
+                    continue
+                split = [parts[key] for key in sorted(parts)]
+                out += split
+                fresh += split[:-1]
+        cells, new = out, fresh
+    return cells
 
 
 def canonical_graph(g: Graph, budget: int | Budget | None = None) -> Graph:
@@ -113,12 +139,18 @@ def canonical_graph(g: Graph, budget: int | Budget | None = None) -> Graph:
 
     Two graphs are isomorphic exactly when their canonical representatives
     are equal.  Clique unions and their complements are recognized directly
-    (these cover the library's extremal constructions, which are the worst
-    cases for the generic search); everything else goes through equitable
-    refinement plus individualization, taking the lexicographically least
-    graph6 code over the search's leaves.  No automorphism pruning is done,
-    so highly symmetric graphs near the order cap can exhaust the node
-    allowance; pass a larger ``budget`` to push further.
+    (these cover the library's extremal constructions); everything else
+    goes through a search over vertex individualizations, each node
+    refined to an equitable partition, taking the relabeling whose graph6
+    code is least over the search's leaves.  Leaves are compared as
+    integers holding the graph6 body bits, and only the winner is
+    relabeled.  A leaf whose code equals the best one yields an
+    automorphism (McKay 1981; McKay and Piperno 2014): the search then
+    leaves the subtree it has just matched, and each node skips a branch
+    vertex in the orbit of an explored sibling under the automorphisms
+    found so far that fix the node's individualized vertices.  Neither
+    changes the least code.  Each node spends one unit of ``budget``
+    (default 500,000 per call).
     """
     if g.order > CANONICAL_CAP:
         raise CanonicalCapError(
@@ -134,35 +166,91 @@ def canonical_graph(g: Graph, budget: int | Budget | None = None) -> Graph:
         return complement(build(CliqueUnion(co_sizes)))
     bud = Budget.coerce(budget if budget is not None else _CANONICAL_NODES)
     n = g.order
-    best_code: str | None = None
-    best_graph: Graph | None = None
+    adj = g.adj
+    best_code: int | None = None
+    best_leaf: list[int] = []  # best_leaf[pos] is the vertex put at pos
+    best_path: list[int] = []
+    path: list[int] = []  # the individualized vertices, root first
+    autos: list[list[int]] = []
+    width = n * (n - 1) // 2
 
-    def descend(cells: list[list[int]]) -> None:
-        nonlocal best_code, best_graph
+    def descend(cells: list[int], new: list[int] | None) -> int:
+        """Search below one node; returns the depth to resume at."""
+        nonlocal best_code, best_leaf, best_path
         bud.spend()
-        cells = _refine(g, cells)
-        branch = next((c for c in cells if len(c) > 1), None)
-        if branch is None:
-            perm = [0] * n
-            for pos, cell in enumerate(cells):
-                perm[cell[0]] = pos
-            candidate = relabel(g, perm)
-            code = to_graph6(candidate)
+        cells = _refine(g, cells, new)
+        depth = len(path)
+        for at, branch in enumerate(cells):
+            if branch & (branch - 1):
+                break
+        else:
+            leaf = [cell.bit_length() - 1 for cell in cells]
+            # Build the code column by column, leaving as soon as it is
+            # known to be worse than the best code.
+            code = 0
+            left = width
+            bound = best_code  # None once this code is known to be less
+            for col in range(1, n):
+                row = adj[leaf[col]]
+                for w in leaf[:col]:
+                    code = code << 1 | (row >> w & 1)
+                left -= col
+                if bound is not None and code != bound >> left:
+                    if code > bound >> left:
+                        return depth
+                    bound = None
             if best_code is None or code < best_code:
-                best_code = code
-                best_graph = candidate
-            return
-        at = cells.index(branch)
-        for v in branch:
-            descend(
-                cells[:at]
-                + [[v], [u for u in branch if u != v]]
-                + cells[at + 1 :]
-            )
+                best_code, best_leaf, best_path = code, leaf, path[:]
+                return depth
+            # Same graph as the best leaf: best_leaf[i] -> leaf[i] is an
+            # automorphism, and it maps the best leaf's subtree below the
+            # two paths' last shared node onto this leaf's.
+            auto = list(range(n))
+            for u, w in zip(best_leaf, leaf):
+                auto[u] = w
+            autos.append(auto)
+            shared = 0
+            while path[shared] == best_path[shared]:
+                shared += 1
+            return shared
+        head, tail = cells[:at], cells[at + 1 :]
+        orbit = list(range(n))  # union-find over the usable automorphisms
+        used = 0
+        explored: list[int] = []
+        rest = branch
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if used < len(autos):
+                for auto in autos[used:]:
+                    if all(auto[p] == p for p in path):
+                        for x, y in enumerate(auto):
+                            if x != y:
+                                orbit[_root(orbit, x)] = _root(orbit, y)
+                used = len(autos)
+            if used and any(_root(orbit, u) == _root(orbit, v) for u in explored):
+                continue
+            explored.append(v)
+            path.append(v)
+            back = descend(head + [low, branch ^ low] + tail, [low])
+            path.pop()
+            if back < depth:
+                return back
+        return depth
 
-    descend([list(range(n))])
-    assert best_graph is not None
-    return best_graph
+    descend([(1 << n) - 1], None)
+    perm = [0] * n
+    for pos, v in enumerate(best_leaf):
+        perm[v] = pos
+    return relabel(g, perm)
+
+
+def _root(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 def canonical_form(g: Graph, budget: int | Budget | None = None) -> CanonicalForm:
@@ -212,9 +300,8 @@ def enumerate_graphs(n: int, *, force: bool = False) -> list[Graph]:
             for bits in range(1 << (size - 1)):
                 rep = canonical_graph(_extend(parent, bits))
                 seen.setdefault(to_graph6(rep), rep)
-        level = sorted(
-            seen.values(), key=lambda g: (g.edge_count(), to_graph6(g))
-        )
+        ranked = sorted(seen.items(), key=lambda kv: (kv[1].edge_count(), kv[0]))
+        level = [rep for _, rep in ranked]
     return level
 
 

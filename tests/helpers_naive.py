@@ -2,9 +2,10 @@
 
 Everything here is deliberately dumb: a second graph6 encoder written
 straight from the format description, containment by trying every
-injection, longest paths by scanning every vertex permutation.  None of it
-shares search logic with the package; class counting by brute force uses
-the package's canonical form only to name each labelled graph's class.
+injection, longest paths by scanning every vertex permutation, canonical
+forms by visiting every leaf of the unpruned search.  None of it shares
+search logic with the package; class counting by brute force uses the
+package's canonical form only to name each labelled graph's class.
 """
 
 from __future__ import annotations
@@ -13,10 +14,16 @@ import random
 from itertools import permutations
 
 from ramsey_jahangir import (
+    Budget,
+    CliqueUnion,
     EnumerationCapError,
     Graph,
+    build,
     canonical_graph,
+    complement,
+    components,
     from_edges,
+    relabel,
     to_graph6,
 )
 
@@ -96,3 +103,104 @@ def random_graph(rng: random.Random, order: int, p: float = 0.5) -> Graph:
         if rng.random() < p
     ]
     return from_edges(order, edges)
+
+
+def build_complete_multipartite(part_sizes) -> Graph:
+    """Complete multipartite graph, parts numbered block by block."""
+    parts = list(part_sizes)
+    if not parts or any(p < 1 for p in parts):
+        raise ValueError("part sizes must be positive")
+    n = sum(parts)
+    starts = []
+    base = 0
+    for p in parts:
+        starts.append(base)
+        base += p
+    edge_list = []
+    for a in range(len(parts)):
+        for b in range(a + 1, len(parts)):
+            for u in range(starts[a], starts[a] + parts[a]):
+                for v in range(starts[b], starts[b] + parts[b]):
+                    edge_list.append((u, v))
+    return from_edges(n, edge_list)
+
+
+def _clique_union_sizes_naive(g: Graph):
+    sizes = []
+    for comp in components(g):
+        k = len(comp)
+        if sum(g.degree(v) for v in comp) != k * (k - 1):
+            return None
+        sizes.append(k)
+    sizes.sort(reverse=True)
+    return tuple(sizes)
+
+
+def _refine_naive(g: Graph, cells: list[list[int]]) -> list[list[int]]:
+    """Equitable refinement, counting against every cell in every round."""
+    while True:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        out: list[list[int]] = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            sigs = {
+                v: tuple((g.adj[v] & mask).bit_count() for mask in masks)
+                for v in cell
+            }
+            distinct = sorted(set(sigs.values()))
+            if len(distinct) == 1:
+                out.append(cell)
+                continue
+            changed = True
+            for sig in distinct:
+                out.append([v for v in cell if sigs[v] == sig])
+        if not changed:
+            return out
+        cells = out
+
+
+def canonical_graph_naive(g: Graph, budget: int = 500_000) -> Graph:
+    """The canonical form by the unpruned search: every leaf is relabeled
+    and its graph6 code compared; clique unions and their complements are
+    recognized first, as in the package."""
+    if g.order <= 1:
+        return g
+    sizes = _clique_union_sizes_naive(g)
+    if sizes is not None:
+        return build(CliqueUnion(sizes))
+    co_sizes = _clique_union_sizes_naive(complement(g))
+    if co_sizes is not None:
+        return complement(build(CliqueUnion(co_sizes)))
+    bud = Budget(budget)
+    n = g.order
+    best_code = None
+    best_graph = None
+
+    def descend(cells):
+        nonlocal best_code, best_graph
+        bud.spend()
+        cells = _refine_naive(g, cells)
+        branch = next((c for c in cells if len(c) > 1), None)
+        if branch is None:
+            perm = [0] * n
+            for pos, cell in enumerate(cells):
+                perm[cell[0]] = pos
+            candidate = relabel(g, perm)
+            code = to_graph6(candidate)
+            if best_code is None or code < best_code:
+                best_code = code
+                best_graph = candidate
+            return
+        at = cells.index(branch)
+        for v in branch:
+            descend(
+                cells[:at]
+                + [[v], [u for u in branch if u != v]]
+                + cells[at + 1 :]
+            )
+
+    descend([list(range(n))])
+    return best_graph

@@ -5,6 +5,7 @@ import pytest
 from ramsey_jahangir import (
     Budget,
     BudgetExhausted,
+    CliqueUnion,
     Cycle,
     DisjointPaths,
     Embedding,
@@ -26,8 +27,14 @@ from ramsey_jahangir import (
     pattern_edges,
     verify_embedding,
 )
+from ramsey_jahangir.embedding import _search_order
 
-from helpers_naive import contains_by_injections, longest_path_brute, random_graph
+from helpers_naive import (
+    build_complete_multipartite,
+    contains_by_injections,
+    longest_path_brute,
+    random_graph,
+)
 
 
 def test_budget_basics():
@@ -154,6 +161,13 @@ def test_find_disjoint_paths_needs_backtracking():
     assert len({v for p in got for v in p}) == 6
 
 
+def test_search_order_puts_the_hub_first():
+    assert _search_order(Wheel(5)) == [5, 0, 1, 2, 3, 4]
+    assert _search_order(Jahangir(2, 3)) == [6, 0, 1, 2, 3, 4, 5]
+    assert _search_order(Path(4)) == [0, 1, 2, 3]
+    assert _search_order(CliqueUnion((2, 1))) == [0, 1, 2]
+
+
 def test_fits_complete_multipartite():
     # a pattern fits iff it properly colours within the class caps
     assert fits_complete_multipartite(build(Cycle(6)), (3, 3))
@@ -171,8 +185,6 @@ def test_fits_complete_multipartite():
 
 def test_fits_multipartite_agrees_with_search():
     """Colouring test vs actual embedding search into the multipartite host."""
-    from ramsey_jahangir import build_complete_multipartite
-
     rng = random.Random(13)
     specs = [Cycle(4), Cycle(5), Path(5), Wheel(4), Jahangir(2, 2)]
     parts_pool = [(2, 3), (3, 3), (1, 2, 2), (2, 2, 2), (5,), (1, 5)]

@@ -13,7 +13,6 @@ from ramsey_jahangir import (
     Thm3,
     Wheel,
     build,
-    build_complete_multipartite,
     clique_union_sizes,
     extremal_graph,
     fits_complete_multipartite,
@@ -21,6 +20,8 @@ from ramsey_jahangir import (
     parse_spec,
     pattern_edges,
 )
+
+from helpers_naive import build_complete_multipartite
 
 
 def test_pattern_orders():
@@ -68,6 +69,7 @@ def test_jahangir_layout():
     """Rim 0..sm-1 in a cycle, hub last, spokes every s-th rim vertex."""
     g = build(Jahangir(3, 2))
     hub = 6
+    assert Jahangir(3, 2).hub == hub
     assert g.degree(hub) == 2
     assert g.has_edge(0, hub) and g.has_edge(3, hub)
     assert not g.has_edge(1, hub)
@@ -84,6 +86,12 @@ def test_wheel_is_jahangir_plus_spokes():
     j = build(Jahangir(2, 3))
     assert set(j.edges()) <= set(w.edges())
     assert w.degree(6) == 6
+    assert Wheel(6).hub == 6
+
+
+def test_only_wheels_and_jahangirs_have_a_hub():
+    for spec in (Path(4), Cycle(5), DisjointPaths(2, 3), CliqueUnion((3, 1))):
+        assert spec.hub is None
 
 
 def test_disjoint_paths_blocks():

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import random
 
 import pytest
 
 from ramsey_jahangir import (
+    Budget,
     CanonicalCapError,
     CertificateError,
     CliqueUnion,
@@ -33,7 +35,12 @@ from ramsey_jahangir import (
     to_graph6,
 )
 
-from helpers_naive import count_classes_naive, random_graph
+from helpers_naive import (
+    build_complete_multipartite,
+    canonical_graph_naive,
+    count_classes_naive,
+    random_graph,
+)
 
 # number of isomorphism classes on n vertices, n = 0..
 CLASS_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044]
@@ -100,6 +107,55 @@ def test_canonical_handles_symmetric_unions():
     h = relabel(g, [(v * 7 + 3) % 16 for v in range(16)])
     assert are_isomorphic(g, h)
     assert are_isomorphic(complement(g), complement(h))
+
+
+def _shuffled(g, rng):
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def test_canonical_matches_unpruned_search_on_random_graphs():
+    rng = random.Random(11)
+    for _ in range(300):
+        order = rng.randrange(2, 11)
+        g = random_graph(rng, order, rng.choice((0.2, 0.5, 0.8)))
+        assert to_graph6(canonical_graph(g)) == to_graph6(canonical_graph_naive(g))
+
+
+def test_canonical_matches_unpruned_search_on_every_order6_class():
+    rng = random.Random(6)
+    for rep in enumerate_graphs(6):
+        g = _shuffled(rep, rng)
+        assert to_graph6(canonical_graph(g)) == to_graph6(canonical_graph_naive(g))
+
+
+def test_enumeration_order7_codes_are_pinned():
+    # sha256 of the newline-joined codes, recorded before automorphism pruning
+    codes = "\n".join(to_graph6(g) for g in enumerate_graphs(7))
+    assert hashlib.sha256(codes.encode()).hexdigest() == (
+        "00b31589b4b24a2d9dab1796f849de49a15b467dc14aaaa6c02043ce854665b3"
+    )
+
+
+def test_symmetric_stragglers_finish_in_few_nodes():
+    # 2K_{4,4} and P_3 + 9K_1 used up a 500,000-node allowance without
+    # automorphism pruning; 4C4 needed 192,209 nodes.
+    k44 = build_complete_multipartite((4, 4))
+    c4 = build(Cycle(4))
+    two_c4 = disjoint_union(c4, c4)
+    stragglers = [
+        disjoint_union(k44, k44),
+        disjoint_union(two_c4, two_c4),
+        from_graph6("K????o??????"),  # P_3 + 9K_1
+        from_graph6("K~V~~~~~~~~~"),
+    ]
+    rng = random.Random(16)
+    for g in stragglers:
+        rep = canonical_graph(g, Budget(2_000))
+        assert rep.order == g.order and rep.edge_count() == g.edge_count()
+        assert canonical_graph(_shuffled(g, rng), Budget(2_000)) == rep
+        assert canonical_graph(rep, Budget(2_000)) == rep
 
 
 def test_canonical_cap():
