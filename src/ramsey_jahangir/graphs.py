@@ -246,19 +246,20 @@ def from_graph6(line: str) -> Graph:
     expected = (nbits + 5) // 6
     if len(body) != expected:
         raise Graph6Error(f"body length {len(body)}, expected {expected} for order {n}")
-    bits = 0
-    for ch in body:
-        bits = bits << 6 | (ord(ch) - 63)
     pad = 6 * expected - nbits
-    if pad and bits & ((1 << pad) - 1):
+    if pad and (ord(body[-1]) - 63) & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits")
-    bits >>= pad
+    # One pass over the body, six bits per byte, walking (row, col) through
+    # the upper triangle; the padding bits are zero, so they set nothing.
     rows = [0] * n
-    position = nbits - 1
-    for col in range(1, n):
-        for row in range(col):
-            if bits >> position & 1:
+    row, col = 0, 1
+    for ch in body:
+        chunk = ord(ch) - 63
+        for bit in (32, 16, 8, 4, 2, 1):
+            if chunk & bit:
                 rows[row] |= 1 << col
                 rows[col] |= 1 << row
-            position -= 1
+            row += 1
+            if row == col:
+                row, col = 0, col + 1
     return Graph(n, tuple(rows))

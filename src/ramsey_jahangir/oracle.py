@@ -3,9 +3,10 @@
 Everything here is exact and deterministic.  Canonical forms come from an
 equitable-refinement search over vertex individualizations; enumeration
 grows one order at a time and deduplicates canonically; ``arrows`` sweeps
-every isomorphism class of a given order; ``ramsey`` turns such sweeps
-into a machine-checkable certificate.  Cycle-index arithmetic counts the
-classes independently, to cross-check the enumerator and certificates.
+every isomorphism class of a given order; ``ramsey`` grows each order
+once and turns its sweeps into a machine-checkable certificate.
+Cycle-index arithmetic counts the classes independently, to cross-check
+the enumerator and certificates.
 """
 
 from __future__ import annotations
@@ -276,16 +277,32 @@ def _extend(parent: Graph, bits: int) -> Graph:
     return Graph(k + 1, rows + (bits,))
 
 
+def _grow(level: list[Graph]) -> list[Graph]:
+    """One representative per class of the order above ``level``'s.
+
+    ``level`` holds one representative per class of its order j.  Every
+    class of order j+1 has a vertex whose removal leaves some order-j
+    class, so extending each representative by a new vertex with every
+    possible neighbourhood and deduplicating canonically reaches everything.
+    Canonical representatives of one class are equal graphs, so a set
+    deduplicates them.  Output is sorted by (edge count, graph6 code).
+    """
+    size = level[0].order
+    seen = {
+        canonical_graph(_extend(parent, bits))
+        for parent in level
+        for bits in range(1 << size)
+    }
+    return sorted(seen, key=lambda g: (g.edge_count(), to_graph6(g)))
+
+
 def enumerate_graphs(n: int, *, force: bool = False) -> list[Graph]:
     """One canonical representative per isomorphism class of order ``n``.
 
-    Grows order by order: every class of order j+1 has a vertex whose
-    removal leaves some order-j class, so extending each order-j
-    representative by a new vertex with every possible neighbourhood and
-    deduplicating canonically reaches everything.  Output is sorted by
-    (edge count, graph6 code).  Orders above ENUMERATION_CAP need
-    ``force=True``; counts grow super-exponentially, so expect order 10 and
-    beyond to be slow and large.
+    Grows order by order from the empty graph (see :func:`_grow`); output
+    is sorted by (edge count, graph6 code).  Orders above ENUMERATION_CAP
+    need ``force=True``; counts grow super-exponentially, so expect order
+    10 and beyond to be slow and large.
     """
     if n < 0:
         raise ValueError("n >= 0 required")
@@ -293,15 +310,9 @@ def enumerate_graphs(n: int, *, force: bool = False) -> list[Graph]:
         raise EnumerationCapError(
             f"enumeration above order {ENUMERATION_CAP} needs force=True"
         )
-    level: list[Graph] = [empty(0)]
-    for size in range(1, n + 1):
-        seen: dict[str, Graph] = {}
-        for parent in level:
-            for bits in range(1 << (size - 1)):
-                rep = canonical_graph(_extend(parent, bits))
-                seen.setdefault(to_graph6(rep), rep)
-        ranked = sorted(seen.items(), key=lambda kv: (kv[1].edge_count(), kv[0]))
-        level = [rep for _, rep in ranked]
+    level = [empty(0)]
+    for _ in range(n):
+        level = _grow(level)
     return level
 
 
@@ -382,7 +393,14 @@ def arrows(
     than guessing.
     """
     bud = Budget.coerce(budget)
-    classes = enumerate_graphs(order, force=force)
+    return _sweep(enumerate_graphs(order, force=force), g_spec, h_spec, bud)
+
+
+def _sweep(
+    classes: list[Graph], g_spec: PatternSpec, h_spec: PatternSpec, bud: Budget
+) -> ArrowsReport:
+    """The arrows sweep over ``classes``, every class of one order."""
+    order = classes[0].order
     digest = hashlib.sha256()
     checked = 0
     for f in classes:
@@ -456,11 +474,12 @@ def ramsey(
 ) -> RamseyCertificate:
     """Exact small Ramsey value by scanning orders 1, 2, ... below ``cap``.
 
-    The first order whose sweep holds is the value: holding is monotone
-    upward, because deleting any vertex of a counterexample at one order
-    leaves a counterexample at the order below.  Raises
-    :class:`RamseyIndeterminate` when every order below the cap has a
-    counterexample, and :class:`EnumerationCapError` when the cap would
+    Each order's classes are grown once from the order below and swept as
+    :func:`arrows` sweeps them.  The first order whose sweep holds is the
+    value: holding is monotone upward, because deleting any vertex of a
+    counterexample at one order leaves a counterexample at the order below.
+    Raises :class:`RamseyIndeterminate` when every order below the cap has
+    a counterexample, and :class:`EnumerationCapError` when the cap would
     require sweeping orders past the enumeration cap.
     """
     if cap < 2:
@@ -472,8 +491,10 @@ def ramsey(
     bud = Budget.coerce(budget)
     last: ArrowsReport | None = None
     previous_counterexample = to_graph6(empty(0))
+    level = [empty(0)]
     for order in range(1, cap):
-        report = arrows(order, g_spec, h_spec, bud)
+        level = _grow(level)
+        report = _sweep(level, g_spec, h_spec, bud)
         if report.holds:
             return RamseyCertificate(
                 g_spec, h_spec, order, previous_counterexample, report

@@ -203,6 +203,18 @@ def _require(condition: bool, message: str) -> None:
         raise PreconditionError(message)
 
 
+def _require_even_rim(f: Graph, t: int, n: int, s: int, m: int) -> None:
+    """The even-rim-step hypotheses for ``t`` disjoint copies of ``P_n``."""
+    _require(s >= 2 and s % 2 == 0, "this regime needs even s >= 2")
+    _require(m >= 3, "this regime needs m >= 3")
+    _require(
+        n >= thm1_min_n(s, m),
+        f"n >= {thm1_min_n(s, m)} required for s={s}, m={m}",
+    )
+    need = t * n + s * m // 2 - 1
+    _require(f.order >= need, f"host order >= {need} required")
+
+
 # --------------------------------------------------------------------------
 # shared building blocks
 
@@ -336,6 +348,38 @@ def _assemble_endpoint_rim(
     )
 
 
+def _endpoint_witness(
+    g: Graph, theorem: str, case: str, s: int, m: int, k: int, bud: Budget
+) -> DichotomyWitness:
+    """Short maximum path: peel (sm - 1) // 2 paths, rim their endpoints.
+
+    The endpoints leave one rim slot (odd sm) or two (even sm) to the least
+    vertices outside the path system, and one more of those is the hub.
+    These spares go to one nonzero residue class so no spoke ever lands on
+    one, and endpoint placement never puts two endpoints of the same path
+    side by side.  The witness is not verified here; the caller verifies it
+    on the host it hands out.
+    """
+    sm = s * m
+    count = (sm - 1) // 2
+    system = build_path_system(g, count, bud)
+    spares = sm - 2 * count + 1
+    if len(system.remainder) < spares:
+        raise MaximalityViolation(
+            f"fewer than {spares} vertices remain outside the path system",
+            ExtractionTrace(theorem, case, k, system.paths, system.augmented_edges),
+        )
+    chosen = list(system.remainder[:spares])
+    rim, hub = _assemble_endpoint_rim(g, system.paths, chosen, spares - 1, s, m)
+    selections = dict(zip(("x", "y", "z"), chosen))
+    selections["hub"] = hub
+    trace = ExtractionTrace(
+        theorem, case, k, system.paths, system.augmented_edges, selections
+    )
+    emb = Embedding(Jahangir(s, m), g.order, tuple(rim) + (hub,))
+    return DichotomyWitness("jahangir", emb, trace)
+
+
 def _path_witness(f: Graph, theorem: str, n: int, found: PathWitness) -> DichotomyWitness:
     emb = Embedding(Path(n), f.order, tuple(found[:n]))
     trace = ExtractionTrace(theorem, "path-found", len(found), (tuple(found),), ())
@@ -407,16 +451,7 @@ def extract_theorem1(
     """
     f.validate()
     if not force:
-        _require(s >= 2 and s % 2 == 0, "this regime needs even s >= 2")
-        _require(m >= 3, "this regime needs m >= 3")
-        _require(
-            n >= thm1_min_n(s, m),
-            f"n >= {thm1_min_n(s, m)} required for s={s}, m={m}",
-        )
-        _require(
-            f.order >= n + s * m // 2 - 1,
-            f"host order >= {n + s * m // 2 - 1} required",
-        )
+        _require_even_rim(f, 1, n, s, m)
     bud = Budget.coerce(budget)
     found = find_path_at_least(f, n, bud)
     if found is not None:
@@ -426,37 +461,8 @@ def extract_theorem1(
     if k <= 1:
         return _edgeless_witness(f, "Thm1", s, m)
     if k <= 2 * s * m - 1:
-        return _theorem1_case1(f, s, m, k, bud)
+        return _ensure(f, _endpoint_witness(f, "Thm1", "Thm1-Case1", s, m, k, bud))
     return _theorem1_case2(f, first, s, m)
-
-
-def _theorem1_case1(f: Graph, s: int, m: int, k: int, bud: Budget) -> DichotomyWitness:
-    """Short maximum path: peel sm/2 - 1 paths, rim their endpoints.
-
-    The system's sm - 2 endpoints plus two of the three leftover vertices
-    fill the rim; the third leftover is the hub.  Leftovers go to one
-    nonzero residue class so no spoke ever lands on one, and endpoint
-    placement never puts two endpoints of the same path side by side.
-    """
-    count = s * m // 2 - 1
-    system = build_path_system(f, count, bud)
-    if len(system.remainder) < 3:
-        raise MaximalityViolation(
-            "fewer than three vertices remain outside the path system",
-            ExtractionTrace("Thm1", "Thm1-Case1", k, system.paths, system.augmented_edges),
-        )
-    x, y, z = system.remainder[:3]
-    rim, hub = _assemble_endpoint_rim(f, system.paths, [x, y, z], 2, s, m)
-    trace = ExtractionTrace(
-        "Thm1",
-        "Thm1-Case1",
-        k,
-        system.paths,
-        system.augmented_edges,
-        {"x": x, "y": y, "z": z, "hub": hub},
-    )
-    emb = Embedding(Jahangir(s, m), f.order, tuple(rim) + (hub,))
-    return _ensure(f, DichotomyWitness("jahangir", emb, trace))
 
 
 def _theorem1_case2(f: Graph, first: PathWitness, s: int, m: int) -> DichotomyWitness:
@@ -561,7 +567,7 @@ def extract_theorem2(
     if m % 2 == 0:
         return _theorem2_even(f, first, s, m, bud)
     if k < sm - 1:
-        return _ensure(f, _oddm_endpoint_witness(f, s, m, k, "Thm2-OddM-Case1", bud))
+        return _ensure(f, _endpoint_witness(f, "Thm2", "Thm2-OddM-Case1", s, m, k, bud))
     on_first = set(first)
     rest = [v for v in range(f.order) if v not in on_first]
     sub, idx = induced(f, rest)
@@ -572,7 +578,7 @@ def extract_theorem2(
     # One long path: everything off it holds only short paths, so the
     # endpoint-rim construction runs in that block and lifts back.
     case = "Thm2-OddM-Case3"
-    return _lift(_oddm_endpoint_witness(sub, s, m, k, case, bud), f, idx, "Thm2", case)
+    return _lift(_endpoint_witness(sub, "Thm2", case, s, m, k, bud), f, idx, "Thm2", case)
 
 
 def _theorem2_even(
@@ -613,30 +619,6 @@ def wheel_to_jahangir(wheel_embedding: Embedding, s: int, m: int) -> Embedding:
     if not isinstance(spec, Wheel) or spec.k != s * m:
         raise ValueError(f"need a wheel embedding with rim length {s * m}")
     return Embedding(Jahangir(s, m), wheel_embedding.host_order, wheel_embedding.mapping)
-
-
-def _oddm_endpoint_witness(
-    g: Graph, s: int, m: int, k: int, case: str, bud: Budget
-) -> DichotomyWitness:
-    """Odd spoke count, short paths: endpoints plus one spare fill the rim.
-
-    The witness is not verified here; the caller verifies it on the host it
-    hands out.
-    """
-    count = (s * m - 1) // 2
-    system = build_path_system(g, count, bud)
-    if len(system.remainder) < 2:
-        raise MaximalityViolation(
-            "fewer than two vertices remain outside the path system",
-            ExtractionTrace("Thm2", case, k, system.paths, system.augmented_edges),
-        )
-    x, y = system.remainder[:2]
-    rim, hub = _assemble_endpoint_rim(g, system.paths, [x, y], 1, s, m)
-    trace = ExtractionTrace(
-        "Thm2", case, k, system.paths, system.augmented_edges, {"x": x, "y": y, "hub": hub}
-    )
-    emb = Embedding(Jahangir(s, m), g.order, tuple(rim) + (hub,))
-    return DichotomyWitness("jahangir", emb, trace)
 
 
 def _couples(path: PathWitness, q: int) -> tuple[tuple[int, int], ...]:
@@ -762,16 +744,7 @@ def extract_t_paths(
     f.validate()
     if not force:
         _require(t >= 1, "t >= 1 required")
-        _require(s >= 2 and s % 2 == 0, "this regime needs even s >= 2")
-        _require(m >= 3, "this regime needs m >= 3")
-        _require(
-            n >= thm1_min_n(s, m),
-            f"n >= {thm1_min_n(s, m)} required for s={s}, m={m}",
-        )
-        _require(
-            f.order >= t * n + s * m // 2 - 1,
-            f"host order >= {t * n + s * m // 2 - 1} required",
-        )
+        _require_even_rim(f, t, n, s, m)
     if t == 1:
         return extract_theorem1(f, n, s, m, budget=budget, force=force)
     bud = Budget.coerce(budget)

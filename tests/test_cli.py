@@ -1,5 +1,8 @@
+import hashlib
 import io
 import json
+
+import pytest
 
 from ramsey_jahangir import complete, disjoint_union, empty, to_graph6
 from ramsey_jahangir.cli import run
@@ -139,6 +142,22 @@ def test_ramsey_json(capsys):
 def test_ramsey_human(capsys):
     assert run(["ramsey", "P3", "P3", "--cap", "6", "--format", "human"]) == 0
     assert "R(P3, P3) = 3" in capsys.readouterr().out
+
+
+# stdout sha256 of the benchmark's three scans, recorded before a scan grew
+# each order once (they cover the certificate checksums and lower witnesses)
+SCAN_DIGESTS = [
+    ("P4", "8", "9d4da500905f5aab6ee636b7a88a35791e187760d3bd1854f1857c130e691612"),
+    ("P5", "8", "0b1dffef5a5d44f7168129fa1c0619085575a068f8050cbfb27364039a91b6aa"),
+    ("P6", "9", "b1ceb66d1d8eb23191fced20219032729681bcfb0a5743d58b85f5631ab7ba54"),
+]
+
+
+@pytest.mark.parametrize("path, cap, digest", SCAN_DIGESTS, ids=["P4", "P5", "P6"])
+def test_ramsey_scan_bytes_are_pinned(capsys, path, cap, digest):
+    assert run(["ramsey", path, "J2,2", "--cap", cap]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_ramsey_indeterminate_exit(capsys):

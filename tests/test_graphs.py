@@ -135,9 +135,15 @@ def test_graph6_round_trip():
         order = rng.randrange(0, 30)
         g = random_graph(rng, order)
         assert from_graph6(to_graph6(g)) == g
+    for order in (62, 63, 100, 500):  # both sides of the long header
+        g = random_graph(rng, order)
+        assert from_graph6(to_graph6(g)) == g
 
 
 def test_graph6_rejects_garbage():
-    for junk in ("", " ", "A", "A?extra", chr(200), "~~"):
+    # "Bx": order 3 leaves three padding bits, and x sets the last one;
+    # an order-63 body (long header ~??~) is 326 bytes.
+    long_bodies = ("~??~" + "?" * 325, "~??~" + "?" * 327)
+    for junk in ("", " ", "A", "A?extra", chr(200), "~~", "Bx", *long_bodies):
         with pytest.raises(Graph6Error):
             from_graph6(junk)

@@ -373,6 +373,15 @@ def test_extremal_constructions_all_check_out():
         assert named["jahangir-vs-multipartite-complement"]
 
 
+def test_extremal_disjoint_paths_by_search():
+    # Order 11 is below the search cap, so the t > 1 path side is searched.
+    case = Thm3(2, 5, 2, 3)
+    assert extremal_graph(case).order == 11
+    report = verify_extremal(case)
+    assert report.ok, report.checks
+    assert dict(report.checks)["path-absence-by-search"]
+
+
 def test_extremal_audit_spots_a_spoiled_graph():
     case = Thm1(23, 2, 3)
     g = extremal_graph(case)
