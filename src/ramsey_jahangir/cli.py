@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .embedding import BudgetExhausted
-from .families import build, format_spec, parse_spec
+from .families import build, parse_spec
 from .graphs import Graph, from_graph6, to_graph6
 from .oracle import RamseyIndeterminate, certificate_to_json, ramsey
 from .suites import SUITES, run_suite
@@ -114,14 +114,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
         _emit(to_graph6(g), args.out)
     elif args.format == "json":
         doc = {
-            "pattern": format_spec(spec),
+            "pattern": spec.text(),
             "order": g.order,
             "graph6": to_graph6(g),
             "edges": [[u, v] for u, v in g.edges()],
         }
         _emit(json.dumps(doc, indent=2), args.out)
     else:
-        _emit(_human_graph(g, format_spec(spec)), args.out)
+        _emit(_human_graph(g, spec.text()), args.out)
     return 0
 
 
@@ -164,7 +164,7 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
     cert = ramsey(g_spec, h_spec, args.cap, budget=args.budget)
     if args.format == "human":
         _emit(
-            f"R({format_spec(g_spec)}, {format_spec(h_spec)}) = {cert.value}"
+            f"R({g_spec.text()}, {h_spec.text()}) = {cert.value}"
             f" (checked {cert.upper.checked} classes at order {cert.upper.order};"
             f" lower witness {cert.lower_witness})",
             args.out,
@@ -213,8 +213,8 @@ def run(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except RamseyIndeterminate as exc:
         report = {
-            "g": format_spec(exc.g_spec),
-            "h": format_spec(exc.h_spec),
+            "g": exc.g_spec.text(),
+            "h": exc.h_spec.text(),
             "cap": exc.cap,
             "value": None,
             "last_order": exc.last.order,

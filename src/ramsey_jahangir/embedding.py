@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .families import PatternSpec, build, pattern_edges
-from .graphs import Graph, components, iter_bits
+from .families import PatternSpec, build
+from .graphs import Graph, component_masks, components, iter_bits
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -69,7 +69,7 @@ def check_embedding(host: Graph, emb: Embedding) -> str | None:
             return f"image {v} out of range"
     if len(set(emb.mapping)) != len(emb.mapping):
         return "mapping is not injective"
-    for u, v in pattern_edges(emb.pattern):
+    for u, v in emb.pattern.edges():
         if not host.has_edge(emb.mapping[u], emb.mapping[v]):
             return f"missing edge {emb.mapping[u]},{emb.mapping[v]} (pattern {u},{v})"
     return None
@@ -291,19 +291,24 @@ def find_disjoint_paths(
     """t vertex-disjoint paths on n vertices each, or None if impossible.
 
     Greedy with full backtracking: pick a path, recurse on the rest of the
-    graph, and on failure move to the next candidate path.  "None" therefore
-    means the backtracking exhausted every choice.
+    graph, and on failure move to the next candidate path.  A path lies in
+    one component, so when the components of the free vertices hold fewer
+    than the missing number of disjoint n-vertex blocks, the branch fails
+    without a search.  "None" therefore means every choice was exhausted.
     """
     if t < 1 or n < 1:
         raise ValueError("t >= 1 and n >= 1 required")
     bud = Budget.coerce(budget)
-    if t * n > g.order:
-        return None
+    full = (1 << g.order) - 1
     chosen: list[PathWitness] = []
 
     def recurse(blocked: int) -> bool:
         if len(chosen) == t:
             return True
+        free = full & ~blocked
+        room = sum(comp.bit_count() // n for comp in component_masks(g, free))
+        if room < t - len(chosen):
+            return False
         for p in _iter_paths_exact(g, blocked, n, bud):
             pmask = 0
             for v in p:

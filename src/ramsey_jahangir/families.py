@@ -205,17 +205,8 @@ def Complete(n: int) -> CliqueUnion:
 PatternSpec = Path | Cycle | Wheel | Jahangir | DisjointPaths | CliqueUnion
 
 
-def pattern_edges(spec: PatternSpec) -> list[tuple[int, int]]:
-    """Edge list of the canonical labeling of ``spec``."""
-    return spec.edges()
-
-
 def build(spec: PatternSpec) -> Graph:
-    return from_edges(spec.order, pattern_edges(spec))
-
-
-def format_spec(spec: PatternSpec) -> str:
-    return spec.text()
+    return from_edges(spec.order, spec.edges())
 
 
 def parse_spec(text: str) -> PatternSpec:
@@ -235,14 +226,23 @@ def parse_spec(text: str) -> PatternSpec:
 
 
 # ---------------------------------------------------------------------------
-# Extremal lower-bound constructions.
+# Theorem regimes.
 #
-# These build the clique unions whose complements avoid the Jahangir target;
-# they are the order R-1 witnesses for the three Ramsey regimes.  Only shape
-# constraints are validated here (parities, minimal s and m): the graphs are
-# valid lower-bound witnesses for every n, while the n-thresholds of the
-# dichotomy theorems are enforced by the extractors in `witness`.
+# Each class states one regime once: its shape hypotheses (checked on
+# construction), the path count t, the least path order ``min_n`` the
+# dichotomy covers, and the clique sizes of the extremal graph, a lower-bound
+# witness for every n >= 2 whose order plus one is R.  `require_thresholds`
+# holds the n and host-order hypotheses the extractors in `witness` add.
 # ---------------------------------------------------------------------------
+
+
+class PreconditionError(ValueError):
+    """A stated hypothesis of a theorem regime or an extraction does not hold."""
+
+
+def _need(condition: bool, message: str) -> None:
+    if not condition:
+        raise PreconditionError(message)
 
 
 @dataclass(frozen=True)
@@ -252,14 +252,21 @@ class Thm1:
     n: int
     s: int
     m: int
+    t: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
-        if self.s < 2 or self.s % 2:
-            raise ValueError("this regime needs even s >= 2")
-        if self.m < 3:
-            raise ValueError("this regime needs m >= 3")
-        if self.n < 2:
-            raise ValueError("n >= 2 required")
+        _need(self.s >= 2 and self.s % 2 == 0, "this regime needs even s >= 2")
+        _need(self.m >= 3, "this regime needs m >= 3")
+        _need(self.n >= 2, "n >= 2 required")
+
+    @property
+    def min_n(self) -> int:
+        sm = self.s * self.m
+        return (2 * sm - 1) * (sm // 2 - 1) + 1
+
+    @property
+    def clique_sizes(self) -> tuple[int, ...]:
+        return (self.n - 1, self.s * self.m // 2 - 1)
 
 
 @dataclass(frozen=True)
@@ -269,14 +276,21 @@ class Thm2EvenM:
     n: int
     s: int
     m: int
+    t: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
-        if self.s < 3 or self.s % 2 == 0:
-            raise ValueError("this regime needs odd s >= 3")
-        if self.m < 2 or self.m % 2:
-            raise ValueError("this regime needs even m >= 2")
-        if self.n < 2:
-            raise ValueError("n >= 2 required")
+        _need(self.s >= 3 and self.s % 2 == 1, "this regime needs odd s >= 3")
+        _need(self.m >= 2 and self.m % 2 == 0, "this regime needs even m >= 2")
+        _need(self.n >= 2, "n >= 2 required")
+
+    @property
+    def min_n(self) -> int:
+        sm = self.s * self.m
+        return (sm // 2) * (sm - 2)
+
+    @property
+    def clique_sizes(self) -> tuple[int, ...]:
+        return (self.n - 1, self.n - 1)
 
 
 @dataclass(frozen=True)
@@ -286,19 +300,26 @@ class Thm2OddM:
     n: int
     s: int
     m: int
+    t: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
-        if self.s < 3 or self.s % 2 == 0:
-            raise ValueError("this regime needs odd s >= 3")
-        if self.m < 3 or self.m % 2 == 0:
-            raise ValueError("this regime needs odd m >= 3")
-        if self.n < 2:
-            raise ValueError("n >= 2 required")
+        _need(self.s >= 3 and self.s % 2 == 1, "this regime needs odd s >= 3")
+        _need(self.m >= 3 and self.m % 2 == 1, "this regime needs odd m >= 3")
+        _need(self.n >= 2, "n >= 2 required")
+
+    @property
+    def min_n(self) -> int:
+        sm = self.s * self.m
+        return ((sm - 1) // 2) * (sm - 1)
+
+    @property
+    def clique_sizes(self) -> tuple[int, ...]:
+        return (1, self.n - 1, self.n - 1)
 
 
 @dataclass(frozen=True)
 class Thm3:
-    """t disjoint paths, even rim step: K_{sm/2-1} + K_{tn-1}."""
+    """t disjoint paths, even rim step: K_{sm/2-1} + K_{tn-1}; shape and min_n of Thm1."""
 
     t: int
     n: int
@@ -306,14 +327,16 @@ class Thm3:
     m: int
 
     def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError("t >= 1 required")
-        if self.s < 2 or self.s % 2:
-            raise ValueError("this regime needs even s >= 2")
-        if self.m < 3:
-            raise ValueError("this regime needs m >= 3")
-        if self.n < 2:
-            raise ValueError("n >= 2 required")
+        _need(self.t >= 1, "t >= 1 required")
+        Thm1(self.n, self.s, self.m)  # the even-rim-step shape
+
+    @property
+    def min_n(self) -> int:
+        return Thm1(self.n, self.s, self.m).min_n
+
+    @property
+    def clique_sizes(self) -> tuple[int, ...]:
+        return (self.s * self.m // 2 - 1, self.t * self.n - 1)
 
 
 TheoremCase = Thm1 | Thm2EvenM | Thm2OddM | Thm3
@@ -321,12 +344,15 @@ TheoremCase = Thm1 | Thm2EvenM | Thm2OddM | Thm3
 
 def extremal_graph(case: TheoremCase) -> Graph:
     """Build the lower-bound witness for ``case`` (order R-1)."""
-    if isinstance(case, Thm1):
-        return build(CliqueUnion((case.n - 1, case.s * case.m // 2 - 1)))
-    if isinstance(case, Thm2EvenM):
-        return build(CliqueUnion((case.n - 1, case.n - 1)))
-    if isinstance(case, Thm2OddM):
-        return build(CliqueUnion((1, case.n - 1, case.n - 1)))
-    if isinstance(case, Thm3):
-        return build(CliqueUnion((case.s * case.m // 2 - 1, case.t * case.n - 1)))
-    raise TypeError(f"not a theorem case: {case!r}")
+    return build(CliqueUnion(case.clique_sizes))
+
+
+def require_thresholds(case: TheoremCase, host: Graph) -> None:
+    """Raise :class:`PreconditionError` unless n >= ``case.min_n`` and
+    ``host`` has order at least R, the extremal order plus one."""
+    _need(
+        case.n >= case.min_n,
+        f"n >= {case.min_n} required for s={case.s}, m={case.m}",
+    )
+    need = CliqueUnion(case.clique_sizes).order + 1
+    _need(host.order >= need, f"host order >= {need} required")

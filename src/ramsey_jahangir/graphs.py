@@ -151,10 +151,10 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
     return Graph(g.order, tuple(rows))
 
 
-def components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by least vertex."""
-    unseen = (1 << g.order) - 1
-    out = []
+def component_masks(g: Graph, within: int) -> Iterator[int]:
+    """Vertex masks of the components of g induced on the mask ``within``,
+    ordered by least vertex."""
+    unseen = within
     while unseen:
         start = (unseen & -unseen).bit_length() - 1
         comp = 1 << start
@@ -166,20 +166,28 @@ def components(g: Graph) -> list[list[int]]:
                 step |= g.adj[v]
             frontier = step & unseen & ~comp
         unseen &= ~comp
-        out.append(list(iter_bits(comp)))
-    return out
+        yield comp
+
+
+def components(g: Graph) -> list[list[int]]:
+    """Connected components as sorted vertex lists, ordered by least vertex."""
+    return [list(iter_bits(comp)) for comp in component_masks(g, (1 << g.order) - 1)]
 
 
 def clique_union_sizes(g: Graph) -> tuple[int, ...] | None:
     """Component sizes, largest first, if g is a disjoint union of cliques.
 
     g is one exactly when its distinct closed neighbourhoods N[v] are
-    pairwise disjoint; as they cover the vertex set, that holds exactly
-    when their sizes sum to the order.
+    pairwise disjoint.
     """
-    closed = {row | 1 << v for v, row in enumerate(g.adj)}
-    sizes = sorted((hood.bit_count() for hood in closed), reverse=True)
-    if sum(sizes) != g.order:
+    return disjoint_cover_sizes({row | 1 << v for v, row in enumerate(g.adj)}, g.order)
+
+
+def disjoint_cover_sizes(masks: set[int], order: int) -> tuple[int, ...] | None:
+    """Sizes, largest first, of distinct masks covering ``0..order-1`` if they
+    are pairwise disjoint, which for a cover means their sizes sum to the order."""
+    sizes = sorted((mask.bit_count() for mask in masks), reverse=True)
+    if sum(sizes) != order:
         return None
     return tuple(sizes)
 

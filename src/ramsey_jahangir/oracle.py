@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from math import factorial, gcd
 
 from .embedding import Budget, BudgetExhausted, find_subgraph
-from .families import CliqueUnion, PatternSpec, build, format_spec, parse_spec
+from .families import CliqueUnion, PatternSpec, build, parse_spec
 from .graphs import (
     Graph,
     clique_union_sizes,
     complement,
+    disjoint_cover_sizes,
     empty,
     from_graph6,
     relabel,
@@ -162,7 +163,9 @@ def canonical_graph(g: Graph, budget: int | Budget | None = None) -> Graph:
     sizes = clique_union_sizes(g)
     if sizes is not None:
         return build(CliqueUnion(sizes))
-    co_sizes = clique_union_sizes(complement(g))
+    # In the complement, the closed neighbourhood of v is full ^ adj[v].
+    full = (1 << g.order) - 1
+    co_sizes = disjoint_cover_sizes({full ^ row for row in g.adj}, g.order)
     if co_sizes is not None:
         return complement(build(CliqueUnion(co_sizes)))
     bud = Budget.coerce(budget if budget is not None else _CANONICAL_NODES)
@@ -413,14 +416,14 @@ def _sweep(
             continue
         if in_f.status == "unknown":
             raise BudgetExhausted(
-                f"undecided: {format_spec(g_spec)} in class {checked} of order {order}"
+                f"undecided: {g_spec.text()} in class {checked} of order {order}"
             )
         in_co = find_subgraph(complement(f), h_spec, bud)
         if in_co.status == "present":
             continue
         if in_co.status == "unknown":
             raise BudgetExhausted(
-                f"undecided: {format_spec(h_spec)} in complement of class {checked}"
+                f"undecided: {h_spec.text()} in complement of class {checked}"
                 f" of order {order}"
             )
         return ArrowsReport(
@@ -441,7 +444,7 @@ class RamseyIndeterminate(RuntimeError):
 
     def __init__(self, g_spec: PatternSpec, h_spec: PatternSpec, cap: int, last: ArrowsReport):
         super().__init__(
-            f"R({format_spec(g_spec)}, {format_spec(h_spec)}) >= {cap}: no order"
+            f"R({g_spec.text()}, {h_spec.text()}) >= {cap}: no order"
             f" below the cap arrows"
         )
         self.g_spec = g_spec
@@ -508,8 +511,8 @@ def ramsey(
 
 def certificate_to_json(cert: RamseyCertificate) -> str:
     doc = {
-        "g": format_spec(cert.g_spec),
-        "h": format_spec(cert.h_spec),
+        "g": cert.g_spec.text(),
+        "h": cert.h_spec.text(),
         "value": cert.value,
         "lower_witness": cert.lower_witness,
         "upper": {

@@ -39,14 +39,16 @@ from .families import (
     DisjointPaths,
     Jahangir,
     Path,
+    PreconditionError,
     TheoremCase,
     Thm1,
     Thm2EvenM,
+    Thm2OddM,
     Thm3,
     Wheel,
     build,
     extremal_graph,
-    format_spec,
+    require_thresholds,
 )
 from .graphs import Graph, clique_union_sizes, complement, components, induced
 
@@ -58,8 +60,6 @@ __all__ = [
     "ExtractionTrace",
     "DichotomyWitness",
     "ExtremalReport",
-    "thm1_min_n",
-    "thm2_min_n",
     "build_path_system",
     "extract_theorem1",
     "extract_theorem2",
@@ -71,10 +71,6 @@ __all__ = [
     "trace_document",
     "trace_json",
 ]
-
-
-class PreconditionError(ValueError):
-    """A stated hypothesis of the requested extraction does not hold."""
 
 
 class WheelNotFound(RuntimeError):
@@ -93,19 +89,6 @@ class MaximalityViolation(RuntimeError):
     def __init__(self, message: str, trace: ExtractionTrace | None = None):
         super().__init__(message)
         self.trace = trace
-
-
-def thm1_min_n(s: int, m: int) -> int:
-    """Smallest path order the even-rim-step dichotomy guarantees."""
-    return (2 * s * m - 1) * (s * m // 2 - 1) + 1
-
-
-def thm2_min_n(s: int, m: int) -> int:
-    """Smallest path order the odd-rim-step dichotomy guarantees."""
-    sm = s * m
-    if m % 2 == 0:
-        return (sm // 2) * (sm - 2)
-    return ((sm - 1) // 2) * (sm - 1)
 
 
 # --------------------------------------------------------------------------
@@ -196,23 +179,6 @@ def _ensure(host: Graph, witness: DichotomyWitness) -> DichotomyWitness:
             "extracted witness failed verification; this is a bug in the extractor"
         )
     return witness
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise PreconditionError(message)
-
-
-def _require_even_rim(f: Graph, t: int, n: int, s: int, m: int) -> None:
-    """The even-rim-step hypotheses for ``t`` disjoint copies of ``P_n``."""
-    _require(s >= 2 and s % 2 == 0, "this regime needs even s >= 2")
-    _require(m >= 3, "this regime needs m >= 3")
-    _require(
-        n >= thm1_min_n(s, m),
-        f"n >= {thm1_min_n(s, m)} required for s={s}, m={m}",
-    )
-    need = t * n + s * m // 2 - 1
-    _require(f.order >= need, f"host order >= {need} required")
 
 
 # --------------------------------------------------------------------------
@@ -445,13 +411,15 @@ def extract_theorem1(
     """Even rim step dichotomy: a path on ``n`` vertices in ``f``, or
     ``J_{s,m}`` in the complement of ``f``.
 
-    ``force=True`` skips the hypothesis checks and runs the construction
-    anyway; outside its guarantees it may then raise
+    The regime's shape is always checked (:class:`Thm1`); ``force=True``
+    skips the n-threshold and host-order checks and runs the construction
+    anyway, which outside its guarantees may then raise
     :class:`MaximalityViolation`.
     """
     f.validate()
+    case = Thm1(n, s, m)
     if not force:
-        _require_even_rim(f, 1, n, s, m)
+        require_thresholds(case, f)
     bud = Budget.coerce(budget)
     found = find_path_at_least(f, n, bud)
     if found is not None:
@@ -544,18 +512,10 @@ def extract_theorem2(
     selections along two long paths.
     """
     f.validate()
-    sm = s * m
+    case = (Thm2OddM if m % 2 else Thm2EvenM)(n, s, m)
     if not force:
-        _require(s >= 3 and s % 2 == 1, "this regime needs odd s >= 3")
-        _require(m >= 2, "this regime needs m >= 2")
-        if m % 2 == 1:
-            _require(m >= 3, "odd spoke counts need m >= 3")
-        _require(
-            n >= thm2_min_n(s, m),
-            f"n >= {thm2_min_n(s, m)} required for s={s}, m={m}",
-        )
-        need = 2 * n - 1 if m % 2 == 0 else 2 * n
-        _require(f.order >= need, f"host order >= {need} required")
+        require_thresholds(case, f)
+    sm = s * m
     bud = Budget.coerce(budget)
     found = find_path_at_least(f, n, bud)
     if found is not None:
@@ -742,9 +702,9 @@ def extract_t_paths(
     With ``t == 1`` this is exactly :func:`extract_theorem1`.
     """
     f.validate()
+    case = Thm3(t, n, s, m)
     if not force:
-        _require(t >= 1, "t >= 1 required")
-        _require_even_rim(f, t, n, s, m)
+        require_thresholds(case, f)
     if t == 1:
         return extract_theorem1(f, n, s, m, budget=budget, force=force)
     bud = Budget.coerce(budget)
@@ -827,7 +787,7 @@ def verify_extremal(
     bud = Budget.coerce(budget)
     g = extremal_graph(case) if graph is None else graph
     n = case.n
-    t = case.t if isinstance(case, Thm3) else 1
+    t = case.t
     s, m = case.s, case.m
     sm = s * m
     checks: list[tuple[str, bool]] = []
@@ -895,7 +855,7 @@ def trace_document(host: Graph, witness: DichotomyWitness) -> dict:
         "augmented_edges": [list(e) for e in tr.augmented_edges],
         "selections": dict(tr.selections),
         "witness": {
-            "pattern": format_spec(witness.embedding.pattern),
+            "pattern": witness.embedding.pattern.text(),
             "map": list(witness.embedding.mapping),
         },
         "verified": verify_witness(host, witness),

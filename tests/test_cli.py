@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ramsey_jahangir import complete, disjoint_union, empty, to_graph6
+from ramsey_jahangir import Path, build, complete, disjoint_union, empty, to_graph6
 from ramsey_jahangir.cli import run
 
 
@@ -114,6 +114,15 @@ def test_witness_precondition_exit(monkeypatch, capsys):
     rc = run(["witness", "-", "--theorem", "1", "-n", "23", "-s", "2", "-m", "3"])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_witness_force_keeps_the_shape_check(monkeypatch, capsys):
+    host = disjoint_union(build(Path(20)), empty(5))
+    monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(host) + "\n"))
+    rc = run(["witness", "-", "--theorem", "1", "-n", "23", "-s", "3", "-m", "3",
+              "--force"])
+    assert rc == 2
+    assert "this regime needs even s >= 2" in capsys.readouterr().err
 
 
 def test_witness_maximality_exit(monkeypatch, capsys):

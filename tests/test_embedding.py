@@ -24,7 +24,6 @@ from ramsey_jahangir import (
     fits_complete_multipartite,
     from_edges,
     longest_path,
-    pattern_edges,
     verify_embedding,
 )
 from ramsey_jahangir.embedding import _search_order
@@ -96,7 +95,7 @@ def test_find_subgraph_agrees_with_injections():
     for _ in range(40):
         host = random_graph(rng, 6, rng.choice((0.3, 0.5, 0.7)))
         for spec in patterns:
-            want = contains_by_injections(host, spec.order, pattern_edges(spec))
+            want = contains_by_injections(host, spec.order, spec.edges())
             got = find_subgraph(host, spec).status
             assert got == ("present" if want else "absent"), (host, spec)
 
@@ -147,6 +146,15 @@ def test_find_disjoint_paths():
     assert len(set(used)) == 8
     assert find_disjoint_paths(g, 3, 4) is None
     assert find_disjoint_paths(g, 2, 5) is None
+
+
+def test_find_disjoint_paths_agrees_with_subgraph_search():
+    rng = random.Random(2024)
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(4, 9), rng.choice((0.2, 0.35, 0.5)))
+        t, k = rng.randint(1, 3), rng.randint(1, 3)
+        want = find_subgraph(g, DisjointPaths(t, k)).status == "present"
+        assert (find_disjoint_paths(g, t, k) is not None) == want, (g.adj, t, k)
 
 
 def test_find_disjoint_paths_needs_backtracking():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from ramsey_jahangir import (
@@ -7,6 +9,7 @@ from ramsey_jahangir import (
     DisjointPaths,
     Jahangir,
     Path,
+    PreconditionError,
     Thm1,
     Thm2EvenM,
     Thm2OddM,
@@ -14,11 +17,12 @@ from ramsey_jahangir import (
     Wheel,
     build,
     clique_union_sizes,
+    empty,
+    extract,
     extremal_graph,
     fits_complete_multipartite,
-    format_spec,
     parse_spec,
-    pattern_edges,
+    require_thresholds,
 )
 
 from helpers_naive import build_complete_multipartite
@@ -55,14 +59,14 @@ def test_pattern_validation():
 
 def test_edge_counts():
     # P_n has n-1 edges, C_n has n, W_k has 2k, J_{s,m} has sm + m
-    assert len(pattern_edges(Path(9))) == 8
-    assert len(pattern_edges(Cycle(6))) == 6
-    assert len(pattern_edges(Wheel(6))) == 12
-    assert len(pattern_edges(Jahangir(2, 3))) == 9
-    assert len(pattern_edges(Jahangir(3, 4))) == 16
-    assert len(pattern_edges(DisjointPaths(2, 5))) == 8
-    assert len(pattern_edges(Complete(6))) == 15
-    assert len(pattern_edges(CliqueUnion((3, 2)))) == 4
+    assert len(Path(9).edges()) == 8
+    assert len(Cycle(6).edges()) == 6
+    assert len(Wheel(6).edges()) == 12
+    assert len(Jahangir(2, 3).edges()) == 9
+    assert len(Jahangir(3, 4).edges()) == 16
+    assert len(DisjointPaths(2, 5).edges()) == 8
+    assert len(Complete(6).edges()) == 15
+    assert len(CliqueUnion((3, 2)).edges()) == 4
 
 
 def test_jahangir_layout():
@@ -111,7 +115,7 @@ def test_format_round_trip():
         CliqueUnion((3, 1)),
     ]
     for spec in specs:
-        assert parse_spec(format_spec(spec)) == spec
+        assert parse_spec(spec.text()) == spec
 
 
 def test_parse_spec_text():
@@ -162,6 +166,46 @@ def test_extremal_shapes():
     g = extremal_graph(Thm3(2, 23, 2, 3))
     assert g.order == 47
     assert clique_union_sizes(g) == (45, 2)
+
+
+def test_ramsey_values_match_the_closed_forms():
+    # R is the order of the extremal clique union plus one.
+    def r(case):
+        return extremal_graph(case).order + 1
+
+    for n in range(2, 9):
+        for s in (2, 4, 6):
+            for m in (3, 4, 5):
+                assert r(Thm1(n, s, m)) == n + s * m // 2 - 1
+                for t in (1, 2, 3):
+                    assert r(Thm3(t, n, s, m)) == t * n + s * m // 2 - 1
+        for s in (3, 5, 7):
+            for m in (2, 4, 6):
+                assert r(Thm2EvenM(n, s, m)) == 2 * n - 1
+            for m in (3, 5, 7):
+                assert r(Thm2OddM(n, s, m)) == 2 * n
+
+
+@pytest.mark.parametrize(
+    "theorem, case",
+    [
+        (1, Thm1(23, 2, 3)),
+        (2, Thm2EvenM(12, 3, 2)),
+        (2, Thm2OddM(32, 3, 3)),
+        (3, Thm3(2, 23, 2, 3)),
+    ],
+)
+def test_hosts_need_order_r(theorem, case):
+    r = extremal_graph(case).order + 1
+    with pytest.raises(PreconditionError):
+        require_thresholds(case, empty(r - 1))
+    with pytest.raises(PreconditionError):
+        extract(empty(r - 1), theorem, case.n, case.s, case.m, t=case.t)
+    require_thresholds(case, empty(r))
+    assert extract(empty(r), theorem, case.n, case.s, case.m, t=case.t).kind == "jahangir"
+    below = replace(case, n=case.min_n - 1)
+    with pytest.raises(PreconditionError):
+        require_thresholds(below, empty(10 * r))
 
 
 def test_build_complete_multipartite():

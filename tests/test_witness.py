@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ramsey_jahangir import (
+    Budget,
     BudgetExhausted,
     DisjointPaths,
     Embedding,
@@ -27,8 +28,6 @@ from ramsey_jahangir import (
     extract_theorem1,
     extract_theorem2,
     extremal_graph,
-    thm1_min_n,
-    thm2_min_n,
     trace_document,
     trace_json,
     verify_extremal,
@@ -56,12 +55,13 @@ def triangles_host():
 
 
 def test_minimum_n_thresholds():
-    assert thm1_min_n(2, 3) == 23
-    assert thm1_min_n(2, 4) == 46
-    assert thm1_min_n(4, 3) == 116
-    assert thm2_min_n(3, 2) == 12
-    assert thm2_min_n(3, 3) == 32
-    assert thm2_min_n(5, 2) == 40
+    assert Thm1(2, 2, 3).min_n == 23
+    assert Thm1(2, 2, 4).min_n == 46
+    assert Thm1(2, 4, 3).min_n == 116
+    assert Thm3(3, 2, 2, 3).min_n == 23
+    assert Thm2EvenM(2, 3, 2).min_n == 12
+    assert Thm2OddM(2, 3, 3).min_n == 32
+    assert Thm2EvenM(2, 5, 2).min_n == 40
 
 
 # ----------------------------------------------------------- path systems
@@ -251,6 +251,18 @@ def test_preconditions():
         extract_t_paths(empty(25), 0, 23, 2, 3)  # t >= 1
 
 
+def test_force_still_checks_the_regime_shape():
+    # Odd s is outside the even-rim-step regime; its long-path rim assumes
+    # even s, so running it anyway must not reach the construction.
+    host = disjoint_union(build(Path(20)), empty(5))
+    with pytest.raises(PreconditionError):
+        extract_theorem1(host, 23, 3, 3, force=True)
+    with pytest.raises(PreconditionError):
+        extract_theorem2(empty(23), 12, 2, 2, force=True)
+    with pytest.raises(PreconditionError):
+        extract_t_paths(empty(48), 0, 23, 2, 3, force=True)
+
+
 def test_force_skips_preconditions_and_may_fail_loudly():
     with pytest.raises(MaximalityViolation) as info:
         extract_theorem1(empty(6), 23, 2, 3, force=True)
@@ -380,6 +392,15 @@ def test_extremal_disjoint_paths_by_search():
     report = verify_extremal(case)
     assert report.ok, report.checks
     assert dict(report.checks)["path-absence-by-search"]
+
+
+def test_extremal_disjoint_paths_fail_fast_on_component_capacity():
+    # The components of the extremal graph hold fewer than t blocks of n
+    # vertices, so the path search stops before trying any path choice.
+    for case in (Thm3(3, 4, 2, 3), Thm3(2, 7, 2, 4)):
+        report = verify_extremal(case, budget=Budget(100_000))
+        assert report.ok, (case, report.checks)
+        assert dict(report.checks)["path-absence-by-search"]
 
 
 def test_extremal_audit_spots_a_spoiled_graph():
