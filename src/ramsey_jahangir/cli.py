@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .embedding import BudgetExhausted
-from .families import build, parse_spec
+from .families import TheoremCase, Thm1, Thm2EvenM, Thm2OddM, Thm3, build, parse_spec
 from .graphs import Graph, from_graph6, to_graph6
 from .oracle import RamseyIndeterminate, certificate_to_json, ramsey
 from .suites import SUITES, run_suite
@@ -52,7 +52,9 @@ def _parser() -> argparse.ArgumentParser:
     p_wit.add_argument("-m", type=int, required=True, help="spoke count")
     p_wit.add_argument("-t", type=int, default=1, help="number of disjoint paths (theorem 3)")
     p_wit.add_argument("--budget", type=int, default=None)
-    p_wit.add_argument("--force", action="store_true", help="skip hypothesis checks")
+    p_wit.add_argument(
+        "--force", action="store_true", help="skip the n-threshold and host-order checks"
+    )
     p_wit.add_argument("--format", choices=("json", "human"), default="json")
     p_wit.add_argument("--out", metavar="FILE", default=None)
 
@@ -131,19 +133,27 @@ def _read_codes(source: str) -> list[str]:
     return [code for code in codes if code]
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
-    if args.theorem != 3 and args.t != 1:
+def _regime(args: argparse.Namespace) -> TheoremCase:
+    """The regime ``--theorem`` names: 1 is Thm1, 2 is Thm2EvenM or Thm2OddM
+    by the parity of ``m``, 3 is Thm3 (the only one that reads ``-t``)."""
+    if args.theorem == 3:
+        return Thm3(args.t, args.n, args.s, args.m)
+    if args.t != 1:
         raise ValueError("-t applies to --theorem 3 only")
+    if args.theorem == 1:
+        return Thm1(args.n, args.s, args.m)
+    return (Thm2OddM if args.m % 2 else Thm2EvenM)(args.n, args.s, args.m)
+
+
+def _cmd_witness(args: argparse.Namespace) -> int:
+    case = _regime(args)
     codes = _read_codes(args.input)
     if not codes:
         raise ValueError(f"no graph6 codes in {args.input!r}")
     docs = []
     for code in codes:
         host = from_graph6(code)
-        witness = extract(
-            host, args.theorem, args.n, args.s, args.m, args.t,
-            budget=args.budget, force=args.force,
-        )
+        witness = extract(host, case, budget=args.budget, force=args.force)
         docs.append(trace_document(host, witness))
     if args.format == "human":
         blocks = [

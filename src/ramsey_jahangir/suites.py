@@ -1,10 +1,11 @@
-"""Seeded stress suites: reproducible random hosts fed through the extractors.
+"""Seeded stress suites: reproducible random hosts fed through the extractor.
 
-A suite fixes a theorem regime and a host shape; one 64-bit master seed
-then determines every case exactly.  Case ``i`` draws its own seed from a
-splitmix64 stream over the master seed, so cases are independent of each
-other and of ``count`` -- rerunning with the same seed and a larger count
-extends the run without changing earlier cases.
+A suite fixes a theorem regime (one of the case classes in ``families``)
+and a host shape; one 64-bit master seed then determines every case
+exactly.  Case ``i`` draws its own seed from a splitmix64 stream over the
+master seed, so cases are independent of each other and of ``count`` --
+rerunning with the same seed and a larger count extends the run without
+changing earlier cases.
 
 Host recipes (frozen: changing any detail would silently break replay):
 
@@ -25,6 +26,7 @@ import random
 from dataclasses import dataclass
 
 from .embedding import Budget
+from .families import TheoremCase, Thm1, Thm2EvenM, Thm2OddM, Thm3
 from .graphs import Graph, from_edges, relabel, to_graph6
 from .witness import extract, trace_document
 
@@ -61,22 +63,18 @@ def case_seed(seed: int, index: int) -> int:
 class SuiteSpec:
     name: str
     kind: str  # "er-union" or "clique-paths"
-    theorem: int
-    t: int
-    n: int
-    s: int
-    m: int
+    case: TheoremCase
     order: int
 
 
 SUITES: dict[str, SuiteSpec] = {
     spec.name: spec
     for spec in (
-        SuiteSpec("thm1-s2m3", "er-union", 1, 1, 23, 2, 3, 25),
-        SuiteSpec("thm2-s3m2", "er-union", 2, 1, 12, 3, 2, 23),
-        SuiteSpec("thm2-s3m3", "er-union", 2, 1, 32, 3, 3, 64),
-        SuiteSpec("thm3-t2s2m3", "er-union", 3, 2, 23, 2, 3, 48),
-        SuiteSpec("thm3-t2s2m3-paths", "clique-paths", 3, 2, 23, 2, 3, 48),
+        SuiteSpec("thm1-s2m3", "er-union", Thm1(23, 2, 3), 25),
+        SuiteSpec("thm2-s3m2", "er-union", Thm2EvenM(12, 3, 2), 23),
+        SuiteSpec("thm2-s3m3", "er-union", Thm2OddM(32, 3, 3), 64),
+        SuiteSpec("thm3-t2s2m3", "er-union", Thm3(2, 23, 2, 3), 48),
+        SuiteSpec("thm3-t2s2m3-paths", "clique-paths", Thm3(2, 23, 2, 3), 48),
     )
 }
 
@@ -101,10 +99,11 @@ def _block_sizes(rng: random.Random, order: int, n: int) -> list[int]:
 def generate_case(spec: SuiteSpec, seed: int, index: int) -> Graph:
     """Deterministic host number ``index`` of the suite run seeded ``seed``."""
     rng = random.Random(case_seed(seed, index))
+    n = spec.case.n
     if spec.kind == "er-union":
         edges: list[tuple[int, int]] = []
         base = 0
-        for size in _block_sizes(rng, spec.order, spec.n):
+        for size in _block_sizes(rng, spec.order, n):
             for u in range(size):
                 for v in range(u + 1, size):
                     if rng.getrandbits(1):
@@ -113,12 +112,12 @@ def generate_case(spec: SuiteSpec, seed: int, index: int) -> Graph:
         return from_edges(spec.order, edges)
     if spec.kind == "clique-paths":
         edges = []
-        for block in range(spec.t):
-            base = block * spec.n
+        for block in range(spec.case.t):
+            base = block * n
             edges.extend(
                 (base + u, base + v)
-                for u in range(spec.n)
-                for v in range(u + 1, spec.n)
+                for u in range(n)
+                for v in range(u + 1, n)
             )
         g = from_edges(spec.order, edges)
         perm = list(range(spec.order))
@@ -147,7 +146,7 @@ def run_suite(
     cases = []
     for index in range(count):
         g = generate_case(spec, seed, index)
-        witness = extract(g, spec.theorem, spec.n, spec.s, spec.m, spec.t, budget=budget)
+        witness = extract(g, spec.case, budget=budget)
         record = {"index": index, "graph6": to_graph6(g)}
         record.update(trace_document(g, witness))
         cases.append(record)

@@ -1,18 +1,19 @@
 """Constructive dichotomy extractors for paths versus generalized Jahangir graphs.
 
-Each extractor inspects a host graph and produces one of two verified
-outcomes: the promised path structure inside the host, or a Jahangir
-embedding inside the host's complement.  The three public entry points
-cover the three regimes supported by the library: even rim step
-(``extract_theorem1``), odd rim step with even or odd spoke count
-(``extract_theorem2``), and several disjoint paths at once
-(``extract_t_paths``); ``extract`` picks one of them by theorem number.
+``extract(f, case)`` inspects a host graph ``f`` and produces one of two
+verified outcomes for the theorem regime ``case`` (one of the case classes
+in ``families``): the promised path structure inside the host, or a
+Jahangir embedding inside the host's complement.  The single-path regimes
+(:class:`Thm1`, :class:`Thm2EvenM`, :class:`Thm2OddM`) share one front: a
+path on ``n`` vertices when the host has one, otherwise a maximum path,
+whose length picks the regime's Jahangir-side case.  :class:`Thm3` runs
+rounds of the :class:`Thm1` dichotomy, one per path.
 
 The constructions lean on maximality: a maximum-length path's endpoint
 cannot be adjacent to anything that could extend it, and those forced
 non-adjacencies become complement edges.  Every such step is still
-checked against the actual host rather than trusted, and every returned
-witness is re-verified edge by edge before it leaves this module.  A
+checked against the actual host rather than trusted, and ``extract``
+re-verifies every witness edge by edge before it leaves this module.  A
 selection the construction is entitled to make but cannot raises
 :class:`MaximalityViolation` instead of silently guessing.
 """
@@ -61,9 +62,6 @@ __all__ = [
     "DichotomyWitness",
     "ExtremalReport",
     "build_path_system",
-    "extract_theorem1",
-    "extract_theorem2",
-    "extract_t_paths",
     "extract",
     "wheel_to_jahangir",
     "verify_witness",
@@ -183,6 +181,9 @@ def _ensure(host: Graph, witness: DichotomyWitness) -> DichotomyWitness:
 
 # --------------------------------------------------------------------------
 # shared building blocks
+#
+# The witness builders below return unverified witnesses: ``extract``
+# verifies each one on the host it returns it for.
 
 
 def build_path_system(f: Graph, count: int, budget: int | Budget | None = None) -> PathSystem:
@@ -225,36 +226,38 @@ def _spare_roles(pool: list[int], rim_count: int):
 def _fill_rim(
     f: Graph,
     rim: list[int],
-    positions: list[int],
-    endpoints: list[int],
+    slots: list[tuple[int, list[int]]],
     partner: dict[int, int],
     hub: int,
     s: int,
 ) -> bool:
-    """Backtrack path endpoints into the open rim positions.
+    """Backtrack candidates into the open rim positions, slot by slot.
 
-    A vertex may take a position only if it shares no host edge with either
-    already-placed rim neighbour, is not the other endpoint of the same path
-    as a rim neighbour (same-path endpoints can be host-adjacent, so they
+    Each slot is an open rim position (``-1`` in ``rim``) with its
+    candidates, tried in order.  A vertex may take a position only if no
+    earlier slot holds it, it shares no host edge with either already-placed
+    rim neighbour, it is not the ``partner`` of a rim neighbour (the other
+    endpoint of its path: same-path endpoints can be host-adjacent, so they
     must never sit side by side), and -- on spoke positions, the residue
-    class 0 mod ``s`` -- shares no host edge with the hub.  Every rim edge is
-    checked exactly once, when the later of its two occupants arrives.
+    class 0 mod ``s`` -- it shares no host edge with the hub.  Every rim
+    edge is checked exactly once, when the later of its two occupants
+    arrives.  On success ``rim`` holds the first arrangement found.
     """
     sm = len(rim)
     used: set[int] = set()
 
     def attempt(i: int) -> bool:
-        if i == len(positions):
+        if i == len(slots):
             return True
-        pos = positions[i]
+        pos, candidates = slots[i]
         before = rim[(pos - 1) % sm]
         after = rim[(pos + 1) % sm]
-        for v in endpoints:
+        for v in candidates:
             if v in used:
                 continue
-            if before >= 0 and (f.has_edge(v, before) or partner[v] == before):
+            if before >= 0 and (f.has_edge(v, before) or partner.get(v) == before):
                 continue
-            if after >= 0 and (f.has_edge(v, after) or partner[v] == after):
+            if after >= 0 and (f.has_edge(v, after) or partner.get(v) == after):
                 continue
             if pos % s == 0 and f.has_edge(v, hub):
                 continue
@@ -306,8 +309,8 @@ def _assemble_endpoint_rim(
                 rim = [-1] * sm
                 for pos, v in zip(chosen, rim_spares):
                     rim[pos] = v
-                open_pos = [p for p in range(sm) if rim[p] < 0]
-                if _fill_rim(f, rim, open_pos, endpoints, partner, hub, s):
+                slots = [(p, endpoints) for p in range(sm) if rim[p] < 0]
+                if _fill_rim(f, rim, slots, partner, hub, s):
                     return rim, hub
     raise MaximalityViolation(
         "no arrangement of path endpoints and spare vertices forms the rim"
@@ -323,8 +326,7 @@ def _endpoint_witness(
     vertices outside the path system, and one more of those is the hub.
     These spares go to one nonzero residue class so no spoke ever lands on
     one, and endpoint placement never puts two endpoints of the same path
-    side by side.  The witness is not verified here; the caller verifies it
-    on the host it hands out.
+    side by side.
     """
     sm = s * m
     count = (sm - 1) // 2
@@ -344,12 +346,6 @@ def _endpoint_witness(
     )
     emb = Embedding(Jahangir(s, m), g.order, tuple(rim) + (hub,))
     return DichotomyWitness("jahangir", emb, trace)
-
-
-def _path_witness(f: Graph, theorem: str, n: int, found: PathWitness) -> DichotomyWitness:
-    emb = Embedding(Path(n), f.order, tuple(found[:n]))
-    trace = ExtractionTrace(theorem, "path-found", len(found), (tuple(found),), ())
-    return _ensure(f, DichotomyWitness("paths", emb, trace))
 
 
 def _lift(
@@ -380,7 +376,7 @@ def _lift(
     emb = Embedding(
         inner.embedding.pattern, f.order, tuple(idx[v] for v in inner.embedding.mapping)
     )
-    return _ensure(f, DichotomyWitness(inner.kind, emb, trace))
+    return DichotomyWitness(inner.kind, emb, trace)
 
 
 def _edgeless_witness(f: Graph, theorem: str, s: int, m: int) -> DichotomyWitness:
@@ -393,43 +389,21 @@ def _edgeless_witness(f: Graph, theorem: str, s: int, m: int) -> DichotomyWitnes
         )
     emb = Embedding(Jahangir(s, m), f.order, tuple(range(sm + 1)))
     trace = ExtractionTrace(theorem, "edgeless-host", 1, (), (), {"hub": sm})
-    return _ensure(f, DichotomyWitness("jahangir", emb, trace))
+    return DichotomyWitness("jahangir", emb, trace)
 
 
 # --------------------------------------------------------------------------
 # even rim step
 
 
-def extract_theorem1(
-    f: Graph,
-    n: int,
-    s: int,
-    m: int,
-    budget: int | Budget | None = None,
-    force: bool = False,
+def _theorem1(
+    f: Graph, first: PathWitness, s: int, m: int, bud: Budget
 ) -> DichotomyWitness:
-    """Even rim step dichotomy: a path on ``n`` vertices in ``f``, or
-    ``J_{s,m}`` in the complement of ``f``.
-
-    The regime's shape is always checked (:class:`Thm1`); ``force=True``
-    skips the n-threshold and host-order checks and runs the construction
-    anyway, which outside its guarantees may then raise
-    :class:`MaximalityViolation`.
-    """
-    f.validate()
-    case = Thm1(n, s, m)
-    if not force:
-        require_thresholds(case, f)
-    bud = Budget.coerce(budget)
-    found = find_path_at_least(f, n, bud)
-    if found is not None:
-        return _path_witness(f, "Thm1", n, found)
-    first = longest_path(f, bud)
+    """Even rim step, no ``P_n``: rim the endpoints of short maximum paths
+    (Case 1) or build on a long one (Case 2, :func:`_theorem1_case2`)."""
     k = len(first)
-    if k <= 1:
-        return _edgeless_witness(f, "Thm1", s, m)
     if k <= 2 * s * m - 1:
-        return _ensure(f, _endpoint_witness(f, "Thm1", "Thm1-Case1", s, m, k, bud))
+        return _endpoint_witness(f, "Thm1", "Thm1-Case1", s, m, k, bud)
     return _theorem1_case2(f, first, s, m)
 
 
@@ -489,45 +463,23 @@ def _theorem1_case2(f: Graph, first: PathWitness, s: int, m: int) -> DichotomyWi
     # outside vertices -- all complement-adjacent to the path's first vertex.
     trace = ExtractionTrace("Thm1", "Thm1-Case2", k, (first,), (), selections, quadruples)
     emb = Embedding(Jahangir(s, m), f.order, tuple(rim) + (hub,))
-    return _ensure(f, DichotomyWitness("jahangir", emb, trace))
+    return DichotomyWitness("jahangir", emb, trace)
 
 
 # --------------------------------------------------------------------------
 # odd rim step
 
 
-def extract_theorem2(
-    f: Graph,
-    n: int,
-    s: int,
-    m: int,
-    budget: int | Budget | None = None,
-    force: bool = False,
+def _theorem2_oddm(
+    f: Graph, first: PathWitness, s: int, m: int, bud: Budget
 ) -> DichotomyWitness:
-    """Odd rim step dichotomy: ``P_n`` in ``f`` or ``J_{s,m}`` in its complement.
-
-    The even and odd spoke counts run different constructions: even ``m``
-    finds a full wheel in the complement and drops surplus spokes; odd ``m``
-    assembles the rim from path endpoints (short paths) or from couple
-    selections along two long paths.
-    """
-    f.validate()
-    case = (Thm2OddM if m % 2 else Thm2EvenM)(n, s, m)
-    if not force:
-        require_thresholds(case, f)
+    """Odd spoke count, no ``P_n``: rim the endpoints of short maximum paths
+    (Case 1), interleave couple picks along two long paths (Case 2), or
+    rim the endpoints of the short paths off one long path (Case 3)."""
     sm = s * m
-    bud = Budget.coerce(budget)
-    found = find_path_at_least(f, n, bud)
-    if found is not None:
-        return _path_witness(f, "Thm2", n, found)
-    first = longest_path(f, bud)
     k = len(first)
-    if k <= 1:
-        return _edgeless_witness(f, "Thm2", s, m)
-    if m % 2 == 0:
-        return _theorem2_even(f, first, s, m, bud)
     if k < sm - 1:
-        return _ensure(f, _endpoint_witness(f, "Thm2", "Thm2-OddM-Case1", s, m, k, bud))
+        return _endpoint_witness(f, "Thm2", "Thm2-OddM-Case1", s, m, k, bud)
     on_first = set(first)
     rest = [v for v in range(f.order) if v not in on_first]
     sub, idx = induced(f, rest)
@@ -565,7 +517,7 @@ def _theorem2_even(
         (),
         {"hub": emb.mapping[-1]},
     )
-    return _ensure(f, DichotomyWitness("jahangir", emb, trace))
+    return DichotomyWitness("jahangir", emb, trace)
 
 
 def wheel_to_jahangir(wheel_embedding: Embedding, s: int, m: int) -> Embedding:
@@ -601,12 +553,13 @@ def _theorem2_oddm_case2(
     Couples are pairs of near-end interior vertices taken alternately from
     both ends of each path; both paths are long enough that all couples and
     the path ends are pairwise disjoint.  From each couple, the members not
-    host-adjacent to the hub candidate are eligible; the rim backtracks over
-    those (at most two per couple) because a handful of borderline pairs are
-    not forced by maximality alone.
+    host-adjacent to the hub candidate are eligible; :func:`_fill_rim`
+    backtracks over those (at most two per couple), couple B1 then A1, B2,
+    A2, ..., because a handful of borderline pairs are not forced by
+    maximality alone.
     """
     sm = s * m
-    k, t = len(first), len(second)
+    k = len(first)
     q = (sm - 3) // 2
     couples_a = _couples(first, q)
     couples_b = _couples(second, q)
@@ -637,33 +590,19 @@ def _theorem2_oddm_case2(
             )
         return picks
 
-    slots: list[list[int]] = []
+    rim = [first[0]] + [-1] * (2 * q) + [second[-1], y]
+    slots: list[tuple[int, list[int]]] = []
     for i in range(1, q + 1):
-        slots.append(eligible(couples_b[i - 1], f"B{i}"))
-        slots.append(eligible(couples_a[i - 1], f"A{i}"))
-
-    chain: list[int] = []
-
-    def attempt(i: int, prev: int) -> bool:
-        if i == len(slots):
-            return not f.has_edge(prev, second[-1])
-        for v in slots[i]:
-            if not f.has_edge(prev, v):
-                chain.append(v)
-                if attempt(i + 1, v):
-                    return True
-                chain.pop()
-        return False
-
-    if not attempt(0, first[0]):
+        slots.append((2 * i - 1, eligible(couples_b[i - 1], f"B{i}")))
+        slots.append((2 * i, eligible(couples_a[i - 1], f"A{i}")))
+    if not _fill_rim(f, rim, slots, {}, x, s):
         raise MaximalityViolation(
             "no couple selection closes the rim cycle", base
         )
     selections: dict[str, int] = {"x": x, "y": y}
-    for i in range(q):
-        selections[f"b{i + 1}"] = chain[2 * i]
-        selections[f"a{i + 1}"] = chain[2 * i + 1]
-    rim = [first[0], *chain, second[-1], y]
+    for i in range(1, q + 1):
+        selections[f"b{i}"] = rim[2 * i - 1]
+        selections[f"a{i}"] = rim[2 * i]
     hub = x
     trace = ExtractionTrace(
         "Thm2",
@@ -677,43 +616,50 @@ def _theorem2_oddm_case2(
         couples_b,
     )
     emb = Embedding(Jahangir(s, m), f.order, tuple(rim) + (hub,))
-    return _ensure(f, DichotomyWitness("jahangir", emb, trace))
+    return DichotomyWitness("jahangir", emb, trace)
 
 
 # --------------------------------------------------------------------------
-# several disjoint paths
+# the extractor
+
+# Each single-path regime's Jahangir-side construction, run on a maximum
+# path when the host holds no P_n, and the theorem name its traces carry.
+# Every round of Thm3 is the Thm1 dichotomy.
+_REGIMES = {
+    Thm1: ("Thm1", _theorem1),
+    Thm2EvenM: ("Thm2", _theorem2_even),
+    Thm2OddM: ("Thm2", _theorem2_oddm),
+    Thm3: ("Thm1", _theorem1),
+}
 
 
-def extract_t_paths(
-    f: Graph,
-    t: int,
-    n: int,
-    s: int,
-    m: int,
-    budget: int | Budget | None = None,
-    force: bool = False,
-) -> DichotomyWitness:
-    """Even rim step, ``t`` disjoint copies: ``t . P_n`` in ``f`` or
-    ``J_{s,m}`` in the complement.
+def _single_path(f: Graph, case: TheoremCase, bud: Budget) -> DichotomyWitness:
+    """``P_n`` in ``f``, or the regime's Jahangir side on a maximum path."""
+    theorem, jahangir_side = _REGIMES[type(case)]
+    found = find_path_at_least(f, case.n, bud)
+    if found is not None:
+        emb = Embedding(Path(case.n), f.order, tuple(found[: case.n]))
+        trace = ExtractionTrace(theorem, "path-found", len(found), (tuple(found),), ())
+        return DichotomyWitness("paths", emb, trace)
+    first = longest_path(f, bud)
+    if len(first) <= 1:
+        return _edgeless_witness(f, theorem, case.s, case.m)
+    return jahangir_side(f, first, case.s, case.m, bud)
 
-    Runs the single-path extraction ``t`` times, deleting each found copy
+
+def _path_rounds(f: Graph, case: Thm3, bud: Budget) -> DichotomyWitness:
+    """``t . P_n`` in ``f`` or ``J_{s,m}`` in its complement.
+
+    Runs the single-path dichotomy ``t`` times, deleting each found copy
     before the next round; a Jahangir found in any round lifts back to the
     full host because deleting host vertices only shrinks the complement.
-    With ``t == 1`` this is exactly :func:`extract_theorem1`.
     """
-    f.validate()
-    case = Thm3(t, n, s, m)
-    if not force:
-        require_thresholds(case, f)
-    if t == 1:
-        return extract_theorem1(f, n, s, m, budget=budget, force=force)
-    bud = Budget.coerce(budget)
     remaining = list(range(f.order))
     collected: list[PathWitness] = []
     last_k = 0
-    for step in range(1, t + 1):
+    for step in range(1, case.t + 1):
         sub, idx = induced(f, remaining)
-        inner = extract_theorem1(sub, n, s, m, budget=bud, force=force)
+        inner = _single_path(sub, case, bud)
         if inner.kind == "jahangir":
             return _lift(inner, f, idx, "Thm3", f"Thm3-step{step}")
         path = tuple(idx[v] for v in inner.paths[0])
@@ -722,32 +668,35 @@ def extract_t_paths(
         used = set(path)
         remaining = [v for v in remaining if v not in used]
     emb = Embedding(
-        DisjointPaths(t, n), f.order, tuple(v for p in collected for v in p)
+        DisjointPaths(case.t, case.n), f.order, tuple(v for p in collected for v in p)
     )
-    trace = ExtractionTrace("Thm3", f"Thm3-step{t}", last_k, tuple(collected), ())
-    return _ensure(f, DichotomyWitness("paths", emb, trace))
+    trace = ExtractionTrace("Thm3", f"Thm3-step{case.t}", last_k, tuple(collected), ())
+    return DichotomyWitness("paths", emb, trace)
 
 
 def extract(
     f: Graph,
-    theorem: int,
-    n: int,
-    s: int,
-    m: int,
-    t: int = 1,
+    case: TheoremCase,
+    *,
     budget: int | Budget | None = None,
     force: bool = False,
 ) -> DichotomyWitness:
-    """Run the extractor for ``theorem``: 1 (:func:`extract_theorem1`), 2
-    (:func:`extract_theorem2`) or 3 (:func:`extract_t_paths`, the only one
-    that reads ``t``)."""
-    if theorem == 1:
-        return extract_theorem1(f, n, s, m, budget=budget, force=force)
-    if theorem == 2:
-        return extract_theorem2(f, n, s, m, budget=budget, force=force)
-    if theorem == 3:
-        return extract_t_paths(f, t, n, s, m, budget=budget, force=force)
-    raise ValueError(f"no extractor for theorem {theorem!r}")
+    """The dichotomy of ``case`` on ``f``: ``t . P_n`` in ``f`` (a single
+    ``P_n`` when ``case.t == 1``) or ``J_{s,m}`` in the complement of ``f``.
+
+    The regime's shape was checked when ``case`` was built; ``force=True``
+    skips the n-threshold and host-order checks (:func:`require_thresholds`)
+    and runs the construction anyway, which outside its guarantees may then
+    raise :class:`MaximalityViolation`.  With ``t == 1``, :class:`Thm3` is
+    exactly :class:`Thm1`.  The witness is verified against ``f`` before it
+    is returned.
+    """
+    f.validate()
+    if not force:
+        require_thresholds(case, f)
+    bud = Budget.coerce(budget)
+    construct = _single_path if case.t == 1 else _path_rounds
+    return _ensure(f, construct(f, case, bud))
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,7 @@ package's canonical form only to name each labelled graph's class.
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 from ramsey_jahangir import (
     Budget,
@@ -103,6 +103,36 @@ def random_graph(rng: random.Random, order: int, p: float = 0.5) -> Graph:
         if rng.random() < p
     ]
     return from_edges(order, edges)
+
+
+def near_end_couples(path, q: int) -> list[tuple[int, int]]:
+    """Couples 1..q of a path on k vertices: (p[i], p[i+1]) for odd i,
+    (p[k-i-1], p[k-i]) for even i."""
+    k = len(path)
+    return [
+        (path[i], path[i + 1]) if i % 2 else (path[k - i - 1], path[k - i])
+        for i in range(1, q + 1)
+    ]
+
+
+def first_closing_couple_picks(g: Graph, first, second, hub: int, q: int):
+    """Try every couple selection of the odd-spoke two-long-paths rim.
+
+    The rim reads ``first[0]``, one member of each couple of ``second`` and
+    ``first`` in the order B1, A1, B2, A2, ..., then ``second[-1]``; only
+    members with no host edge to ``hub`` may be picked.  Returns the picks
+    of the first selection, in ``itertools.product`` order over ascending
+    members, whose consecutive rim vertices share no host edge, or None.
+    """
+    pools = []
+    for b, a in zip(near_end_couples(second, q), near_end_couples(first, q)):
+        for couple in (b, a):
+            pools.append([v for v in sorted(couple) if not g.has_edge(v, hub)])
+    for picks in product(*pools):
+        chain = (first[0], *picks, second[-1])
+        if not any(g.has_edge(u, v) for u, v in zip(chain, chain[1:])):
+            return picks
+    return None
 
 
 def build_complete_multipartite(part_sizes) -> Graph:

@@ -4,7 +4,18 @@ import json
 
 import pytest
 
-from ramsey_jahangir import Path, build, complete, disjoint_union, empty, to_graph6
+from ramsey_jahangir import (
+    Path,
+    Thm2EvenM,
+    Thm2OddM,
+    build,
+    complete,
+    disjoint_union,
+    empty,
+    extract,
+    to_graph6,
+    trace_document,
+)
 from ramsey_jahangir.cli import run
 
 
@@ -107,6 +118,33 @@ def test_witness_usage_errors(tmp_path, monkeypatch, capsys):
     assert run(["witness", str(tmp_path / "absent.g6"), "--theorem", "1",
                 "-n", "23", "-s", "2", "-m", "3"]) == 2
     capsys.readouterr()
+
+
+def test_witness_theorem2_picks_the_case_by_spoke_parity(monkeypatch, capsys):
+    # The hosts of test_even_spokes_via_wheel and test_odd_spokes_short_paths.
+    even = empty(2)
+    for _ in range(3):
+        even = disjoint_union(even, build(Path(7)))
+    odd = empty(1)
+    for _ in range(9):
+        odd = disjoint_union(odd, build(Path(7)))
+    for host, case in ((even, Thm2EvenM(12, 3, 2)), (odd, Thm2OddM(32, 3, 3))):
+        monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(host) + "\n"))
+        rc = run(["witness", "-", "--theorem", "2", "-n", str(case.n),
+                  "-s", str(case.s), "-m", str(case.m)])
+        assert rc == 0
+        doc = trace_document(host, extract(host, case))
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_witness_rejects_the_regime_before_reading_hosts(tmp_path, capsys):
+    absent = str(tmp_path / "absent.g6")
+    assert run(["witness", absent, "--theorem", "1", "-n", "23", "-s", "2",
+                "-m", "3", "-t", "2"]) == 2
+    assert "-t applies to --theorem 3 only" in capsys.readouterr().err
+    assert run(["witness", absent, "--theorem", "2", "-n", "12", "-s", "2",
+                "-m", "2"]) == 2
+    assert "this regime needs odd s >= 3" in capsys.readouterr().err
 
 
 def test_witness_precondition_exit(monkeypatch, capsys):

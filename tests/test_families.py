@@ -186,6 +186,7 @@ def test_ramsey_values_match_the_closed_forms():
                 assert r(Thm2OddM(n, s, m)) == 2 * n
 
 
+# The theorem number (the CLI's --theorem) only labels each case's test id.
 @pytest.mark.parametrize(
     "theorem, case",
     [
@@ -200,9 +201,9 @@ def test_hosts_need_order_r(theorem, case):
     with pytest.raises(PreconditionError):
         require_thresholds(case, empty(r - 1))
     with pytest.raises(PreconditionError):
-        extract(empty(r - 1), theorem, case.n, case.s, case.m, t=case.t)
+        extract(empty(r - 1), case)
     require_thresholds(case, empty(r))
-    assert extract(empty(r), theorem, case.n, case.s, case.m, t=case.t).kind == "jahangir"
+    assert extract(empty(r), case).kind == "jahangir"
     below = replace(case, n=case.min_n - 1)
     with pytest.raises(PreconditionError):
         require_thresholds(below, empty(10 * r))

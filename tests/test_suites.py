@@ -41,7 +41,7 @@ def test_generated_blocks_respect_the_caps():
         for index in range(4):
             g = generate_case(spec, seed=11, index=index)
             assert g.order == spec.order
-            cap = min(20, spec.n - 1)
+            cap = min(20, spec.case.n - 1)
             assert all(len(c) <= cap for c in components(g))
 
 

@@ -24,19 +24,17 @@ from ramsey_jahangir import (
     disjoint_union,
     empty,
     extract,
-    extract_t_paths,
-    extract_theorem1,
-    extract_theorem2,
     extremal_graph,
+    from_edges,
     trace_document,
     trace_json,
     verify_extremal,
     verify_witness,
     wheel_to_jahangir,
 )
-from ramsey_jahangir.witness import build_path_system
+from ramsey_jahangir.witness import _theorem2_oddm_case2, build_path_system
 
-from helpers_naive import random_graph
+from helpers_naive import first_closing_couple_picks, near_end_couples, random_graph
 
 
 def _union(*parts):
@@ -84,7 +82,7 @@ def test_path_system_runs_out():
 
 def test_path_found_short_circuits():
     host = build(Path(25))
-    w = extract_theorem1(host, 23, 2, 3)
+    w = extract(host, Thm1(23, 2, 3))
     assert w.kind == "paths"
     assert w.trace.case == "path-found"
     assert w.trace.k == 23
@@ -94,7 +92,7 @@ def test_path_found_short_circuits():
 
 def test_edgeless_host():
     host = empty(25)
-    w = extract_theorem1(host, 23, 2, 3)
+    w = extract(host, Thm1(23, 2, 3))
     assert w.kind == "jahangir"
     assert w.trace.case == "edgeless-host"
     assert w.trace.selections == {"hub": 6}
@@ -104,7 +102,7 @@ def test_edgeless_host():
 
 def test_short_path_rim():
     host = triangles_host()
-    w = extract_theorem1(host, 23, 2, 3)
+    w = extract(host, Thm1(23, 2, 3))
     assert w.kind == "jahangir"
     assert w.trace.case == "Thm1-Case1"
     assert w.trace.k == 3
@@ -116,7 +114,7 @@ def test_short_path_rim():
 
 def test_long_path_rim():
     host = disjoint_union(build(Path(20)), build(Path(5)))
-    w = extract_theorem1(host, 23, 2, 3)
+    w = extract(host, Thm1(23, 2, 3))
     assert w.kind == "jahangir"
     assert w.trace.case == "Thm1-Case2"
     assert w.trace.k == 20
@@ -134,7 +132,7 @@ def test_long_path_rim():
 def test_even_spokes_via_wheel():
     host = _union(empty(2), *([build(Path(7))] * 3))
     assert host.order == 23
-    w = extract_theorem2(host, 12, 3, 2)
+    w = extract(host, Thm2EvenM(12, 3, 2))
     assert w.kind == "jahangir"
     assert w.trace.case == "Thm2-EvenM"
     assert w.embedding.pattern == Jahangir(3, 2)
@@ -145,7 +143,7 @@ def test_even_spokes_via_wheel():
 def test_odd_spokes_short_paths():
     host = _union(empty(1), *([build(Path(7))] * 9))
     assert host.order == 64
-    w = extract_theorem2(host, 32, 3, 3)
+    w = extract(host, Thm2OddM(32, 3, 3))
     assert w.trace.case == "Thm2-OddM-Case1"
     assert w.trace.k == 7
     assert len(w.trace.paths) == 4
@@ -155,7 +153,7 @@ def test_odd_spokes_short_paths():
 
 def test_odd_spokes_two_long_paths():
     host = _union(build(Path(30)), build(Path(30)), empty(4))
-    w = extract_theorem2(host, 32, 3, 3)
+    w = extract(host, Thm2OddM(32, 3, 3))
     assert w.trace.case == "Thm2-OddM-Case2"
     assert w.trace.k == 30
     assert sorted(w.trace.selections) == ["a1", "a2", "a3", "b1", "b2", "b3", "x", "y"]
@@ -168,13 +166,74 @@ def test_odd_spokes_two_long_paths():
 def test_odd_spokes_one_long_path():
     host = _union(build(Path(20)), *([build(Path(7))] * 6), empty(2))
     assert host.order == 64
-    w = extract_theorem2(host, 32, 3, 3)
+    w = extract(host, Thm2OddM(32, 3, 3))
     assert w.trace.case == "Thm2-OddM-Case3"
     assert w.trace.k == 20
     # the rim construction runs off the long path entirely
     assert all(v >= 20 for p in w.trace.paths for v in p)
     assert all(v >= 20 for v in w.embedding.mapping)
     assert verify_witness(host, w)
+
+
+def _two_long_paths_host(rng, s, m):
+    """Two paths of sm - 1 to sm + 2 vertices, random host edges among their
+    vertices, and two vertices off them: the hub candidate, which touches
+    one member of some couples, and the isolated rim closer.  Labels are
+    shuffled."""
+    sm = s * m
+    q = (sm - 3) // 2
+    l1, l2 = rng.randint(sm - 1, sm + 2), rng.randint(sm - 1, sm + 2)
+    order = l1 + l2 + 2
+    label = list(range(order))
+    rng.shuffle(label)
+    first, second = tuple(label[:l1]), tuple(label[l1 : l1 + l2])
+    hub = min(label[l1 + l2 :])
+    edges = {e for path in (first, second) for e in zip(path, path[1:])}
+    on_paths = first + second
+    for i, u in enumerate(on_paths):
+        edges.update((u, v) for v in on_paths[i + 1 :] if rng.random() < 0.2)
+    for couple in near_end_couples(first, q) + near_end_couples(second, q):
+        if rng.random() < 0.25:
+            edges.add((hub, rng.choice(couple)))
+    return from_edges(order, sorted(edges)), first, second, hub
+
+
+@pytest.mark.parametrize("s, m", [(3, 3), (3, 5), (5, 3)])
+def test_couple_rim_takes_the_first_closing_selection(s, m):
+    q = (s * m - 3) // 2
+    outcomes = set()
+    for i in range(30):
+        rng = random.Random(f"couples/{s},{m}/{i}")
+        host, first, second, hub = _two_long_paths_host(rng, s, m)
+        expected = first_closing_couple_picks(host, first, second, hub, q)
+        if expected is None:
+            with pytest.raises(MaximalityViolation, match="^no couple selection closes"):
+                _theorem2_oddm_case2(host, first, second, s, m)
+            outcomes.add("no closing selection")
+            continue
+        w = _theorem2_oddm_case2(host, first, second, s, m)
+        sel = w.trace.selections
+        picks = tuple(sel[f"{role}{j}"] for j in range(1, q + 1) for role in "ba")
+        assert picks == expected
+        assert w.trace.couples_a == tuple(near_end_couples(first, q))
+        assert w.trace.couples_b == tuple(near_end_couples(second, q))
+        assert w.embedding.mapping == (first[0], *picks, second[-1], sel["y"], hub)
+        assert verify_witness(host, w)
+        # Taking the least pick that avoids the previous rim vertex at every
+        # slot, with no backtracking, finds the same selection or none.
+        pairs = zip(near_end_couples(second, q), near_end_couples(first, q))
+        prev, greedy = first[0], []
+        for couple in (c for pair in pairs for c in pair):
+            fits = [
+                v for v in sorted(couple)
+                if not host.has_edge(v, hub) and not host.has_edge(prev, v)
+            ]
+            if not fits:
+                break
+            prev = fits[0]
+            greedy.append(prev)
+        outcomes.add("greedy" if tuple(greedy) == expected else "backtracked")
+    assert outcomes == {"greedy", "backtracked", "no closing selection"}
 
 
 def test_wheel_reuse_rejects_mismatch():
@@ -190,7 +249,7 @@ def test_wheel_reuse_rejects_mismatch():
 
 def test_t_paths_found():
     host = _union(complete(23), complete(23), empty(2))
-    w = extract_t_paths(host, 2, 23, 2, 3)
+    w = extract(host, Thm3(2, 23, 2, 3))
     assert w.kind == "paths"
     assert w.embedding.pattern == DisjointPaths(2, 23)
     assert w.trace.case == "Thm3-step2"
@@ -204,7 +263,7 @@ def test_t_paths_found():
 def test_t_paths_jahangir_in_later_round():
     host = _union(complete(23), *([complete(3)] * 8), empty(1))
     assert host.order == 48
-    w = extract_t_paths(host, 2, 23, 2, 3)
+    w = extract(host, Thm3(2, 23, 2, 3))
     assert w.kind == "jahangir"
     assert w.trace.case == "Thm3-step2"
     assert w.trace.theorem == "Thm3"
@@ -214,18 +273,13 @@ def test_t_paths_jahangir_in_later_round():
 
 
 def test_t_equal_one_is_the_plain_extractor():
-    host = triangles_host()
-    assert extract_t_paths(host, 1, 23, 2, 3) == extract_theorem1(host, 23, 2, 3)
+    for host in (triangles_host(), empty(25), build(Path(25))):
+        assert extract(host, Thm3(1, 23, 2, 3)) == extract(host, Thm1(23, 2, 3))
 
 
-def test_extract_dispatches_by_theorem():
-    host = triangles_host()
-    assert extract(host, 1, 23, 2, 3) == extract_theorem1(host, 23, 2, 3)
-    assert extract(empty(23), 2, 12, 3, 2) == extract_theorem2(empty(23), 12, 3, 2)
-    big = _union(complete(23), *([complete(3)] * 8), empty(1))
-    assert extract(big, 3, 23, 2, 3, t=2) == extract_t_paths(big, 2, 23, 2, 3)
-    with pytest.raises(ValueError):
-        extract(host, 4, 23, 2, 3)
+def test_extract_takes_the_case_not_a_theorem_number():
+    with pytest.raises(TypeError):
+        extract(triangles_host(), 1, 23, 2, 3)
 
 
 # ------------------------------------------------------ error contract
@@ -234,21 +288,21 @@ def test_extract_dispatches_by_theorem():
 def test_preconditions():
     host = empty(25)
     with pytest.raises(PreconditionError):
-        extract_theorem1(host, 23, 3, 3)  # rim step parity
+        extract(host, Thm1(23, 3, 3))  # rim step parity
     with pytest.raises(PreconditionError):
-        extract_theorem1(host, 23, 2, 2)  # spoke count too small
+        extract(host, Thm1(23, 2, 2))  # spoke count too small
     with pytest.raises(PreconditionError):
-        extract_theorem1(host, 22, 2, 3)  # below the n threshold
+        extract(host, Thm1(22, 2, 3))  # below the n threshold
     with pytest.raises(PreconditionError):
-        extract_theorem1(empty(24), 23, 2, 3)  # host too small
+        extract(empty(24), Thm1(23, 2, 3))  # host too small
     with pytest.raises(PreconditionError):
-        extract_theorem2(empty(23), 12, 2, 2)  # even rim step
+        extract(empty(23), Thm2EvenM(12, 2, 2))  # even rim step
     with pytest.raises(PreconditionError):
-        extract_theorem2(empty(23), 11, 3, 2)  # below the n threshold
+        extract(empty(23), Thm2EvenM(11, 3, 2))  # below the n threshold
     with pytest.raises(PreconditionError):
-        extract_theorem2(empty(63), 32, 3, 3)  # odd spokes need order 2n
+        extract(empty(63), Thm2OddM(32, 3, 3))  # odd spokes need order 2n
     with pytest.raises(PreconditionError):
-        extract_t_paths(empty(25), 0, 23, 2, 3)  # t >= 1
+        extract(empty(25), Thm3(0, 23, 2, 3))  # t >= 1
 
 
 def test_force_still_checks_the_regime_shape():
@@ -256,28 +310,28 @@ def test_force_still_checks_the_regime_shape():
     # even s, so running it anyway must not reach the construction.
     host = disjoint_union(build(Path(20)), empty(5))
     with pytest.raises(PreconditionError):
-        extract_theorem1(host, 23, 3, 3, force=True)
+        extract(host, Thm1(23, 3, 3), force=True)
     with pytest.raises(PreconditionError):
-        extract_theorem2(empty(23), 12, 2, 2, force=True)
+        extract(empty(23), Thm2EvenM(12, 2, 2), force=True)
     with pytest.raises(PreconditionError):
-        extract_t_paths(empty(48), 0, 23, 2, 3, force=True)
+        extract(empty(48), Thm3(0, 23, 2, 3), force=True)
 
 
 def test_force_skips_preconditions_and_may_fail_loudly():
     with pytest.raises(MaximalityViolation) as info:
-        extract_theorem1(empty(6), 23, 2, 3, force=True)
+        extract(empty(6), Thm1(23, 2, 3), force=True)
     assert info.value.trace is not None
     assert info.value.trace.case == "edgeless-host"
 
 
 def test_budget_exhaustion():
     with pytest.raises(BudgetExhausted):
-        extract_theorem1(triangles_host(), 23, 2, 3, budget=1)
+        extract(triangles_host(), Thm1(23, 2, 3), budget=1)
 
 
 def test_verify_witness_catches_corruption():
     host = triangles_host()
-    w = extract_theorem1(host, 23, 2, 3)
+    w = extract(host, Thm1(23, 2, 3))
     mapping = list(w.embedding.mapping)
     mapping[0], mapping[1] = mapping[1], mapping[0]
     bad = type(w)(w.kind, Embedding(w.embedding.pattern, host.order, tuple(mapping)), w.trace)
@@ -289,7 +343,7 @@ def test_verify_witness_catches_corruption():
 
 def test_trace_document_layout():
     host = triangles_host()
-    w = extract_theorem1(host, 23, 2, 3)
+    w = extract(host, Thm1(23, 2, 3))
     doc = trace_document(host, w)
     assert list(doc) == [
         "theorem",
@@ -311,8 +365,8 @@ def test_trace_document_layout():
 
 def test_trace_json_is_deterministic():
     host = disjoint_union(build(Path(20)), build(Path(5)))
-    a = trace_json(host, extract_theorem1(host, 23, 2, 3))
-    b = trace_json(host, extract_theorem1(host, 23, 2, 3))
+    a = trace_json(host, extract(host, Thm1(23, 2, 3)))
+    b = trace_json(host, extract(host, Thm1(23, 2, 3)))
     assert a == b
 
 
@@ -322,25 +376,25 @@ def test_trace_json_is_deterministic():
 LIFTED_TRACES = [
     (
         lambda: _union(build(Path(20)), *([build(Path(7))] * 6), empty(2)),
-        lambda h: extract_theorem2(h, 32, 3, 3),
+        lambda h: extract(h, Thm2OddM(32, 3, 3)),
         "Thm2-OddM-Case3",
         "e06a3f611ca17beaf2f145705cd537048d091af27feea84a88c36fafb4a684ef",
     ),
     (
         lambda: _union(complete(23), *([complete(3)] * 8), empty(1)),
-        lambda h: extract_t_paths(h, 2, 23, 2, 3),
+        lambda h: extract(h, Thm3(2, 23, 2, 3)),
         "Thm3-step2",
         "aecbdf80ae037f3da815b0fa2a92283f2a70883094f1c6c8fc36ea24a30c2fcb",
     ),
     (
         lambda: _union(complete(23), build(Path(20)), empty(5)),
-        lambda h: extract_t_paths(h, 2, 23, 2, 3),
+        lambda h: extract(h, Thm3(2, 23, 2, 3)),
         "Thm3-step2",
         "9befbf229a3bd0d87d92f6a4cf4da5bfb6576975ef90ae807e41050b54ea69cc",
     ),
     (
         lambda: _union(complete(23), complete(3), empty(22)),
-        lambda h: extract_t_paths(h, 2, 23, 2, 3),
+        lambda h: extract(h, Thm3(2, 23, 2, 3)),
         "Thm3-step2",
         "866b1de851a86e35aa1b6299842c8b88774f2995c13e088d9667b9065b27a337",
     ),
@@ -358,10 +412,10 @@ def test_lifted_trace_bytes_are_pinned(make_host, run, case, digest):
 
 def test_lifted_trace_keeps_unserialized_fields():
     host = _union(complete(23), build(Path(20)), empty(5))
-    w = extract_t_paths(host, 2, 23, 2, 3)
+    w = extract(host, Thm3(2, 23, 2, 3))
     assert w.trace.quadruples == ((24, 25, 26, 27), (28, 29, 30, 31))
     host = _union(complete(23), complete(3), empty(22))
-    assert extract_t_paths(host, 2, 23, 2, 3).trace.augmented_edges == ((26, 27),)
+    assert extract(host, Thm3(2, 23, 2, 3)).trace.augmented_edges == ((26, 27),)
 
 
 # ------------------------------------------------- extremal lower bounds
@@ -428,7 +482,7 @@ def test_random_hosts_always_yield_verified_witnesses():
     for i in range(20):
         rng = random.Random(1000 + i)
         g = random_graph(rng, 25, rng.choice((0.08, 0.3, 0.6)))
-        w = extract_theorem1(g, 23, 2, 3)
+        w = extract(g, Thm1(23, 2, 3))
         assert verify_witness(g, w)
         seen.add(w.trace.case)
     assert {"path-found", "Thm1-Case1", "Thm1-Case2"} <= seen
@@ -438,5 +492,5 @@ def test_random_hosts_odd_rim_step():
     for i in range(10):
         rng = random.Random(2000 + i)
         g = random_graph(rng, 23, rng.choice((0.08, 0.3, 0.6)))
-        w = extract_theorem2(g, 12, 3, 2)
+        w = extract(g, Thm2EvenM(12, 3, 2))
         assert verify_witness(g, w)
