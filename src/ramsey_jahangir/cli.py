@@ -26,7 +26,7 @@ from .families import TheoremCase, Thm1, Thm2EvenM, Thm2OddM, Thm3, build, parse
 from .graphs import Graph, from_graph6, to_graph6
 from .oracle import RamseyIndeterminate, certificate_to_json, ramsey
 from .suites import SUITES, run_suite
-from .witness import MaximalityViolation, WheelNotFound, extract, trace_document
+from .witness import MaximalityViolation, extract, trace_document
 
 __all__ = ["run", "entry"]
 
@@ -233,7 +233,7 @@ def run(argv: list[str] | None = None) -> int:
         print(json.dumps(report, indent=2))
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except (BudgetExhausted, WheelNotFound) as exc:
+    except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except MaximalityViolation as exc:

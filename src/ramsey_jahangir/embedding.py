@@ -1,17 +1,22 @@
-"""Exact containment engines: subgraph search, longest paths, disjoint paths.
+"""Exact containment engines: subgraph search and longest paths.
 
 Everything here is exact.  Searches carry an expansion budget (a count of
 attempted assignments, not wall time); running out is reported explicitly,
 never silently converted into an "absent" answer.
+
+:func:`longest_path` is the one path search: with ``stop=n`` it finds a
+``P_n`` or, failing that, a maximum path.  ``t . P_n`` is the pattern
+``DisjointPaths(t, n)`` for :func:`find_subgraph`; for t > 1 the extremal
+audit's path side is the component-capacity argument alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .families import PatternSpec, build
-from .graphs import Graph, component_masks, components, iter_bits
+from .graphs import Graph, components, iter_bits
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -164,27 +169,26 @@ def find_subgraph(host: Graph, spec: PatternSpec, budget: int | Budget | None = 
 # dynamic program evaluated lazily; larger components run plain
 # branch-and-bound.  A path covering its whole component stops the search
 # early (nothing longer can exist), which is what makes dense random
-# components cheap.
+# components cheap; so does a path on ``stop`` vertices when one is asked for.
 # ---------------------------------------------------------------------------
 
 _MEMO_LIMIT = 24
 
 
-class _LongEnough(Exception):
-    pass
+def _component_search(g: Graph, comp: list[int], bud: Budget, stop: int | None) -> PathWitness:
+    """Longest path inside one component, or its first on ``stop`` vertices.
 
-
-def _component_search(g: Graph, comp: list[int], bud: Budget, target: int | None) -> PathWitness:
-    """Longest path inside one component; stops early at ``target`` if given."""
+    The search runs on an explicit stack, free of the recursion limit:
+    ``path``, its visited sets ``masks``, and the ``untried`` neighbours of
+    every path vertex below the top.
+    """
     comp_mask = 0
     for v in comp:
         comp_mask |= 1 << v
     size = len(comp)
-    stop_len = size if target is None else min(target, size)
-    if target is not None and target > size:
-        return ()
+    stop_len = size if stop is None else min(stop, size)
     adj = g.adj
-    best: list[tuple[int, ...]] = [()]
+    best: PathWitness = ()
     dead: set[tuple[int, int]] | None = set() if size <= _MEMO_LIMIT else None
 
     def reachable_count(endpoint: int, mask: int) -> int:
@@ -198,29 +202,39 @@ def _component_search(g: Graph, comp: list[int], bud: Budget, target: int | None
             frontier = step & comp_mask & ~mask & ~reach
         return reach.bit_count()
 
-    def dfs(v: int, mask: int, path: list[int]) -> None:
-        bud.spend()
-        if len(path) > len(best[0]):
-            best[0] = tuple(path)
-            if len(path) >= stop_len:
-                raise _LongEnough
-        key = (v, mask)
-        if dead is not None and key in dead:
-            return
-        if len(path) + reachable_count(v, mask) > len(best[0]):
-            for w in iter_bits(adj[v] & comp_mask & ~mask):
-                path.append(w)
-                dfs(w, mask | (1 << w), path)
-                path.pop()
-        if dead is not None:
-            dead.add(key)
-
-    try:
-        for start in comp:
-            dfs(start, 1 << start, [start])
-    except _LongEnough:
-        pass
-    return best[0]
+    for start in comp:
+        path = [start]
+        masks = [1 << start]
+        untried: list[int] = []
+        while path:
+            # Visit the path's new last vertex.
+            v, mask = path[-1], masks[-1]
+            bud.spend()
+            if len(path) > len(best):
+                best = tuple(path)
+                if len(path) >= stop_len:
+                    return best
+            if dead is not None and (v, mask) in dead:
+                rest = 0
+            elif len(path) + reachable_count(v, mask) > len(best):
+                rest = adj[v] & comp_mask & ~mask
+            else:
+                rest = 0
+            # Retreat past the vertices with nothing left to try, then step
+            # to the least untried neighbour of the deepest one that has one.
+            while not rest:
+                v, mask = path.pop(), masks.pop()
+                if dead is not None:
+                    dead.add((v, mask))
+                if not path:
+                    break
+                rest = untried.pop()
+            if rest:
+                low = rest & -rest
+                untried.append(rest ^ low)
+                path.append(low.bit_length() - 1)
+                masks.append(masks[-1] | low)
+    return best
 
 
 def _normalize_direction(path: PathWitness) -> PathWitness:
@@ -228,98 +242,31 @@ def _normalize_direction(path: PathWitness) -> PathWitness:
     return path if path <= rev else rev
 
 
-def longest_path(g: Graph, budget: int | Budget | None = None) -> PathWitness:
+def longest_path(
+    g: Graph, budget: int | Budget | None = None, *, stop: int | None = None
+) -> PathWitness:
     """A maximum-length path of g, deterministic across runs.
 
     Components are searched in order of their least vertex; the first
     maximum found in the canonical exploration order wins and the result is
-    direction-normalized so the lower endpoint comes first.
+    direction-normalized so the lower endpoint comes first.  With ``stop``,
+    the search ends at the first path on ``stop`` vertices, so the answer
+    has ``stop`` vertices exactly when g holds a path that long, and is a
+    maximum path otherwise.
     """
+    if stop is not None and stop < 1:
+        raise ValueError("stop >= 1 required")
     bud = Budget.coerce(budget)
     best: PathWitness = ()
     for comp in components(g):
         if len(comp) <= len(best):
             continue
-        cand = _component_search(g, comp, bud, None)
+        cand = _component_search(g, comp, bud, stop)
         if len(cand) > len(best):
             best = cand
+            if len(best) == stop:
+                break
     return _normalize_direction(best)
-
-
-def find_path_at_least(g: Graph, n: int, budget: int | Budget | None = None) -> PathWitness | None:
-    """A path on at least n vertices, or None after an exhaustive search."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    bud = Budget.coerce(budget)
-    for comp in components(g):
-        if len(comp) < n:
-            continue
-        cand = _component_search(g, comp, bud, n)
-        if len(cand) >= n:
-            return _normalize_direction(cand)
-    return None
-
-
-def _iter_paths_exact(g: Graph, blocked: int, n: int, bud: Budget) -> Iterator[PathWitness]:
-    """All simple paths on exactly n vertices avoiding ``blocked``.
-
-    Each path is yielded once (direction fixed by endpoint order), in the
-    canonical depth-first order.
-    """
-    allowed = ((1 << g.order) - 1) & ~blocked
-    adj = g.adj
-    path: list[int] = []
-
-    def extend(v: int, mask: int) -> Iterator[PathWitness]:
-        bud.spend()
-        path.append(v)
-        if len(path) == n:
-            if n == 1 or path[0] < path[-1]:
-                yield tuple(path)
-        else:
-            for w in iter_bits(adj[v] & allowed & ~mask):
-                yield from extend(w, mask | (1 << w))
-        path.pop()
-
-    for start in iter_bits(allowed):
-        yield from extend(start, 1 << start)
-
-
-def find_disjoint_paths(
-    g: Graph, t: int, n: int, budget: int | Budget | None = None
-) -> list[PathWitness] | None:
-    """t vertex-disjoint paths on n vertices each, or None if impossible.
-
-    Greedy with full backtracking: pick a path, recurse on the rest of the
-    graph, and on failure move to the next candidate path.  A path lies in
-    one component, so when the components of the free vertices hold fewer
-    than the missing number of disjoint n-vertex blocks, the branch fails
-    without a search.  "None" therefore means every choice was exhausted.
-    """
-    if t < 1 or n < 1:
-        raise ValueError("t >= 1 and n >= 1 required")
-    bud = Budget.coerce(budget)
-    full = (1 << g.order) - 1
-    chosen: list[PathWitness] = []
-
-    def recurse(blocked: int) -> bool:
-        if len(chosen) == t:
-            return True
-        free = full & ~blocked
-        room = sum(comp.bit_count() // n for comp in component_masks(g, free))
-        if room < t - len(chosen):
-            return False
-        for p in _iter_paths_exact(g, blocked, n, bud):
-            pmask = 0
-            for v in p:
-                pmask |= 1 << v
-            chosen.append(p)
-            if recurse(blocked | pmask):
-                return True
-            chosen.pop()
-        return False
-
-    return chosen if recurse(0) else None
 
 
 def fits_complete_multipartite(pattern: Graph, part_sizes: Sequence[int]) -> bool:

@@ -151,10 +151,10 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
     return Graph(g.order, tuple(rows))
 
 
-def component_masks(g: Graph, within: int) -> Iterator[int]:
-    """Vertex masks of the components of g induced on the mask ``within``,
-    ordered by least vertex."""
-    unseen = within
+def components(g: Graph) -> list[list[int]]:
+    """Connected components as sorted vertex lists, ordered by least vertex."""
+    unseen = (1 << g.order) - 1
+    out = []
     while unseen:
         start = (unseen & -unseen).bit_length() - 1
         comp = 1 << start
@@ -166,12 +166,8 @@ def component_masks(g: Graph, within: int) -> Iterator[int]:
                 step |= g.adj[v]
             frontier = step & unseen & ~comp
         unseen &= ~comp
-        yield comp
-
-
-def components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by least vertex."""
-    return [list(iter_bits(comp)) for comp in component_masks(g, (1 << g.order) - 1)]
+        out.append(list(iter_bits(comp)))
+    return out
 
 
 def clique_union_sizes(g: Graph) -> tuple[int, ...] | None:

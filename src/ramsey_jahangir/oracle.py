@@ -536,7 +536,9 @@ def certificate_from_json(
     side, right order).  The upper sweep is re-checked for internal
     consistency -- it must claim to hold, cover every class, and carry a
     class count agreeing with independent cycle-index arithmetic -- but is
-    not re-run; rerun :func:`arrows` for full, slow confidence.
+    not re-run; rerun :func:`arrows` for full, slow confidence.  A lower
+    witness search that runs out of budget raises :class:`BudgetExhausted`
+    naming the undecided side; it never counts as a rejection.
     """
     try:
         doc = json.loads(text)
@@ -569,12 +571,16 @@ def certificate_from_json(
         raise CertificateError(
             f"lower witness has order {witness.order}, expected {value - 1}"
         )
-    if find_subgraph(witness, g_spec, bud).status != "absent":
-        raise CertificateError("lower witness contains the first pattern")
-    if find_subgraph(complement(witness), h_spec, bud).status != "absent":
-        raise CertificateError(
-            "lower witness complement contains the second pattern"
-        )
+    sides = (
+        (witness, g_spec, "lower witness", "first"),
+        (complement(witness), h_spec, "lower witness complement", "second"),
+    )
+    for host, spec, where, which in sides:
+        status = find_subgraph(host, spec, bud).status
+        if status == "unknown":
+            raise BudgetExhausted(f"undecided: {spec.text()} in the {where}")
+        if status == "present":
+            raise CertificateError(f"{where} contains the {which} pattern")
     if not upper.holds:
         raise CertificateError("upper sweep does not claim to hold")
     if upper.order != value:

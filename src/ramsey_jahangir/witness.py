@@ -26,10 +26,9 @@ from itertools import combinations
 
 from .embedding import (
     Budget,
+    BudgetExhausted,
     Embedding,
     PathWitness,
-    find_disjoint_paths,
-    find_path_at_least,
     find_subgraph,
     fits_complete_multipartite,
     longest_path,
@@ -55,7 +54,6 @@ from .graphs import Graph, clique_union_sizes, complement, components, induced
 
 __all__ = [
     "PreconditionError",
-    "WheelNotFound",
     "MaximalityViolation",
     "PathSystem",
     "ExtractionTrace",
@@ -69,10 +67,6 @@ __all__ = [
     "trace_document",
     "trace_json",
 ]
-
-
-class WheelNotFound(RuntimeError):
-    """The complement wheel search exhausted its budget before deciding."""
 
 
 class MaximalityViolation(RuntimeError):
@@ -500,7 +494,7 @@ def _theorem2_even(
     sm = s * m
     result = find_subgraph(complement(f), Wheel(sm), bud)
     if result.status == "unknown":
-        raise WheelNotFound(
+        raise BudgetExhausted(
             f"budget ran out searching the complement for a wheel with rim {sm}"
         )
     if result.status == "absent":
@@ -636,12 +630,11 @@ _REGIMES = {
 def _single_path(f: Graph, case: TheoremCase, bud: Budget) -> DichotomyWitness:
     """``P_n`` in ``f``, or the regime's Jahangir side on a maximum path."""
     theorem, jahangir_side = _REGIMES[type(case)]
-    found = find_path_at_least(f, case.n, bud)
-    if found is not None:
-        emb = Embedding(Path(case.n), f.order, tuple(found[: case.n]))
-        trace = ExtractionTrace(theorem, "path-found", len(found), (tuple(found),), ())
+    first = longest_path(f, bud, stop=case.n)
+    if len(first) == case.n:
+        emb = Embedding(Path(case.n), f.order, first)
+        trace = ExtractionTrace(theorem, "path-found", case.n, (first,), ())
         return DichotomyWitness("paths", emb, trace)
-    first = longest_path(f, bud)
     if len(first) <= 1:
         return _edgeless_witness(f, theorem, case.s, case.m)
     return jahangir_side(f, first, case.s, case.m, bud)
@@ -728,9 +721,11 @@ def verify_extremal(
     Confirms the graph (the canonical construction for ``case``, or
     ``graph`` when supplied) holds no target path structure and its
     complement holds no target Jahangir.  The path side argues through
-    component sizes; the complement side reduces containment to a capped
-    colouring of the Jahangir when the graph is a clique union.  Both sides
-    are cross-checked by explicit search whenever the order allows it, and
+    component sizes (a path lies in one component), which for ``t > 1`` is
+    the whole argument; for ``t == 1`` a longest-path search cross-checks
+    it.  The complement side reduces containment to a capped colouring of
+    the Jahangir when the graph is a clique union and is cross-checked by
+    explicit search.  Searches run whenever the order allows them, and
     every check lands in the report either way.
     """
     bud = Budget.coerce(budget)
@@ -744,12 +739,8 @@ def verify_extremal(
     comps = components(g)
     capacity = sum(len(c) // n for c in comps)
     checks.append(("path-capacity-by-components", capacity < t))
-    if g.order <= _SEARCH_ORDER_CAP:
-        if t == 1:
-            found_path = find_path_at_least(g, n, bud)
-        else:
-            found_path = find_disjoint_paths(g, t, n, bud)
-        checks.append(("path-absence-by-search", found_path is None))
+    if t == 1 and g.order <= _SEARCH_ORDER_CAP:
+        checks.append(("path-absence-by-search", len(longest_path(g, bud, stop=n)) < n))
 
     parts = clique_union_sizes(g)
     if parts is not None:

@@ -13,6 +13,7 @@ from ramsey_jahangir import (
     disjoint_union,
     empty,
     extract,
+    from_edges,
     to_graph6,
     trace_document,
 )
@@ -177,6 +178,16 @@ def test_witness_budget_exit(monkeypatch, capsys):
               "--budget", "1"])
     assert rc == 4
     capsys.readouterr()
+
+
+def test_witness_wheel_budget_exit(monkeypatch, capsys):
+    host = from_edges(23, [(2 * i, 2 * i + 1) for i in range(11)])
+    monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(host) + "\n"))
+    rc = run(["witness", "-", "--theorem", "2", "-n", "12", "-s", "3", "-m", "2",
+              "--budget", "4"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err == "error: budget ran out searching the complement for a wheel with rim 6\n"
 
 
 def test_ramsey_json(capsys):

@@ -18,8 +18,6 @@ from ramsey_jahangir import (
     complete,
     disjoint_union,
     empty,
-    find_disjoint_paths,
-    find_path_at_least,
     find_subgraph,
     fits_complete_multipartite,
     from_edges,
@@ -91,7 +89,8 @@ def test_find_subgraph_budget_exhaustion_reports_unknown():
 def test_find_subgraph_agrees_with_injections():
     """The backtracker against brute-force injections over every 6-vertex host."""
     rng = random.Random(42)
-    patterns = [Path(4), Cycle(4), Cycle(5), Wheel(4), Jahangir(2, 2)]
+    patterns = [Path(4), Cycle(4), Cycle(5), Wheel(4), Jahangir(2, 2),
+                DisjointPaths(2, 2), DisjointPaths(2, 3)]
     for _ in range(40):
         host = random_graph(rng, 6, rng.choice((0.3, 0.5, 0.7)))
         for spec in patterns:
@@ -129,44 +128,19 @@ def test_longest_path_agrees_with_brute_force():
 
 
 def test_find_path_at_least():
+    # "Is there a path on at least n vertices?" is longest_path with stop=n.
     g = build(Path(9))
-    found = find_path_at_least(g, 5)
-    assert found is not None and len(found) == 5
-    assert find_path_at_least(g, 10) is None
-    assert find_path_at_least(empty(3), 2) is None
+    assert len(longest_path(g, stop=5)) == 5
+    assert len(longest_path(g, stop=10)) == 9  # no P10: a maximum path
+    assert len(longest_path(empty(3), stop=2)) == 1
     with pytest.raises(ValueError):
-        find_path_at_least(g, 0)
+        longest_path(g, stop=0)
 
 
-def test_find_disjoint_paths():
-    g = disjoint_union(build(Path(4)), build(Path(4)))
-    got = find_disjoint_paths(g, 2, 4)
-    assert got is not None
-    used = [v for p in got for v in p]
-    assert len(set(used)) == 8
-    assert find_disjoint_paths(g, 3, 4) is None
-    assert find_disjoint_paths(g, 2, 5) is None
-
-
-def test_find_disjoint_paths_agrees_with_subgraph_search():
-    rng = random.Random(2024)
-    for _ in range(400):
-        g = random_graph(rng, rng.randint(4, 9), rng.choice((0.2, 0.35, 0.5)))
-        t, k = rng.randint(1, 3), rng.randint(1, 3)
-        want = find_subgraph(g, DisjointPaths(t, k)).status == "present"
-        assert (find_disjoint_paths(g, t, k) is not None) == want, (g.adj, t, k)
-
-
-def test_find_disjoint_paths_needs_backtracking():
-    # P_7: a greedy middle pick can block the second P_3; 2 x P_3 still fits
-    g = build(Path(7))
-    got = find_disjoint_paths(g, 2, 3)
-    assert got is not None
-    for p in got:
-        assert len(p) == 3
-        for a, b in zip(p, p[1:]):
-            assert g.has_edge(a, b)
-    assert len({v for p in got for v in p}) == 6
+def test_longest_path_is_not_bounded_by_the_recursion_limit():
+    path = longest_path(build(Path(1200)), stop=1100)
+    assert len(path) == 1100
+    assert all(b - a == 1 for a, b in zip(path, path[1:]))
 
 
 def test_search_order_puts_the_hub_first():

@@ -6,6 +6,7 @@ import pytest
 
 from ramsey_jahangir import (
     Budget,
+    BudgetExhausted,
     CanonicalCapError,
     CertificateError,
     CliqueUnion,
@@ -217,6 +218,16 @@ def test_certificate_json_round_trip():
     # a one-clique union prints as K3 and must parse back to the same spec
     cert = ramsey(Path(3), CliqueUnion((3,)), cap=8)
     assert certificate_from_json(certificate_to_json(cert)) == cert
+
+
+def test_certificate_check_out_of_budget_is_undecided_not_rejected():
+    cert = ramsey(Path(4), Jahangir(2, 2), cap=8)
+    text = certificate_to_json(cert)
+    with pytest.raises(BudgetExhausted, match="P4 in the lower witness"):
+        certificate_from_json(text, budget=1)
+    with pytest.raises(BudgetExhausted, match="J2,2 in the lower witness complement"):
+        certificate_from_json(text, budget=7)
+    assert certificate_from_json(text) == cert
 
 
 def test_certificate_rejects_tampering():

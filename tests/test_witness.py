@@ -329,6 +329,32 @@ def test_budget_exhaustion():
         extract(triangles_host(), Thm1(23, 2, 3), budget=1)
 
 
+def spider_host():
+    # centre 0 with four legs of 7 vertices: 29 vertices, longest path 15
+    edges = []
+    for leg in range(4):
+        first = 1 + 7 * leg
+        edges.append((0, first))
+        edges.extend((v, v + 1) for v in range(first, first + 6))
+    return from_edges(29, edges)
+
+
+def test_one_path_search_per_host():
+    # One longest-path search of the spider costs 301 nodes; searching it
+    # once for P23 and again for a maximum path would not fit in 451.
+    w = extract(spider_host(), Thm1(23, 2, 3), budget=Budget(451))
+    assert w.trace.case == "Thm1-Case2"
+    assert w.trace.k == 15
+
+
+def test_wheel_search_out_of_budget_is_budget_exhausted():
+    # The path search spends 2 nodes; the complement wheel search needs 7.
+    host = from_edges(23, [(2 * i, 2 * i + 1) for i in range(11)])
+    with pytest.raises(BudgetExhausted, match="wheel with rim 6"):
+        extract(host, Thm2EvenM(12, 3, 2), budget=4)
+    assert extract(host, Thm2EvenM(12, 3, 2), budget=9).trace.case == "Thm2-EvenM"
+
+
 def test_verify_witness_catches_corruption():
     host = triangles_host()
     w = extract(host, Thm1(23, 2, 3))
@@ -439,22 +465,16 @@ def test_extremal_constructions_all_check_out():
         assert named["jahangir-vs-multipartite-complement"]
 
 
-def test_extremal_disjoint_paths_by_search():
-    # Order 11 is below the search cap, so the t > 1 path side is searched.
-    case = Thm3(2, 5, 2, 3)
-    assert extremal_graph(case).order == 11
-    report = verify_extremal(case)
-    assert report.ok, report.checks
-    assert dict(report.checks)["path-absence-by-search"]
-
-
 def test_extremal_disjoint_paths_fail_fast_on_component_capacity():
-    # The components of the extremal graph hold fewer than t blocks of n
-    # vertices, so the path search stops before trying any path choice.
-    for case in (Thm3(3, 4, 2, 3), Thm3(2, 7, 2, 4)):
+    # A path lies in one component, so the components of the extremal graph
+    # holding fewer than t blocks of n vertices is the whole path-side
+    # argument for t > 1; no search is run for it.
+    for case in (Thm3(3, 4, 2, 3), Thm3(2, 7, 2, 4), Thm3(2, 5, 2, 3)):
         report = verify_extremal(case, budget=Budget(100_000))
         assert report.ok, (case, report.checks)
-        assert dict(report.checks)["path-absence-by-search"]
+        named = dict(report.checks)
+        assert named["path-capacity-by-components"]
+        assert "path-absence-by-search" not in named
 
 
 def test_extremal_audit_spots_a_spoiled_graph():
