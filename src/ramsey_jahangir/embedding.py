@@ -164,15 +164,43 @@ def find_subgraph(host: Graph, spec: PatternSpec, budget: int | Budget | None = 
 # Exact longest path.
 #
 # Per component: depth-first search over (endpoint, visited-set) states with
-# an unvisited-reachability bound.  On components of at most 24 vertices the
-# explored states are memoized, which makes the search the subset/endpoint
-# dynamic program evaluated lazily; larger components run plain
-# branch-and-bound.  A path covering its whole component stops the search
-# early (nothing longer can exist), which is what makes dense random
-# components cheap; so does a path on ``stop`` vertices when one is asked for.
+# an unvisited-reachability bound.  In a bipartite component a path alternates
+# sides, so from an endpoint whose unvisited reachable set holds ``a``
+# vertices on the other side and ``b`` on its own, at most min(2a, 2b + 1)
+# more vertices fit: the side-count bound, which settles K_{10,30} (no P23)
+# in a few hundred nodes where reachability alone cannot.  On components of
+# at most 24 vertices the explored states are memoized, which makes the
+# search the subset/endpoint dynamic program evaluated lazily; larger
+# components run plain branch-and-bound.  A path covering its whole
+# component stops the search early (nothing longer can exist), which is
+# what makes dense random components cheap; so does a path on ``stop``
+# vertices when one is asked for.  The bound prunes only branches that
+# cannot beat the best path so far, and the best is replaced only by a
+# strictly longer path, so it changes node counts and never an answer.
 # ---------------------------------------------------------------------------
 
 _MEMO_LIMIT = 24
+
+
+def _bipartite_side(adj: Sequence[int], start: int) -> int | None:
+    """One side of ``start``'s component as a bitmask, or None if it has an odd cycle.
+
+    BFS layers alternate sides, and an edge inside a parity class of the
+    layers joins two vertices of one layer, so each layer is checked as it
+    is built; a dense component with a triangle exits in its first layers.
+    """
+    sides = [0, 0]
+    frontier, parity = 1 << start, 0
+    while frontier:
+        sides[parity] |= frontier
+        step = 0
+        for v in iter_bits(frontier):
+            if adj[v] & frontier:
+                return None
+            step |= adj[v]
+        parity ^= 1
+        frontier = step & ~(sides[0] | sides[1])
+    return sides[0]
 
 
 def _component_search(g: Graph, comp: list[int], bud: Budget, stop: int | None) -> PathWitness:
@@ -190,8 +218,10 @@ def _component_search(g: Graph, comp: list[int], bud: Budget, stop: int | None) 
     adj = g.adj
     best: PathWitness = ()
     dead: set[tuple[int, int]] | None = set() if size <= _MEMO_LIMIT else None
+    side = _bipartite_side(adj, comp[0])
 
     def reachable_count(endpoint: int, mask: int) -> int:
+        """How many more vertices a path ending at ``endpoint`` can gain."""
         frontier = adj[endpoint] & comp_mask & ~mask
         reach = 0
         while frontier:
@@ -200,7 +230,11 @@ def _component_search(g: Graph, comp: list[int], bud: Budget, stop: int | None) 
             for v in iter_bits(frontier):
                 step |= adj[v]
             frontier = step & comp_mask & ~mask & ~reach
-        return reach.bit_count()
+        if side is None:
+            return reach.bit_count()
+        own = side if side >> endpoint & 1 else comp_mask ^ side
+        same = (reach & own).bit_count()
+        return min(2 * (reach.bit_count() - same), 2 * same + 1)
 
     for start in comp:
         path = [start]
@@ -252,7 +286,9 @@ def longest_path(
     direction-normalized so the lower endpoint comes first.  With ``stop``,
     the search ends at the first path on ``stop`` vertices, so the answer
     has ``stop`` vertices exactly when g holds a path that long, and is a
-    maximum path otherwise.
+    maximum path otherwise.  A branch is bounded by the vertices its
+    endpoint can still reach and, in a bipartite component, by how many of
+    those lie on each side, since a path alternates sides.
     """
     if stop is not None and stop < 1:
         raise ValueError("stop >= 1 required")

@@ -180,24 +180,34 @@ def _ensure(host: Graph, witness: DichotomyWitness) -> DichotomyWitness:
 # verifies each one on the host it returns it for.
 
 
-def build_path_system(f: Graph, count: int, budget: int | Budget | None = None) -> PathSystem:
-    """Peel ``count`` disjoint maximum paths off ``f``, fabricating on edgeless residuals."""
+def build_path_system(
+    f: Graph,
+    count: int,
+    budget: int | Budget | None = None,
+    *,
+    first: PathWitness | None = None,
+) -> PathSystem:
+    """Peel ``count`` disjoint maximum paths off ``f``, fabricating on edgeless residuals.
+
+    ``first``, when given, is a maximum path of ``f`` that ``longest_path``
+    already returned; it is peeled as is instead of searching ``f`` again.
+    """
     if count < 1:
         raise ValueError("count >= 1 required")
     bud = Budget.coerce(budget)
     remaining = list(range(f.order))
     paths: list[PathWitness] = []
     fabricated: list[tuple[int, int]] = []
+    path = first
     for _ in range(count):
         if len(remaining) < 2:
             raise PreconditionError(
                 f"host exhausted after {len(paths)} of {count} paths"
             )
-        sub, idx = induced(f, remaining)
-        found = longest_path(sub, bud)
-        if len(found) >= 2:
-            path = tuple(idx[v] for v in found)
-        else:
+        if path is None:
+            sub, idx = induced(f, remaining)
+            path = tuple(idx[v] for v in longest_path(sub, bud))
+        if len(path) < 2:
             # Edgeless residual: promise a two-vertex path on the two least
             # residual vertices and remember the edge we invented for it.
             path = (remaining[0], remaining[1])
@@ -205,6 +215,7 @@ def build_path_system(f: Graph, count: int, budget: int | Budget | None = None) 
         paths.append(path)
         used = set(path)
         remaining = [v for v in remaining if v not in used]
+        path = None
     return PathSystem(f, tuple(paths), tuple(fabricated), tuple(remaining))
 
 
@@ -312,9 +323,11 @@ def _assemble_endpoint_rim(
 
 
 def _endpoint_witness(
-    g: Graph, theorem: str, case: str, s: int, m: int, k: int, bud: Budget
+    g: Graph, first: PathWitness, theorem: str, case: str, s: int, m: int, k: int,
+    bud: Budget,
 ) -> DichotomyWitness:
-    """Short maximum path: peel (sm - 1) // 2 paths, rim their endpoints.
+    """Short maximum path ``first`` of ``g``: peel (sm - 1) // 2 paths, starting
+    with it, and rim their endpoints.
 
     The endpoints leave one rim slot (odd sm) or two (even sm) to the least
     vertices outside the path system, and one more of those is the hub.
@@ -324,7 +337,7 @@ def _endpoint_witness(
     """
     sm = s * m
     count = (sm - 1) // 2
-    system = build_path_system(g, count, bud)
+    system = build_path_system(g, count, bud, first=first)
     spares = sm - 2 * count + 1
     if len(system.remainder) < spares:
         raise MaximalityViolation(
@@ -397,7 +410,7 @@ def _theorem1(
     (Case 1) or build on a long one (Case 2, :func:`_theorem1_case2`)."""
     k = len(first)
     if k <= 2 * s * m - 1:
-        return _endpoint_witness(f, "Thm1", "Thm1-Case1", s, m, k, bud)
+        return _endpoint_witness(f, first, "Thm1", "Thm1-Case1", s, m, k, bud)
     return _theorem1_case2(f, first, s, m)
 
 
@@ -473,7 +486,7 @@ def _theorem2_oddm(
     sm = s * m
     k = len(first)
     if k < sm - 1:
-        return _endpoint_witness(f, "Thm2", "Thm2-OddM-Case1", s, m, k, bud)
+        return _endpoint_witness(f, first, "Thm2", "Thm2-OddM-Case1", s, m, k, bud)
     on_first = set(first)
     rest = [v for v in range(f.order) if v not in on_first]
     sub, idx = induced(f, rest)
@@ -484,7 +497,8 @@ def _theorem2_oddm(
     # One long path: everything off it holds only short paths, so the
     # endpoint-rim construction runs in that block and lifts back.
     case = "Thm2-OddM-Case3"
-    return _lift(_endpoint_witness(sub, "Thm2", case, s, m, k, bud), f, idx, "Thm2", case)
+    inner = _endpoint_witness(sub, second_local, "Thm2", case, s, m, k, bud)
+    return _lift(inner, f, idx, "Thm2", case)
 
 
 def _theorem2_even(

@@ -5,7 +5,9 @@ straight from the format description, containment by trying every
 injection, longest paths by scanning every vertex permutation, canonical
 forms by visiting every leaf of the unpruned search.  None of it shares
 search logic with the package; class counting by brute force uses the
-package's canonical form only to name each labelled graph's class.
+package's canonical form only to name each labelled graph's class.  The
+one exception is a frozen copy of the longest-path search without its
+bipartite side-count bound, the exact reference for that search's answers.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from ramsey_jahangir import (
     relabel,
     to_graph6,
 )
+from ramsey_jahangir.graphs import iter_bits
 
 
 def naive_graph6(order: int, edges) -> str:
@@ -77,6 +80,78 @@ def longest_path_brute(g: Graph) -> int:
     return best
 
 
+def longest_path_reference(g: Graph, stop: int | None = None) -> tuple[int, ...]:
+    """``longest_path`` as it was before the bipartite side-count bound.
+
+    The same exploration, memo and tie-breaks, bounded by the unvisited
+    reachable set alone, so every answer of the bounded search must match
+    this one exactly: the bound may change node counts, never a path.
+    """
+    best: tuple[int, ...] = ()
+    for comp in components(g):
+        if len(comp) <= len(best):
+            continue
+        cand = _component_search_unbounded(g, comp, stop)
+        if len(cand) > len(best):
+            best = cand
+            if len(best) == stop:
+                break
+    rev = best[::-1]
+    return best if best <= rev else rev
+
+
+def _component_search_unbounded(g: Graph, comp: list[int], stop: int | None):
+    comp_mask = 0
+    for v in comp:
+        comp_mask |= 1 << v
+    size = len(comp)
+    stop_len = size if stop is None else min(stop, size)
+    adj = g.adj
+    best: tuple[int, ...] = ()
+    dead: set[tuple[int, int]] | None = set() if size <= 24 else None
+
+    def reachable_count(endpoint: int, mask: int) -> int:
+        frontier = adj[endpoint] & comp_mask & ~mask
+        reach = 0
+        while frontier:
+            reach |= frontier
+            step = 0
+            for v in iter_bits(frontier):
+                step |= adj[v]
+            frontier = step & comp_mask & ~mask & ~reach
+        return reach.bit_count()
+
+    for start in comp:
+        path = [start]
+        masks = [1 << start]
+        untried: list[int] = []
+        while path:
+            v, mask = path[-1], masks[-1]
+            if len(path) > len(best):
+                best = tuple(path)
+                if len(path) >= stop_len:
+                    return best
+            if dead is not None and (v, mask) in dead:
+                rest = 0
+            elif len(path) + reachable_count(v, mask) > len(best):
+                rest = adj[v] & comp_mask & ~mask
+            else:
+                rest = 0
+            while not rest:
+                v, mask = path.pop(), masks.pop()
+                if dead is not None:
+                    dead.add((v, mask))
+                if not path:
+                    break
+                rest = untried.pop()
+            if rest:
+                low = rest & -rest
+                untried.append(rest ^ low)
+                path.append(low.bit_length() - 1)
+                masks.append(masks[-1] | low)
+    return best
+
+
 def count_classes_naive(n: int) -> int:
     """Canonicalize every labelled graph on ``n`` vertices and count codes.
 
@@ -103,6 +178,13 @@ def random_graph(rng: random.Random, order: int, p: float = 0.5) -> Graph:
         if rng.random() < p
     ]
     return from_edges(order, edges)
+
+
+def shuffled_complete_bipartite(rng: random.Random, a: int, b: int) -> Graph:
+    """K_{a,b} with its vertex labels shuffled."""
+    perm = list(range(a + b))
+    rng.shuffle(perm)
+    return from_edges(a + b, [(perm[u], perm[a + v]) for u in range(a) for v in range(b)])
 
 
 def near_end_couples(path, q: int) -> list[tuple[int, int]]:

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
@@ -18,6 +19,8 @@ from ramsey_jahangir import (
     trace_document,
 )
 from ramsey_jahangir.cli import run
+
+from helpers_naive import shuffled_complete_bipartite
 
 
 def triangles_code():
@@ -68,6 +71,19 @@ def test_witness_single_host(tmp_path, capsys):
     assert out.startswith("{\n")  # one host: indented document
     doc = json.loads(out)
     assert doc["case"] == "Thm1-Case1"
+    assert doc["verified"] is True
+
+
+def test_witness_settles_complete_bipartite_host(tmp_path, capsys):
+    # K_{10,30} holds no P23: a Thm1-Case2 Jahangir well inside the budget.
+    host = shuffled_complete_bipartite(random.Random(5), 10, 30)
+    hosts = tmp_path / "k1030.g6"
+    hosts.write_text(to_graph6(host) + "\n")
+    rc = run(["witness", str(hosts), "--theorem", "1", "-n", "23", "-s", "2", "-m", "3",
+              "--budget", "1000000"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["case"] == "Thm1-Case2"
     assert doc["verified"] is True
 
 

@@ -30,7 +30,9 @@ from helpers_naive import (
     build_complete_multipartite,
     contains_by_injections,
     longest_path_brute,
+    longest_path_reference,
     random_graph,
+    shuffled_complete_bipartite,
 )
 
 
@@ -125,6 +127,84 @@ def test_longest_path_agrees_with_brute_force():
         assert len(set(path)) == len(path)
         for a, b in zip(path, path[1:]):
             assert g.has_edge(a, b)
+
+
+def _relabelled(rng, order, edges):
+    perm = list(range(order))
+    rng.shuffle(perm)
+    return from_edges(order, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _bipartite_hosts(rng):
+    """Seeded bipartite hosts of order up to 30, labels shuffled: forests,
+    trees with chords across the tree's colour classes (even cycles only),
+    K_{a,b}, even cycles and grids."""
+    for _ in range(12):
+        order = rng.randrange(2, 31)
+        parent = [rng.randrange(v) for v in range(order)[1:]]
+        tree = [(p, v) for v, p in enumerate(parent, start=1)]
+        forest = [e for e in tree if rng.random() < 0.85]
+        yield _relabelled(rng, order, forest)
+        depth = [0] * order
+        for p, v in tree:
+            depth[v] = depth[p] + 1
+        chords = set()
+        for _ in range(rng.randrange(1, 5)):
+            u, v = rng.sample(range(order), 2)
+            if depth[u] % 2 != depth[v] % 2:
+                chords.add((u, v))
+        yield _relabelled(rng, order, tree + sorted(chords))
+    for a in range(1, 7):
+        for b in range(1, 7):
+            yield shuffled_complete_bipartite(rng, a, b)
+    for k in (4, 6, 10, 16, 24, 26, 30):
+        yield _relabelled(rng, k, list(build(Cycle(k)).edges()))
+    for rows, cols in ((2, 5), (3, 3), (3, 4), (4, 4), (4, 6), (5, 5), (5, 6)):
+        edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+        edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+        yield _relabelled(rng, rows * cols, edges)
+
+
+def _odd_cycle_hosts(rng):
+    """Seeded hosts with an odd cycle: trees plus one chord inside a colour
+    class of the tree, and sparse random graphs."""
+    for _ in range(12):
+        order = rng.randrange(3, 31)
+        tree = [(rng.randrange(v), v) for v in range(1, order)]
+        depth = [0] * order
+        for p, v in tree:
+            depth[v] = depth[p] + 1
+        pairs = [(u, v) for v in range(order) for u in range(v)
+                 if depth[u] % 2 == depth[v] % 2 and (u, v) not in tree]
+        if pairs:
+            yield _relabelled(rng, order, tree + [rng.choice(pairs)])
+    for _ in range(12):
+        yield random_graph(rng, rng.randrange(3, 17), rng.choice((0.1, 0.2, 0.3)))
+
+
+def test_bipartite_bound_changes_no_answer():
+    """The side-count bound prunes, but every path, tie-break and early stop
+    stays that of the search bounded by reachability alone; hosts with an
+    odd cycle keep that search exactly."""
+    rng = random.Random(11)
+    seen_orders = set()
+    for g in [*_bipartite_hosts(rng), *_odd_cycle_hosts(rng)]:
+        seen_orders.add(g.order)
+        full = longest_path(g)
+        assert full == longest_path_reference(g), g
+        for stop in {2, max(1, len(full) // 2), len(full), len(full) + 1}:
+            assert longest_path(g, stop=stop) == longest_path_reference(g, stop=stop), (g, stop)
+        if g.order <= 8:
+            assert len(full) == longest_path_brute(g), g
+    # both the memoised search and plain branch-and-bound ran
+    assert min(seen_orders) <= 24 < max(seen_orders)
+
+
+def test_complete_bipartite_stall_is_settled():
+    # K_{10,30} holds no P23; its longest path alternates sides, 11 + 10.
+    host = shuffled_complete_bipartite(random.Random(3), 10, 30)
+    assert len(longest_path(host, Budget(10_000))) == 21
+    assert len(longest_path(host, Budget(10_000), stop=23)) == 21
 
 
 def test_find_path_at_least():

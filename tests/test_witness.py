@@ -32,9 +32,16 @@ from ramsey_jahangir import (
     verify_witness,
     wheel_to_jahangir,
 )
+import ramsey_jahangir.witness as witness_module
+from ramsey_jahangir.graphs import induced
 from ramsey_jahangir.witness import _theorem2_oddm_case2, build_path_system
 
-from helpers_naive import first_closing_couple_picks, near_end_couples, random_graph
+from helpers_naive import (
+    first_closing_couple_picks,
+    near_end_couples,
+    random_graph,
+    shuffled_complete_bipartite,
+)
 
 
 def _union(*parts):
@@ -345,6 +352,49 @@ def test_one_path_search_per_host():
     w = extract(spider_host(), Thm1(23, 2, 3), budget=Budget(451))
     assert w.trace.case == "Thm1-Case2"
     assert w.trace.k == 15
+
+
+@pytest.mark.parametrize(
+    "make_host, case, case_name",
+    [
+        (triangles_host, Thm1(23, 2, 3), "Thm1-Case1"),
+        (lambda: _union(empty(1), *([build(Path(7))] * 9)), Thm2OddM(32, 3, 3),
+         "Thm2-OddM-Case1"),
+        (lambda: _union(build(Path(20)), *([build(Path(7))] * 6), empty(2)),
+         Thm2OddM(32, 3, 3), "Thm2-OddM-Case3"),
+    ],
+)
+def test_no_graph_is_searched_twice(monkeypatch, make_host, case, case_name):
+    # The path system starts from the maximum path already found instead of
+    # searching the same graph again.
+    searched = []
+    search = witness_module.longest_path
+
+    def counted(g, *args, **kwargs):
+        searched.append(g)
+        return search(g, *args, **kwargs)
+
+    monkeypatch.setattr(witness_module, "longest_path", counted)
+    host = make_host()
+    w = extract(host, case)
+    assert w.trace.case == case_name
+    assert searched.count(host) == 1
+    assert len(set(searched)) == len(searched)
+    if case_name == "Thm2-OddM-Case3":
+        # the block off the long path 0..19 is searched once too
+        sub, _ = induced(host, range(20, host.order))
+        assert searched.count(sub) == 1
+
+
+def test_complete_bipartite_host_settles_within_budget():
+    # K_{10,30} holds no P23 (its longest path has 21 vertices); the
+    # side-count bound proves that in a few hundred nodes.
+    host = shuffled_complete_bipartite(random.Random(3), 10, 30)
+    w = extract(host, Thm1(23, 2, 3), budget=Budget(1_000_000))
+    assert w.kind == "jahangir"
+    assert w.trace.case == "Thm1-Case2"
+    assert w.trace.k == 21
+    assert verify_witness(host, w)
 
 
 def test_wheel_search_out_of_budget_is_budget_exhausted():
