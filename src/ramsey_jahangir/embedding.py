@@ -182,12 +182,13 @@ def find_subgraph(host: Graph, spec: PatternSpec, budget: int | Budget | None = 
 _MEMO_LIMIT = 24
 
 
-def _bipartite_side(adj: Sequence[int], start: int) -> int | None:
-    """One side of ``start``'s component as a bitmask, or None if it has an odd cycle.
+def _bipartite_side(adj: Sequence[int], comp_mask: int, start: int) -> int | None:
+    """One side of component ``comp_mask``, or None if it has an odd cycle.
 
-    BFS layers alternate sides, and an edge inside a parity class of the
-    layers joins two vertices of one layer, so each layer is checked as it
-    is built; a dense component with a triangle exits in its first layers.
+    BFS layers from ``start`` alternate sides, and an edge inside a parity
+    class of the layers joins two vertices of one layer, so each layer is
+    checked as it is built; a dense component with a triangle exits in its
+    first layers.  Layers stay in ``comp_mask``, which host edges can leave.
     """
     sides = [0, 0]
     frontier, parity = 1 << start, 0
@@ -199,7 +200,7 @@ def _bipartite_side(adj: Sequence[int], start: int) -> int | None:
                 return None
             step |= adj[v]
         parity ^= 1
-        frontier = step & ~(sides[0] | sides[1])
+        frontier = step & comp_mask & ~(sides[0] | sides[1])
     return sides[0]
 
 
@@ -218,7 +219,7 @@ def _component_search(g: Graph, comp: list[int], bud: Budget, stop: int | None) 
     adj = g.adj
     best: PathWitness = ()
     dead: set[tuple[int, int]] | None = set() if size <= _MEMO_LIMIT else None
-    side = _bipartite_side(adj, comp[0])
+    side = _bipartite_side(adj, comp_mask, comp[0])
 
     def reachable_count(endpoint: int, mask: int) -> int:
         """How many more vertices a path ending at ``endpoint`` can gain."""
@@ -277,7 +278,8 @@ def _normalize_direction(path: PathWitness) -> PathWitness:
 
 
 def longest_path(
-    g: Graph, budget: int | Budget | None = None, *, stop: int | None = None
+    g: Graph, budget: int | Budget | None = None, *, stop: int | None = None,
+    within: int | None = None,
 ) -> PathWitness:
     """A maximum-length path of g, deterministic across runs.
 
@@ -289,12 +291,17 @@ def longest_path(
     maximum path otherwise.  A branch is bounded by the vertices its
     endpoint can still reach and, in a bipartite component, by how many of
     those lie on each side, since a path alternates sides.
+
+    With ``within``, a vertex bitmask, the search runs in the subgraph
+    induced on it and answers in g's labels.  Exploration follows vertex
+    order either way, so the path and the budget spent match a search of
+    ``graphs.induced(g, ...)`` mapped back.
     """
     if stop is not None and stop < 1:
         raise ValueError("stop >= 1 required")
     bud = Budget.coerce(budget)
     best: PathWitness = ()
-    for comp in components(g):
+    for comp in components(g, within):
         if len(comp) <= len(best):
             continue
         cand = _component_search(g, comp, bud, stop)

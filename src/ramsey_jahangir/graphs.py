@@ -151,9 +151,23 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
     return Graph(g.order, tuple(rows))
 
 
-def components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by least vertex."""
-    unseen = (1 << g.order) - 1
+def vertex_mask(g: Graph, within: int | None = None) -> int:
+    """``within`` checked as a bitmask of g's vertices; every vertex when None."""
+    full = (1 << g.order) - 1
+    if within is None:
+        return full
+    if within < 0 or within & ~full:
+        raise ValueError(f"vertex mask {within:#x} is not a vertex set of order {g.order}")
+    return within
+
+
+def components(g: Graph, within: int | None = None) -> list[list[int]]:
+    """Connected components as sorted vertex lists, ordered by least vertex.
+
+    With ``within``, a vertex bitmask, the components are those of the
+    subgraph induced on it, still in g's labels.
+    """
+    unseen = vertex_mask(g, within)
     out = []
     while unseen:
         start = (unseen & -unseen).bit_length() - 1

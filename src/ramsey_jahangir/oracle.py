@@ -65,7 +65,7 @@ class CanonicalCapError(ValueError):
 
 
 class EnumerationCapError(ValueError):
-    """Exhaustive request beyond the default order cap (override with force)."""
+    """Exhaustive request beyond the enumeration order cap."""
 
 
 class CertificateError(ValueError):
@@ -299,20 +299,17 @@ def _grow(level: list[Graph]) -> list[Graph]:
     return sorted(seen, key=lambda g: (g.edge_count(), to_graph6(g)))
 
 
-def enumerate_graphs(n: int, *, force: bool = False) -> list[Graph]:
+def enumerate_graphs(n: int) -> list[Graph]:
     """One canonical representative per isomorphism class of order ``n``.
 
     Grows order by order from the empty graph (see :func:`_grow`); output
     is sorted by (edge count, graph6 code).  Orders above ENUMERATION_CAP
-    need ``force=True``; counts grow super-exponentially, so expect order
-    10 and beyond to be slow and large.
+    are refused: counts grow super-exponentially.
     """
     if n < 0:
         raise ValueError("n >= 0 required")
-    if n > ENUMERATION_CAP and not force:
-        raise EnumerationCapError(
-            f"enumeration above order {ENUMERATION_CAP} needs force=True"
-        )
+    if n > ENUMERATION_CAP:
+        raise EnumerationCapError(f"enumeration is capped at order {ENUMERATION_CAP}")
     level = [empty(0)]
     for _ in range(n):
         level = _grow(level)
@@ -386,7 +383,6 @@ def arrows(
     g_spec: PatternSpec,
     h_spec: PatternSpec,
     budget: int | Budget | None = None,
-    force: bool = False,
 ) -> ArrowsReport:
     """Exhaustively decide the arrowing property at one order.
 
@@ -396,7 +392,7 @@ def arrows(
     than guessing.
     """
     bud = Budget.coerce(budget)
-    return _sweep(enumerate_graphs(order, force=force), g_spec, h_spec, bud)
+    return _sweep(enumerate_graphs(order), g_spec, h_spec, bud)
 
 
 def _sweep(

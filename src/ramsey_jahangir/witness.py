@@ -21,8 +21,8 @@ selection the construction is entitled to make but cannot raises
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass, field, replace
+from itertools import combinations, islice
 
 from .embedding import (
     Budget,
@@ -50,7 +50,14 @@ from .families import (
     extremal_graph,
     require_thresholds,
 )
-from .graphs import Graph, clique_union_sizes, complement, components, induced
+from .graphs import (
+    Graph,
+    clique_union_sizes,
+    complement,
+    components,
+    iter_bits,
+    vertex_mask,
+)
 
 __all__ = [
     "PreconditionError",
@@ -89,19 +96,19 @@ class MaximalityViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class PathSystem:
-    """Vertex-disjoint maximum paths peeled greedily off a host.
+    """Vertex-disjoint maximum paths peeled greedily off a vertex set of a host.
 
-    ``paths[0]`` is a maximum path of the host; ``paths[i]`` is a maximum
-    path of the graph induced on whatever the earlier paths left behind.
-    When a residual had no edges at all, a two-vertex path on its two least
-    vertices was fabricated and the invented edge recorded in
-    ``augmented_edges`` (the host itself is never mutated; the invented
-    edges touch only vertices inside their own path, so later residuals are
-    unaffected by them).  ``remainder`` lists, in ascending order, the
-    vertices no path uses.
+    ``paths[0]`` is a maximum path of the subgraph induced on that set
+    (the whole host by default); ``paths[i]`` is a maximum path of the
+    subgraph induced on whatever the earlier paths left of it.  Every
+    vertex is a host label.  When a residual had no edges at all, a
+    two-vertex path on its two least vertices was fabricated and the
+    invented edge recorded in ``augmented_edges`` (the host itself is never
+    mutated; the invented edges touch only vertices inside their own path,
+    so later residuals are unaffected by them).  ``remainder`` lists, in
+    ascending order, the vertices of the set no path uses.
     """
 
-    host: Graph
     paths: tuple[PathWitness, ...]
     augmented_edges: tuple[tuple[int, int], ...]
     remainder: tuple[int, ...]
@@ -186,37 +193,38 @@ def build_path_system(
     budget: int | Budget | None = None,
     *,
     first: PathWitness | None = None,
+    within: int | None = None,
 ) -> PathSystem:
     """Peel ``count`` disjoint maximum paths off ``f``, fabricating on edgeless residuals.
 
-    ``first``, when given, is a maximum path of ``f`` that ``longest_path``
-    already returned; it is peeled as is instead of searching ``f`` again.
+    ``within``, a vertex bitmask, restricts the peeling to the subgraph of
+    ``f`` induced on it; the paths keep ``f``'s labels.  ``first``, when
+    given, is a maximum path of that subgraph that ``longest_path`` already
+    returned; it is peeled as is instead of searching the subgraph again.
     """
     if count < 1:
         raise ValueError("count >= 1 required")
     bud = Budget.coerce(budget)
-    remaining = list(range(f.order))
+    remaining = vertex_mask(f, within)
     paths: list[PathWitness] = []
     fabricated: list[tuple[int, int]] = []
     path = first
     for _ in range(count):
-        if len(remaining) < 2:
+        if remaining.bit_count() < 2:
             raise PreconditionError(
                 f"host exhausted after {len(paths)} of {count} paths"
             )
         if path is None:
-            sub, idx = induced(f, remaining)
-            path = tuple(idx[v] for v in longest_path(sub, bud))
+            path = longest_path(f, bud, within=remaining)
         if len(path) < 2:
             # Edgeless residual: promise a two-vertex path on the two least
             # residual vertices and remember the edge we invented for it.
-            path = (remaining[0], remaining[1])
+            path = tuple(islice(iter_bits(remaining), 2))
             fabricated.append(path)
         paths.append(path)
-        used = set(path)
-        remaining = [v for v in remaining if v not in used]
+        remaining &= ~sum(1 << v for v in path)
         path = None
-    return PathSystem(f, tuple(paths), tuple(fabricated), tuple(remaining))
+    return PathSystem(tuple(paths), tuple(fabricated), tuple(iter_bits(remaining)))
 
 
 def _spare_roles(pool: list[int], rim_count: int):
@@ -324,10 +332,10 @@ def _assemble_endpoint_rim(
 
 def _endpoint_witness(
     g: Graph, first: PathWitness, theorem: str, case: str, s: int, m: int, k: int,
-    bud: Budget,
+    bud: Budget, alive: int,
 ) -> DichotomyWitness:
-    """Short maximum path ``first`` of ``g``: peel (sm - 1) // 2 paths, starting
-    with it, and rim their endpoints.
+    """Short maximum path ``first`` of ``g`` on the vertices ``alive``: peel
+    (sm - 1) // 2 paths there, starting with it, and rim their endpoints.
 
     The endpoints leave one rim slot (odd sm) or two (even sm) to the least
     vertices outside the path system, and one more of those is the hub.
@@ -337,7 +345,7 @@ def _endpoint_witness(
     """
     sm = s * m
     count = (sm - 1) // 2
-    system = build_path_system(g, count, bud, first=first)
+    system = build_path_system(g, count, bud, first=first, within=alive)
     spares = sm - 2 * count + 1
     if len(system.remainder) < spares:
         raise MaximalityViolation(
@@ -355,47 +363,20 @@ def _endpoint_witness(
     return DichotomyWitness("jahangir", emb, trace)
 
 
-def _lift(
-    inner: DichotomyWitness, f: Graph, idx: tuple[int, ...], theorem: str, case: str
+def _edgeless_witness(
+    f: Graph, theorem: str, s: int, m: int, alive: int
 ) -> DichotomyWitness:
-    """Carry a witness found in an induced subgraph of ``f`` back to ``f``.
-
-    ``idx`` maps the subgraph's vertices to host vertices.  Deleting host
-    vertices only shrinks the complement, so a Jahangir in the subgraph's
-    complement is one in the host's complement.
-    """
-    tr = inner.trace
-
-    def pairs(edges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-        return tuple((idx[a], idx[b]) for a, b in edges)
-
-    trace = ExtractionTrace(
-        theorem,
-        case,
-        tr.k,
-        tuple(tuple(idx[v] for v in p) for p in tr.paths),
-        pairs(tr.augmented_edges),
-        {role: idx[v] for role, v in tr.selections.items()},
-        tuple(tuple(idx[v] for v in quad) for quad in tr.quadruples),
-        pairs(tr.couples_a),
-        pairs(tr.couples_b),
-    )
-    emb = Embedding(
-        inner.embedding.pattern, f.order, tuple(idx[v] for v in inner.embedding.mapping)
-    )
-    return DichotomyWitness(inner.kind, emb, trace)
-
-
-def _edgeless_witness(f: Graph, theorem: str, s: int, m: int) -> DichotomyWitness:
-    """Host has no edges: its complement is complete, so identity placement works."""
+    """No edges among ``alive``: the complement is complete there, so the
+    least ``sm + 1`` of them, in order, place the Jahangir."""
     sm = s * m
-    if f.order < sm + 1:
+    placed = tuple(islice(iter_bits(alive), sm + 1))
+    if len(placed) < sm + 1:
         raise MaximalityViolation(
-            f"edgeless host of order {f.order} cannot hold a rim of {sm} plus a hub",
+            f"edgeless host of order {len(placed)} cannot hold a rim of {sm} plus a hub",
             ExtractionTrace(theorem, "edgeless-host", 1, (), ()),
         )
-    emb = Embedding(Jahangir(s, m), f.order, tuple(range(sm + 1)))
-    trace = ExtractionTrace(theorem, "edgeless-host", 1, (), (), {"hub": sm})
+    emb = Embedding(Jahangir(s, m), f.order, placed)
+    trace = ExtractionTrace(theorem, "edgeless-host", 1, (), (), {"hub": placed[-1]})
     return DichotomyWitness("jahangir", emb, trace)
 
 
@@ -404,17 +385,19 @@ def _edgeless_witness(f: Graph, theorem: str, s: int, m: int) -> DichotomyWitnes
 
 
 def _theorem1(
-    f: Graph, first: PathWitness, s: int, m: int, bud: Budget
+    f: Graph, first: PathWitness, s: int, m: int, bud: Budget, alive: int
 ) -> DichotomyWitness:
-    """Even rim step, no ``P_n``: rim the endpoints of short maximum paths
-    (Case 1) or build on a long one (Case 2, :func:`_theorem1_case2`)."""
+    """Even rim step, no ``P_n`` among ``alive``: rim the endpoints of short
+    maximum paths (Case 1) or build on a long one (Case 2)."""
     k = len(first)
     if k <= 2 * s * m - 1:
-        return _endpoint_witness(f, first, "Thm1", "Thm1-Case1", s, m, k, bud)
-    return _theorem1_case2(f, first, s, m)
+        return _endpoint_witness(f, first, "Thm1", "Thm1-Case1", s, m, k, bud, alive)
+    return _theorem1_case2(f, first, s, m, alive)
 
 
-def _theorem1_case2(f: Graph, first: PathWitness, s: int, m: int) -> DichotomyWitness:
+def _theorem1_case2(
+    f: Graph, first: PathWitness, s: int, m: int, alive: int
+) -> DichotomyWitness:
     """Long maximum path: alternate low vertices with quadruple picks.
 
     Consecutive interior quadruples of the maximum path supply every other
@@ -427,7 +410,7 @@ def _theorem1_case2(f: Graph, first: PathWitness, s: int, m: int) -> DichotomyWi
     k = len(first)
     half = sm // 2
     on_path = set(first)
-    outside = [v for v in range(f.order) if v not in on_path]
+    outside = [v for v in iter_bits(alive) if v not in on_path]
     if len(outside) < half:
         raise MaximalityViolation(
             f"need {half} vertices outside the maximum path, found {len(outside)}",
@@ -478,7 +461,7 @@ def _theorem1_case2(f: Graph, first: PathWitness, s: int, m: int) -> DichotomyWi
 
 
 def _theorem2_oddm(
-    f: Graph, first: PathWitness, s: int, m: int, bud: Budget
+    f: Graph, first: PathWitness, s: int, m: int, bud: Budget, alive: int
 ) -> DichotomyWitness:
     """Odd spoke count, no ``P_n``: rim the endpoints of short maximum paths
     (Case 1), interleave couple picks along two long paths (Case 2), or
@@ -486,23 +469,18 @@ def _theorem2_oddm(
     sm = s * m
     k = len(first)
     if k < sm - 1:
-        return _endpoint_witness(f, first, "Thm2", "Thm2-OddM-Case1", s, m, k, bud)
-    on_first = set(first)
-    rest = [v for v in range(f.order) if v not in on_first]
-    sub, idx = induced(f, rest)
-    second_local = longest_path(sub, bud)
-    if len(second_local) >= sm - 1:
-        second = tuple(idx[v] for v in second_local)
+        return _endpoint_witness(f, first, "Thm2", "Thm2-OddM-Case1", s, m, k, bud, alive)
+    rest = alive & ~sum(1 << v for v in first)
+    second = longest_path(f, bud, within=rest)
+    if len(second) >= sm - 1:
         return _theorem2_oddm_case2(f, first, second, s, m)
     # One long path: everything off it holds only short paths, so the
-    # endpoint-rim construction runs in that block and lifts back.
-    case = "Thm2-OddM-Case3"
-    inner = _endpoint_witness(sub, second_local, "Thm2", case, s, m, k, bud)
-    return _lift(inner, f, idx, "Thm2", case)
+    # endpoint-rim construction runs there.
+    return _endpoint_witness(f, second, "Thm2", "Thm2-OddM-Case3", s, m, k, bud, rest)
 
 
 def _theorem2_even(
-    f: Graph, first: PathWitness, s: int, m: int, bud: Budget
+    f: Graph, first: PathWitness, s: int, m: int, bud: Budget, alive: int
 ) -> DichotomyWitness:
     """Even spoke count: find the full wheel in the complement, drop spokes."""
     sm = s * m
@@ -631,8 +609,9 @@ def _theorem2_oddm_case2(
 # the extractor
 
 # Each single-path regime's Jahangir-side construction, run on a maximum
-# path when the host holds no P_n, and the theorem name its traces carry.
-# Every round of Thm3 is the Thm1 dichotomy.
+# path when the vertices ``alive`` hold no P_n, and the theorem name its
+# traces carry.  Every round of Thm3 is the Thm1 dichotomy; the Thm2
+# regimes have t = 1, so their ``alive`` is always the whole host.
 _REGIMES = {
     Thm1: ("Thm1", _theorem1),
     Thm2EvenM: ("Thm2", _theorem2_even),
@@ -641,39 +620,41 @@ _REGIMES = {
 }
 
 
-def _single_path(f: Graph, case: TheoremCase, bud: Budget) -> DichotomyWitness:
-    """``P_n`` in ``f``, or the regime's Jahangir side on a maximum path."""
+def _single_path(
+    f: Graph, case: TheoremCase, bud: Budget, alive: int
+) -> DichotomyWitness:
+    """``P_n`` in the subgraph of ``f`` induced on the vertex bitmask
+    ``alive``, or the regime's Jahangir side on a maximum path of it."""
     theorem, jahangir_side = _REGIMES[type(case)]
-    first = longest_path(f, bud, stop=case.n)
+    first = longest_path(f, bud, stop=case.n, within=alive)
     if len(first) == case.n:
         emb = Embedding(Path(case.n), f.order, first)
         trace = ExtractionTrace(theorem, "path-found", case.n, (first,), ())
         return DichotomyWitness("paths", emb, trace)
     if len(first) <= 1:
-        return _edgeless_witness(f, theorem, case.s, case.m)
-    return jahangir_side(f, first, case.s, case.m, bud)
+        return _edgeless_witness(f, theorem, case.s, case.m, alive)
+    return jahangir_side(f, first, case.s, case.m, bud, alive)
 
 
-def _path_rounds(f: Graph, case: Thm3, bud: Budget) -> DichotomyWitness:
+def _path_rounds(f: Graph, case: Thm3, bud: Budget, alive: int) -> DichotomyWitness:
     """``t . P_n`` in ``f`` or ``J_{s,m}`` in its complement.
 
-    Runs the single-path dichotomy ``t`` times, deleting each found copy
-    before the next round; a Jahangir found in any round lifts back to the
-    full host because deleting host vertices only shrinks the complement.
+    Runs the single-path dichotomy ``t`` times, clearing each found copy
+    from the ``alive`` vertex mask before the next round.  A Jahangir found
+    in any round already names host vertices, and it is one in the host's
+    complement because deleting host vertices only shrinks the complement.
     """
-    remaining = list(range(f.order))
     collected: list[PathWitness] = []
     last_k = 0
     for step in range(1, case.t + 1):
-        sub, idx = induced(f, remaining)
-        inner = _single_path(sub, case, bud)
-        if inner.kind == "jahangir":
-            return _lift(inner, f, idx, "Thm3", f"Thm3-step{step}")
-        path = tuple(idx[v] for v in inner.paths[0])
+        found = _single_path(f, case, bud, alive)
+        if found.kind == "jahangir":
+            trace = replace(found.trace, theorem="Thm3", case=f"Thm3-step{step}")
+            return replace(found, trace=trace)
+        path = found.paths[0]
         collected.append(path)
-        last_k = inner.trace.k
-        used = set(path)
-        remaining = [v for v in remaining if v not in used]
+        last_k = found.trace.k
+        alive &= ~sum(1 << v for v in path)
     emb = Embedding(
         DisjointPaths(case.t, case.n), f.order, tuple(v for p in collected for v in p)
     )
@@ -703,7 +684,7 @@ def extract(
         require_thresholds(case, f)
     bud = Budget.coerce(budget)
     construct = _single_path if case.t == 1 else _path_rounds
-    return _ensure(f, construct(f, case, bud))
+    return _ensure(f, construct(f, case, bud, vertex_mask(f)))
 
 
 # --------------------------------------------------------------------------

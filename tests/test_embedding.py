@@ -16,15 +16,18 @@ from ramsey_jahangir import (
     check_embedding,
     complement,
     complete,
+    components,
     disjoint_union,
     empty,
     find_subgraph,
     fits_complete_multipartite,
     from_edges,
+    induced,
     longest_path,
     verify_embedding,
 )
 from ramsey_jahangir.embedding import _search_order
+from ramsey_jahangir.graphs import iter_bits
 
 from helpers_naive import (
     build_complete_multipartite,
@@ -267,3 +270,54 @@ def test_fits_multipartite_agrees_with_search():
                 else False
             )
             assert got == want, (g, parts)
+
+
+def _masked_hosts(rng, count):
+    """Seeded hosts of order 2 to 30: trees with a few chords across their
+    colour classes and one to three inside one (a mask that drops those
+    leaves bipartite components whose host edges still reach outside the
+    mask), and sparse random graphs of average degree 1 to 2."""
+    for _ in range(count):
+        order = rng.randrange(2, 31)
+        tree = [(rng.randrange(v), v) for v in range(1, order)]
+        depth = [0] * order
+        for p, v in tree:
+            depth[v] = depth[p] + 1
+        pairs = [(u, v) for v in range(order) for u in range(v) if (u, v) not in tree]
+        even = [(u, v) for u, v in pairs if depth[u] % 2 != depth[v] % 2]
+        odd = [(u, v) for u, v in pairs if depth[u] % 2 == depth[v] % 2]
+        chords = rng.sample(even, min(len(even), rng.randrange(0, 6)))
+        chords += rng.sample(odd, min(len(odd), rng.randrange(1, 4)))
+        yield from_edges(order, tree + chords)
+        order = rng.randrange(2, 31)
+        yield random_graph(rng, order, rng.choice((1.0, 1.5, 2.0)) / order)
+
+
+def test_within_matches_the_induced_subgraph():
+    """A search restricted to a vertex mask is the search of the induced
+    subgraph mapped back: same path, same tie-breaks, same budget spent."""
+    rng = random.Random(23)
+    checked = 0
+    for g in _masked_hosts(rng, 1000):
+        keep = rng.choice((0.5, 0.7, 0.9, 1.0))
+        within = sum(1 << v for v in range(g.order) if rng.random() < keep)
+        stop = rng.choice((None, rng.randrange(1, g.order + 2)))
+        sub, idx = induced(g, iter_bits(within))
+        masked, reference = Budget(10_000_000), Budget(10_000_000)
+        path = longest_path(g, masked, stop=stop, within=within)
+        assert path == tuple(idx[v] for v in longest_path(sub, reference, stop=stop))
+        assert masked.remaining == reference.remaining
+        assert components(g, within) == [[idx[v] for v in c] for c in components(sub)]
+        checked += 1
+    assert checked >= 2000
+
+
+def test_within_must_be_a_vertex_set_of_the_graph():
+    g = build(Path(4))
+    for bad in (-1, -16, 1 << 4, 0b10001):
+        with pytest.raises(ValueError):
+            longest_path(g, within=bad)
+        with pytest.raises(ValueError):
+            components(g, bad)
+    assert longest_path(g, within=0) == ()
+    assert components(g, 0) == []

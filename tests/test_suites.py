@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -92,3 +93,21 @@ def test_bad_arguments():
         run_suite("no-such-suite", seed=0, count=1)
     with pytest.raises(ValueError):
         run_suite("thm1-s2m3", seed=0, count=0)
+
+
+# sha256 of json.dumps(run_suite(name, 0, 40), indent=2), recorded before
+# the residual searches moved from induced subgraphs to vertex masks; any
+# change to a suite's bytes, even a consistent one, shows up here.
+SUITE_DIGESTS = {
+    "thm1-s2m3": "bf9119f0ac5c7a529fdc06a93cd101b6d9cbcce654052ec485d492a9e8a93e4a",
+    "thm2-s3m2": "7ee09399f16d85a1251b4a479604e2c2fcc2e83117abf0eeb84a9db14f290528",
+    "thm2-s3m3": "5993011c552e8e00889ffbc48e7c021ebb11fe350690e21e9acb4dddfc45e95d",
+    "thm3-t2s2m3": "c5fd4ca0ab3f4c54d1d21cfc0aec7ec80e60ead092b919418fe03b111b819fe8",
+    "thm3-t2s2m3-paths": "9b6c070177a5c6106209697ec3240619d5039b39ac2d18a90fa0dc10b6f8f955",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_DIGESTS))
+def test_suite_bytes_are_pinned(name):
+    text = json.dumps(run_suite(name, 0, 40), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_DIGESTS[name]

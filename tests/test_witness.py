@@ -33,7 +33,6 @@ from ramsey_jahangir import (
     wheel_to_jahangir,
 )
 import ramsey_jahangir.witness as witness_module
-from ramsey_jahangir.graphs import induced
 from ramsey_jahangir.witness import _theorem2_oddm_case2, build_path_system
 
 from helpers_naive import (
@@ -82,6 +81,16 @@ def test_path_system_fabricates_on_edgeless_leftovers():
 def test_path_system_runs_out():
     with pytest.raises(PreconditionError):
         build_path_system(empty(6), 4)
+
+
+def test_path_system_within_a_vertex_mask_keeps_host_labels():
+    host = _union(complete(3), build(Path(4)), empty(3))
+    system = build_path_system(host, 2, within=0b1111111000)
+    assert system.paths == ((3, 4, 5, 6), (7, 8))
+    assert system.augmented_edges == ((7, 8),)
+    assert system.remainder == (9,)
+    with pytest.raises(ValueError):
+        build_path_system(host, 1, within=1 << 10)
 
 
 # ------------------------------------------------------- even rim step
@@ -331,6 +340,22 @@ def test_force_skips_preconditions_and_may_fail_loudly():
     assert info.value.trace.case == "edgeless-host"
 
 
+def test_partial_traces_name_host_vertices():
+    # The failing construction runs on what the first path leaves: K3 + K3
+    # beside the K23 (round 2 of Thm3), and 4P3 beside the P8 (Case 3 of
+    # Thm2OddM).  Its partial trace still names host vertices.
+    host = _union(complete(23), complete(3), complete(3))
+    with pytest.raises(MaximalityViolation) as info:
+        extract(host, Thm3(2, 23, 2, 3), force=True)
+    assert info.value.trace.case == "Thm1-Case1"
+    assert info.value.trace.paths == ((23, 24, 25), (26, 27, 28))
+    host = _union(build(Path(8)), *([build(Path(3))] * 4))
+    with pytest.raises(MaximalityViolation) as info:
+        extract(host, Thm2OddM(32, 3, 3), force=True)
+    assert info.value.trace.case == "Thm2-OddM-Case3"
+    assert info.value.trace.paths == ((8, 9, 10), (11, 12, 13), (14, 15, 16), (17, 18, 19))
+
+
 def test_budget_exhaustion():
     with pytest.raises(BudgetExhausted):
         extract(triangles_host(), Thm1(23, 2, 3), budget=1)
@@ -366,24 +391,26 @@ def test_one_path_search_per_host():
 )
 def test_no_graph_is_searched_twice(monkeypatch, make_host, case, case_name):
     # The path system starts from the maximum path already found instead of
-    # searching the same graph again.
+    # searching the same vertex set again; every search runs on the host
+    # itself, restricted by a vertex mask.
     searched = []
     search = witness_module.longest_path
 
-    def counted(g, *args, **kwargs):
-        searched.append(g)
-        return search(g, *args, **kwargs)
+    def counted(g, *args, within=None, **kwargs):
+        searched.append((g, within))
+        return search(g, *args, within=within, **kwargs)
 
     monkeypatch.setattr(witness_module, "longest_path", counted)
     host = make_host()
+    full = (1 << host.order) - 1
     w = extract(host, case)
     assert w.trace.case == case_name
-    assert searched.count(host) == 1
+    assert all(g is host for g, _ in searched)
+    assert searched.count((host, full)) == 1
     assert len(set(searched)) == len(searched)
     if case_name == "Thm2-OddM-Case3":
         # the block off the long path 0..19 is searched once too
-        sub, _ = induced(host, range(20, host.order))
-        assert searched.count(sub) == 1
+        assert searched.count((host, full & ~((1 << 20) - 1))) == 1
 
 
 def test_complete_bipartite_host_settles_within_budget():
@@ -446,9 +473,9 @@ def test_trace_json_is_deterministic():
     assert a == b
 
 
-# Pinned trace_json digests for hosts whose Jahangir is found in an induced
-# subgraph and lifted back to the host (Thm2-OddM-Case3, Thm3-step2); the
-# hosts cover lifted paths, selections, augmented edges and quadruples.
+# Pinned trace_json digests for hosts whose Jahangir is found in what is
+# left of the host after a first path (Thm2-OddM-Case3, Thm3-step2); the
+# hosts cover paths, selections, augmented edges and quadruples there.
 LIFTED_TRACES = [
     (
         lambda: _union(build(Path(20)), *([build(Path(7))] * 6), empty(2)),
