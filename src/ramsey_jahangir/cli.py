@@ -171,7 +171,29 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 def _cmd_ramsey(args: argparse.Namespace) -> int:
     g_spec = parse_spec(args.g)
     h_spec = parse_spec(args.h)
-    cert = ramsey(g_spec, h_spec, args.cap, budget=args.budget)
+    try:
+        cert = ramsey(g_spec, h_spec, args.cap, budget=args.budget)
+    except RamseyIndeterminate as exc:
+        last = exc.last
+        if args.format == "human":
+            _emit(
+                f"R({g_spec.text()}, {h_spec.text()}) >= {exc.cap}"
+                f" (cap {exc.cap} reached; order {last.order}"
+                f" counterexample {last.counterexample})",
+                args.out,
+            )
+        else:
+            report = {
+                "g": g_spec.text(),
+                "h": h_spec.text(),
+                "cap": exc.cap,
+                "value": None,
+                "last_order": last.order,
+                "last_counterexample": last.counterexample,
+            }
+            _emit(json.dumps(report, indent=2), args.out)
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     if args.format == "human":
         _emit(
             f"R({g_spec.text()}, {h_spec.text()}) = {cert.value}"
@@ -221,18 +243,6 @@ def run(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except RamseyIndeterminate as exc:
-        report = {
-            "g": exc.g_spec.text(),
-            "h": exc.h_spec.text(),
-            "cap": exc.cap,
-            "value": None,
-            "last_order": exc.last.order,
-            "last_counterexample": exc.last.counterexample,
-        }
-        print(json.dumps(report, indent=2))
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -288,7 +288,10 @@ def longest_path(
     direction-normalized so the lower endpoint comes first.  With ``stop``,
     the search ends at the first path on ``stop`` vertices, so the answer
     has ``stop`` vertices exactly when g holds a path that long, and is a
-    maximum path otherwise.  A branch is bounded by the vertices its
+    maximum path otherwise.  The components with at least ``stop`` vertices
+    are searched first, since no other can hold that path; each component's
+    search is independent of the others, so this changes the work, never
+    the answer.  A branch is bounded by the vertices its
     endpoint can still reach and, in a bipartite component, by how many of
     those lie on each side, since a path alternates sides.
 
@@ -300,15 +303,21 @@ def longest_path(
     if stop is not None and stop < 1:
         raise ValueError("stop >= 1 required")
     bud = Budget.coerce(budget)
+    comps = components(g, within)
+    searched: dict[int, PathWitness] = {}
+    if stop is not None:
+        for i, comp in enumerate(comps):
+            if len(comp) >= stop:
+                searched[i] = _component_search(g, comp, bud, stop)
+                if len(searched[i]) == stop:
+                    return _normalize_direction(searched[i])
     best: PathWitness = ()
-    for comp in components(g, within):
+    for i, comp in enumerate(comps):
         if len(comp) <= len(best):
             continue
-        cand = _component_search(g, comp, bud, stop)
+        cand = searched[i] if i in searched else _component_search(g, comp, bud, stop)
         if len(cand) > len(best):
             best = cand
-            if len(best) == stop:
-                break
     return _normalize_direction(best)
 
 

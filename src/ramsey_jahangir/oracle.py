@@ -283,26 +283,39 @@ def _extend(parent: Graph, bits: int) -> Graph:
 def _grow(level: list[Graph]) -> list[Graph]:
     """One representative per class of the order above ``level``'s.
 
-    ``level`` holds one representative per class of its order j.  Every
-    class of order j+1 has a vertex whose removal leaves some order-j
-    class, so extending each representative by a new vertex with every
-    possible neighbourhood and deduplicating canonically reaches everything.
+    ``level`` holds one representative per class of its order j.  Each
+    representative is extended by a new vertex with every possible
+    neighbourhood, keeping only the extensions in which the new vertex has
+    maximum degree (McKay 1998), and the survivors are deduplicated
+    canonically.  No class of order j+1 is lost: deleting a vertex u of
+    maximum degree leaves a graph isomorphic to some representative, and
+    that representative extended by u's neighbourhood is a copy of the
+    class whose new vertex has maximum degree.  The test reads only the
+    parent's degrees, so a rejected extension is never built or labelled.
     Canonical representatives of one class are equal graphs, so a set
     deduplicates them.  Output is sorted by (edge count, graph6 code).
     """
     size = level[0].order
-    seen = {
-        canonical_graph(_extend(parent, bits))
-        for parent in level
-        for bits in range(1 << size)
-    }
+    seen: set[Graph] = set()
+    for parent in level:
+        degrees = [row.bit_count() for row in parent.adj]
+        top = max(degrees, default=0)
+        top_mask = sum(1 << v for v, deg in enumerate(degrees) if deg == top)
+        for bits in range(1 << size):
+            # The new vertex has degree d; a parent vertex in ``bits`` gains one.
+            d = bits.bit_count()
+            if d < top or (d == top and bits & top_mask):
+                continue
+            seen.add(canonical_graph(_extend(parent, bits)))
     return sorted(seen, key=lambda g: (g.edge_count(), to_graph6(g)))
 
 
 def enumerate_graphs(n: int) -> list[Graph]:
     """One canonical representative per isomorphism class of order ``n``.
 
-    Grows order by order from the empty graph (see :func:`_grow`); output
+    Grows order by order from the empty graph, each level through the
+    extensions of the one below whose new vertex has maximum degree (see
+    :func:`_grow`; every class has such a vertex, so none is lost); output
     is sorted by (edge count, graph6 code).  Orders above ENUMERATION_CAP
     are refused: counts grow super-exponentially.
     """

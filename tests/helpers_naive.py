@@ -4,10 +4,11 @@ Everything here is deliberately dumb: a second graph6 encoder written
 straight from the format description, containment by trying every
 injection, longest paths by scanning every vertex permutation, canonical
 forms by visiting every leaf of the unpruned search.  None of it shares
-search logic with the package; class counting by brute force uses the
-package's canonical form only to name each labelled graph's class.  The
-one exception is a frozen copy of the longest-path search without its
-bipartite side-count bound, the exact reference for that search's answers.
+search logic with the package; class counting by brute force and the
+unfiltered enumeration level step use the package's canonical form only
+to name each labelled graph's class.  The one exception is a frozen copy
+of the longest-path search without its bipartite side-count bound, the
+exact reference for that search's answers.
 """
 
 from __future__ import annotations
@@ -168,6 +169,21 @@ def count_classes_naive(n: int) -> int:
         edges = [pairs[b] for b in range(len(pairs)) if code >> b & 1]
         seen.add(to_graph6(canonical_graph(from_edges(n, edges))))
     return len(seen)
+
+
+def grow_reference(level: list[Graph]) -> list[Graph]:
+    """The enumeration level step without the maximum-degree filter: every
+    one-vertex extension of every representative is canonicalised, and the
+    set of classes is sorted by (edge count, graph6 code)."""
+    size = level[0].order
+    seen = set()
+    for parent in level:
+        for bits in range(1 << size):
+            rows = tuple(
+                row | ((bits >> v & 1) << size) for v, row in enumerate(parent.adj)
+            )
+            seen.add(canonical_graph(Graph(size + 1, rows + (bits,))))
+    return sorted(seen, key=lambda g: (g.edge_count(), to_graph6(g)))
 
 
 def random_graph(rng: random.Random, order: int, p: float = 0.5) -> Graph:

@@ -246,6 +246,26 @@ def test_ramsey_indeterminate_exit(capsys):
     assert "error:" in captured.err
 
 
+def test_ramsey_indeterminate_report_goes_to_out(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    rc = run(["ramsey", "P6", "J2,3", "--cap", "4", "--out", str(out)])
+    assert rc == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+    report = json.loads(out.read_text())
+    assert report["value"] is None
+    assert report["last_order"] == 3
+
+
+def test_ramsey_indeterminate_human(capsys):
+    rc = run(["ramsey", "P6", "J2,3", "--cap", "4", "--format", "human"])
+    assert rc == 5
+    captured = capsys.readouterr()
+    assert captured.out == "R(P6, J2,3) >= 4 (cap 4 reached; order 3 counterexample B?)\n"
+    assert "error:" in captured.err
+
+
 def test_suite_json(capsys):
     assert run(["suite", "thm2-s3m2", "--seed", "3", "--count", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -220,6 +220,16 @@ def test_find_path_at_least():
         longest_path(g, stop=0)
 
 
+def test_stop_searches_the_components_that_can_hold_the_path_first():
+    # The star K_{1,5} comes first by least vertex but cannot hold a P25.
+    star = from_edges(6, [(0, v) for v in range(1, 6)])
+    host = disjoint_union(star, build(Path(30)))
+    spent, alone = Budget(1_000), Budget(1_000)
+    assert longest_path(host, spent, stop=25) == tuple(range(6, 31))
+    assert longest_path(build(Path(30)), alone, stop=25) == tuple(range(25))
+    assert 1_000 - spent.remaining == 1_000 - alone.remaining == 25
+
+
 def test_longest_path_is_not_bounded_by_the_recursion_limit():
     path = longest_path(build(Path(1200)), stop=1100)
     assert len(path) == 1100

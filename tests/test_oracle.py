@@ -31,6 +31,7 @@ from ramsey_jahangir import (
     enumerate_graphs,
     from_edges,
     from_graph6,
+    oracle,
     ramsey,
     relabel,
     to_graph6,
@@ -40,6 +41,7 @@ from helpers_naive import (
     build_complete_multipartite,
     canonical_graph_naive,
     count_classes_naive,
+    grow_reference,
     random_graph,
 )
 
@@ -137,6 +139,39 @@ def test_enumeration_order7_codes_are_pinned():
     assert hashlib.sha256(codes.encode()).hexdigest() == (
         "00b31589b4b24a2d9dab1796f849de49a15b467dc14aaaa6c02043ce854665b3"
     )
+
+
+def test_enumeration_order8_codes_are_pinned():
+    # sha256 of the newline-joined codes, recorded before the maximum-degree
+    # filter on extensions
+    level = enumerate_graphs(8)
+    assert len(level) == count_classes_cycle_index(8) == 12346
+    codes = "\n".join(to_graph6(g) for g in level)
+    assert hashlib.sha256(codes.encode()).hexdigest() == (
+        "e96dc4bb7e51980e1f11717c7d0804ebf7750091574e11cf4e23e0615042b3d7"
+    )
+
+
+def test_filtered_levels_equal_the_unfiltered_reference():
+    level = reference = [empty(0)]
+    for _ in range(7):
+        level, reference = oracle._grow(level), grow_reference(reference)
+        assert [to_graph6(g) for g in level] == [to_graph6(g) for g in reference]
+
+
+def test_enumeration_canonicalises_only_maximum_degree_extensions(monkeypatch):
+    # Every one-vertex extension would cost 11,291 calls up to order 7.
+    calls = 0
+    real = oracle.canonical_graph
+
+    def counted(g, budget=None):
+        nonlocal calls
+        calls += 1
+        return real(g, budget)
+
+    monkeypatch.setattr(oracle, "canonical_graph", counted)
+    assert len(enumerate_graphs(7)) == 1044
+    assert calls == 3132
 
 
 def test_symmetric_stragglers_finish_in_few_nodes():
