@@ -168,15 +168,22 @@ def find_subgraph(host: Graph, spec: PatternSpec, budget: int | Budget | None = 
 # sides, so from an endpoint whose unvisited reachable set holds ``a``
 # vertices on the other side and ``b`` on its own, at most min(2a, 2b + 1)
 # more vertices fit: the side-count bound, which settles K_{10,30} (no P23)
-# in a few hundred nodes where reachability alone cannot.  On components of
-# at most 24 vertices the explored states are memoized, which makes the
-# search the subset/endpoint dynamic program evaluated lazily; larger
-# components run plain branch-and-bound.  A path covering its whole
-# component stops the search early (nothing longer can exist), which is
-# what makes dense random components cheap; so does a path on ``stop``
-# vertices when one is asked for.  The bound prunes only branches that
-# cannot beat the best path so far, and the best is replaced only by a
-# strictly longer path, so it changes node counts and never an answer.
+# in a few hundred nodes where reachability alone cannot.  A node is pruned
+# when the bound is at most the gap ``len(best) - len(path)``; both forms
+# grow with the reachable set, so the bound is decided, not counted: the
+# reachable set is grown layer by layer from the endpoint and the walk
+# stops at the first layer that lifts the bound over the gap, or prunes when
+# the set is complete without doing so.  A node that has just set a new
+# best has a gap of 0 and is decided by its first layer, so the descent of a
+# long path costs a few bit operations per node.  On components of at most
+# 24 vertices the explored states are memoized, which makes the search the
+# subset/endpoint dynamic program evaluated lazily; larger components run
+# plain branch-and-bound.  A path covering its whole component stops the
+# search early (nothing longer can exist), which is what makes dense random
+# components cheap; so does a path on ``stop`` vertices when one is asked
+# for.  The bound prunes only branches that cannot beat the best path so
+# far, and the best is replaced only by a strictly longer path, so it
+# changes node counts and never an answer.
 # ---------------------------------------------------------------------------
 
 _MEMO_LIMIT = 24
@@ -221,21 +228,30 @@ def _component_search(g: Graph, comp: list[int], bud: Budget, stop: int | None) 
     dead: set[tuple[int, int]] | None = set() if size <= _MEMO_LIMIT else None
     side = _bipartite_side(adj, comp_mask, comp[0])
 
-    def reachable_count(endpoint: int, mask: int) -> int:
-        """How many more vertices a path ending at ``endpoint`` can gain."""
-        frontier = adj[endpoint] & comp_mask & ~mask
+    def bound(reach: int, own: int) -> int:
+        """How many of ``reach`` a path can gain from an endpoint on side ``own``."""
+        if side is None:
+            return reach.bit_count()
+        same = (reach & own).bit_count()
+        return min(2 * (reach.bit_count() - same), 2 * same + 1)
+
+    def can_gain(endpoint: int, mask: int, need: int) -> bool:
+        """Can a path ending at ``endpoint`` gain more than ``need`` vertices?"""
+        free = comp_mask & ~mask
+        own = 0
+        if side is not None:
+            own = side if side >> endpoint & 1 else comp_mask ^ side
+        frontier = adj[endpoint] & free
         reach = 0
         while frontier:
             reach |= frontier
+            if bound(reach, own) > need:
+                return True
             step = 0
             for v in iter_bits(frontier):
                 step |= adj[v]
-            frontier = step & comp_mask & ~mask & ~reach
-        if side is None:
-            return reach.bit_count()
-        own = side if side >> endpoint & 1 else comp_mask ^ side
-        same = (reach & own).bit_count()
-        return min(2 * (reach.bit_count() - same), 2 * same + 1)
+            frontier = step & free & ~reach
+        return False
 
     for start in comp:
         path = [start]
@@ -251,7 +267,7 @@ def _component_search(g: Graph, comp: list[int], bud: Budget, stop: int | None) 
                     return best
             if dead is not None and (v, mask) in dead:
                 rest = 0
-            elif len(path) + reachable_count(v, mask) > len(best):
+            elif can_gain(v, mask, len(best) - len(path)):
                 rest = adj[v] & comp_mask & ~mask
             else:
                 rest = 0
@@ -293,7 +309,10 @@ def longest_path(
     search is independent of the others, so this changes the work, never
     the answer.  A branch is bounded by the vertices its
     endpoint can still reach and, in a bipartite component, by how many of
-    those lie on each side, since a path alternates sides.
+    those lie on each side, since a path alternates sides.  The bound is
+    decided against the gap to the best path, layer by layer of the
+    reachable set, and never counted in full: a branch continues as soon
+    as one layer lifts it over the gap.
 
     With ``within``, a vertex bitmask, the search runs in the subgraph
     induced on it and answers in g's labels.  Exploration follows vertex

@@ -213,6 +213,8 @@ def disjoint_cover_sizes(masks: set[int], order: int) -> tuple[int, ...] | None:
 
 _G6_MAX_SHORT = 62
 _G6_MAX_LONG = 258047
+# Each body byte spelled out as its six bits, most significant first.
+_G6_BITS = {63 + value: format(value, "06b") for value in range(64)}
 
 
 def to_graph6(g: Graph) -> str:
@@ -243,9 +245,9 @@ def from_graph6(line: str) -> Graph:
     text = line.rstrip("\n")
     if not text:
         raise Graph6Error("empty graph6 line")
-    for ch in text:
-        if not 63 <= ord(ch) <= 126:
-            raise Graph6Error(f"byte {ord(ch)} outside graph6 range")
+    if min(text) < "?" or max(text) > "~":
+        bad = next(ch for ch in text if not "?" <= ch <= "~")
+        raise Graph6Error(f"byte {ord(bad)} outside graph6 range")
     if text[0] == "~":
         if len(text) < 4:
             raise Graph6Error("truncated extended order header")
@@ -267,17 +269,19 @@ def from_graph6(line: str) -> Graph:
     pad = 6 * expected - nbits
     if pad and (ord(body[-1]) - 63) & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits")
-    # One pass over the body, six bits per byte, walking (row, col) through
-    # the upper triangle; the padding bits are zero, so they set nothing.
+    # Column by column: column ``col`` is the bit run start .. start+col-1
+    # with start = col(col-1)/2, bit ``row`` of it the pair (row, col).  Only
+    # the bytes holding that run are spelled out as a bit string, so memory
+    # stays at one column; reversed, the run is vertex col's mask of lower
+    # neighbours, which is then mirrored into their rows edge by edge.
     rows = [0] * n
-    row, col = 0, 1
-    for ch in body:
-        chunk = ord(ch) - 63
-        for bit in (32, 16, 8, 4, 2, 1):
-            if chunk & bit:
-                rows[row] |= 1 << col
-                rows[col] |= 1 << row
-            row += 1
-            if row == col:
-                row, col = 0, col + 1
+    start = 0
+    for col in range(1, n):
+        first, skip = divmod(start, 6)
+        seg = body[first : (start + col + 5) // 6].translate(_G6_BITS)[skip : skip + col]
+        lower = int(seg[::-1], 2)
+        rows[col] = lower
+        for row in iter_bits(lower):
+            rows[row] |= 1 << col
+        start += col
     return Graph(n, tuple(rows))

@@ -6,9 +6,10 @@ injection, longest paths by scanning every vertex permutation, canonical
 forms by visiting every leaf of the unpruned search.  None of it shares
 search logic with the package; class counting by brute force and the
 unfiltered enumeration level step use the package's canonical form only
-to name each labelled graph's class.  The one exception is a frozen copy
-of the longest-path search without its bipartite side-count bound, the
-exact reference for that search's answers.
+to name each labelled graph's class.  The exceptions are frozen copies of
+package code kept as exact references: the longest-path search with its
+bound counted in full at every node (with and without the bipartite
+side-count bound), and the graph6 decoder that reads one bit at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from ramsey_jahangir import (
     relabel,
     to_graph6,
 )
-from ramsey_jahangir.graphs import iter_bits
+from ramsey_jahangir.graphs import Graph6Error, iter_bits
 
 
 def naive_graph6(order: int, edges) -> str:
@@ -51,6 +52,51 @@ def naive_graph6(order: int, edges) -> str:
             value = value * 2 + bit
         body.append(chr(value + 63))
     return head + "".join(body)
+
+
+def from_graph6_per_bit(line: str) -> Graph:
+    """The graph6 decoder as it was before it read the body by column: every
+    check in the same order, then one pass over the body, six bits per byte,
+    walking (row, col) through the upper triangle."""
+    text = line.rstrip("\n")
+    if not text:
+        raise Graph6Error("empty graph6 line")
+    for ch in text:
+        if not 63 <= ord(ch) <= 126:
+            raise Graph6Error(f"byte {ord(ch)} outside graph6 range")
+    if text[0] == "~":
+        if len(text) < 4:
+            raise Graph6Error("truncated extended order header")
+        if text[1] == "~":
+            raise Graph6Error("8-byte graph6 headers not supported")
+        n = 0
+        for ch in text[1:4]:
+            n = n << 6 | (ord(ch) - 63)
+        if n <= 62:
+            raise Graph6Error("extended header used for a small order")
+        body = text[4:]
+    else:
+        n = ord(text[0]) - 63
+        body = text[1:]
+    nbits = n * (n - 1) // 2
+    expected = (nbits + 5) // 6
+    if len(body) != expected:
+        raise Graph6Error(f"body length {len(body)}, expected {expected} for order {n}")
+    pad = 6 * expected - nbits
+    if pad and (ord(body[-1]) - 63) & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits")
+    rows = [0] * n
+    row, col = 0, 1
+    for ch in body:
+        chunk = ord(ch) - 63
+        for bit in (32, 16, 8, 4, 2, 1):
+            if chunk & bit:
+                rows[row] |= 1 << col
+                rows[col] |= 1 << row
+            row += 1
+            if row == col:
+                row, col = 0, col + 1
+    return Graph(n, tuple(rows))
 
 
 def contains_by_injections(host: Graph, pattern_order: int, pattern_edges) -> bool:
@@ -88,20 +134,62 @@ def longest_path_reference(g: Graph, stop: int | None = None) -> tuple[int, ...]
     reachable set alone, so every answer of the bounded search must match
     this one exactly: the bound may change node counts, never a path.
     """
+    return longest_path_full_bound(g, Budget(1 << 62), stop, side_bound=False)
+
+
+def longest_path_full_bound(
+    g: Graph, budget: Budget, stop: int | None = None, *, side_bound: bool = True,
+) -> tuple[int, ...]:
+    """``longest_path`` with its bound counted in full at every node.
+
+    A frozen copy of the search from before the bound was decided against
+    the gap layer by layer: the whole unvisited reachable set is walked and
+    counted, then compared.  Deciding the bound early changes no prune, so
+    the path and every node spent from ``budget`` must match this one.
+    ``side_bound=False`` drops the bipartite side-count bound, leaving
+    reachability alone.
+    """
+    comps = components(g)
+    searched = {}
+    if stop is not None:
+        for i, comp in enumerate(comps):
+            if len(comp) >= stop:
+                searched[i] = _component_search_full(g, comp, budget, stop, side_bound)
+                if len(searched[i]) == stop:
+                    return _lower_end_first(searched[i])
     best: tuple[int, ...] = ()
-    for comp in components(g):
+    for i, comp in enumerate(comps):
         if len(comp) <= len(best):
             continue
-        cand = _component_search_unbounded(g, comp, stop)
+        cand = searched[i] if i in searched else _component_search_full(
+            g, comp, budget, stop, side_bound)
         if len(cand) > len(best):
             best = cand
-            if len(best) == stop:
-                break
-    rev = best[::-1]
-    return best if best <= rev else rev
+    return _lower_end_first(best)
 
 
-def _component_search_unbounded(g: Graph, comp: list[int], stop: int | None):
+def _lower_end_first(path):
+    rev = path[::-1]
+    return path if path <= rev else rev
+
+
+def _bipartite_side_full(adj, comp_mask: int, start: int):
+    """One colour class of the component, or None if it has an odd cycle."""
+    sides = [0, 0]
+    frontier, parity = 1 << start, 0
+    while frontier:
+        sides[parity] |= frontier
+        step = 0
+        for v in iter_bits(frontier):
+            if adj[v] & frontier:
+                return None
+            step |= adj[v]
+        parity ^= 1
+        frontier = step & comp_mask & ~(sides[0] | sides[1])
+    return sides[0]
+
+
+def _component_search_full(g: Graph, comp: list[int], bud: Budget, stop, side_bound: bool):
     comp_mask = 0
     for v in comp:
         comp_mask |= 1 << v
@@ -110,6 +198,7 @@ def _component_search_unbounded(g: Graph, comp: list[int], stop: int | None):
     adj = g.adj
     best: tuple[int, ...] = ()
     dead: set[tuple[int, int]] | None = set() if size <= 24 else None
+    side = _bipartite_side_full(adj, comp_mask, comp[0]) if side_bound else None
 
     def reachable_count(endpoint: int, mask: int) -> int:
         frontier = adj[endpoint] & comp_mask & ~mask
@@ -120,7 +209,11 @@ def _component_search_unbounded(g: Graph, comp: list[int], stop: int | None):
             for v in iter_bits(frontier):
                 step |= adj[v]
             frontier = step & comp_mask & ~mask & ~reach
-        return reach.bit_count()
+        if side is None:
+            return reach.bit_count()
+        own = side if side >> endpoint & 1 else comp_mask ^ side
+        same = (reach & own).bit_count()
+        return min(2 * (reach.bit_count() - same), 2 * same + 1)
 
     for start in comp:
         path = [start]
@@ -128,6 +221,7 @@ def _component_search_unbounded(g: Graph, comp: list[int], stop: int | None):
         untried: list[int] = []
         while path:
             v, mask = path[-1], masks[-1]
+            bud.spend()
             if len(path) > len(best):
                 best = tuple(path)
                 if len(path) >= stop_len:

@@ -28,11 +28,13 @@ from ramsey_jahangir import (
 )
 from ramsey_jahangir.embedding import _search_order
 from ramsey_jahangir.graphs import iter_bits
+from ramsey_jahangir.suites import SUITES, generate_case
 
 from helpers_naive import (
     build_complete_multipartite,
     contains_by_injections,
     longest_path_brute,
+    longest_path_full_bound,
     longest_path_reference,
     random_graph,
     shuffled_complete_bipartite,
@@ -203,6 +205,49 @@ def test_bipartite_bound_changes_no_answer():
     assert min(seen_orders) <= 24 < max(seen_orders)
 
 
+def _long_path_hosts(rng):
+    """Seeded long paths up to order 300 with a few chords, labels shuffled."""
+    for order, chords in ((60, 3), (150, 2), (220, 1), (300, 0)):
+        edges = [(v, v + 1) for v in range(order - 1)]
+        edges += [tuple(rng.sample(range(order), 2)) for _ in range(chords)]
+        yield _relabelled(rng, order, edges)
+
+
+def _er_union_hosts(per_suite):
+    """The first cases of every suite built from random block unions."""
+    for spec in SUITES.values():
+        if spec.kind == "er-union":
+            for index in range(per_suite):
+                yield generate_case(spec, 5, index)
+
+
+def test_deciding_the_bound_keeps_paths_and_node_counts():
+    """Deciding the bound against the gap prunes exactly where counting it
+    in full did: the same path and the same nodes spent, so the budget runs
+    out at the same node."""
+    rng = random.Random(13)
+    hosts = [*_bipartite_hosts(rng), *_odd_cycle_hosts(rng),
+             *_er_union_hosts(4), *_long_path_hosts(rng)]
+    for g in hosts:
+        full = len(longest_path(g))
+        for stop in {None, 2, max(1, full // 2), full, full + 1}:
+            ours = Budget(1 << 40)
+            path = longest_path(g, ours, stop=stop)
+            spent = (1 << 40) - ours.remaining
+            # Both searches finish on exactly ``spent`` nodes, one fewer
+            # exhausts both.
+            exact = Budget(spent)
+            assert longest_path_full_bound(g, exact, stop) == path, (g, stop)
+            assert exact.remaining == 0, (g, stop)
+            assert longest_path(g, Budget(spent), stop=stop) == path
+            if spent > 1:
+                with pytest.raises(BudgetExhausted):
+                    longest_path(g, Budget(spent - 1), stop=stop)
+                with pytest.raises(BudgetExhausted):
+                    longest_path_full_bound(g, Budget(spent - 1), stop)
+    assert max(g.order for g in hosts) == 300
+
+
 def test_complete_bipartite_stall_is_settled():
     # K_{10,30} holds no P23; its longest path alternates sides, 11 + 10.
     host = shuffled_complete_bipartite(random.Random(3), 10, 30)
@@ -234,6 +279,15 @@ def test_longest_path_is_not_bounded_by_the_recursion_limit():
     path = longest_path(build(Path(1200)), stop=1100)
     assert len(path) == 1100
     assert all(b - a == 1 for a, b in zip(path, path[1:]))
+
+
+def test_a_long_path_costs_one_node_per_vertex():
+    # The descent never backtracks: each node sets a new best, and the
+    # bound is decided by the first layer of the reachable set.
+    host = build(Path(1200))
+    assert len(longest_path(host, Budget(1100), stop=1100)) == 1100
+    with pytest.raises(BudgetExhausted):
+        longest_path(host, Budget(1099), stop=1100)
 
 
 def test_search_order_puts_the_hub_first():

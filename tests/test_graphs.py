@@ -19,7 +19,7 @@ from ramsey_jahangir import (
     to_graph6,
 )
 
-from helpers_naive import naive_graph6, random_graph
+from helpers_naive import from_graph6_per_bit, naive_graph6, random_graph
 
 
 def test_empty_and_complete():
@@ -140,10 +140,44 @@ def test_graph6_round_trip():
         assert from_graph6(to_graph6(g)) == g
 
 
+def test_column_decoder_matches_the_per_bit_decoder():
+    rng = random.Random(23)
+    codes = [to_graph6(random_graph(rng, order, rng.choice((0.1, 0.5, 0.9))))
+             for order in [*range(71), 62, 63]]
+    codes.append(to_graph6(random_graph(rng, 500, 0.5)))
+    codes.append(to_graph6(random_graph(rng, 1200, 0.003)))
+    for code in codes:
+        g = from_graph6(code)
+        assert g == from_graph6_per_bit(code)
+        assert to_graph6(g) == code
+
+
 def test_graph6_rejects_garbage():
     # "Bx": order 3 leaves three padding bits, and x sets the last one;
-    # an order-63 body (long header ~??~) is 326 bytes.
-    long_bodies = ("~??~" + "?" * 325, "~??~" + "?" * 327)
-    for junk in ("", " ", "A", "A?extra", chr(200), "~~", "Bx", *long_bodies):
-        with pytest.raises(Graph6Error):
-            from_graph6(junk)
+    # an order-63 body (long header ~??~) is 326 bytes.  A bad byte after a
+    # valid header is named, the first one when there are several; only a
+    # trailing newline is stripped, so a "\r" is a bad byte.
+    body_short, body_long = "~??~" + "?" * 325, "~??~" + "?" * 327
+    cases = {
+        "": "empty graph6 line",
+        " ": "byte 32 outside graph6 range",
+        "A": "body length 0, expected 1 for order 2",
+        "A?extra": "body length 6, expected 1 for order 2",
+        chr(200): "byte 200 outside graph6 range",
+        "~~": "truncated extended order header",
+        "~~???": "8-byte graph6 headers not supported",
+        "~???": "extended header used for a small order",
+        "Bx": "nonzero padding bits",
+        body_short: "body length 325, expected 326 for order 63",
+        body_long: "body length 327, expected 326 for order 63",
+        "C?" + chr(127): "byte 127 outside graph6 range",
+        "C" + chr(127) + " ": "byte 127 outside graph6 range",
+        "C ": "byte 32 outside graph6 range",
+        "Bw\r": "byte 13 outside graph6 range",
+        "Bw\r\n": "byte 13 outside graph6 range",
+    }
+    for junk, message in cases.items():
+        for decode in (from_graph6, from_graph6_per_bit):
+            with pytest.raises(Graph6Error) as err:
+                decode(junk)
+            assert str(err.value) == message, (junk, decode)
