@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .families import PatternSpec, build
-from .graphs import Graph, components, iter_bits
+from .graphs import Graph, component_masks, iter_bits
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -25,6 +25,9 @@ PathWitness = tuple[int, ...]
 
 class BudgetExhausted(RuntimeError):
     """A search ran out of its expansion budget before settling the question."""
+
+
+_EXHAUSTED = "search expansion budget exhausted"
 
 
 class Budget:
@@ -40,7 +43,7 @@ class Budget:
     def spend(self, amount: int = 1) -> None:
         self.remaining -= amount
         if self.remaining < 0:
-            raise BudgetExhausted("search expansion budget exhausted")
+            raise BudgetExhausted(_EXHAUSTED)
 
     @classmethod
     def coerce(cls, budget: "int | Budget | None") -> "Budget":
@@ -188,6 +191,10 @@ def find_subgraph(host: Graph, spec: PatternSpec, budget: int | Budget | None = 
 
 _MEMO_LIMIT = 24
 
+# Component answers of one graph: (component vertex mask, stop length) to
+# the path its search returned.
+SearchedComponents = dict[tuple[int, int], PathWitness]
+
 
 def _bipartite_side(adj: Sequence[int], comp_mask: int, start: int) -> int | None:
     """One side of component ``comp_mask``, or None if it has an odd cycle.
@@ -202,90 +209,108 @@ def _bipartite_side(adj: Sequence[int], comp_mask: int, start: int) -> int | Non
     while frontier:
         sides[parity] |= frontier
         step = 0
-        for v in iter_bits(frontier):
-            if adj[v] & frontier:
+        layer = frontier
+        while layer:
+            low = layer & -layer
+            row = adj[low.bit_length() - 1]
+            if row & frontier:
                 return None
-            step |= adj[v]
+            step |= row
+            layer ^= low
         parity ^= 1
         frontier = step & comp_mask & ~(sides[0] | sides[1])
     return sides[0]
 
 
-def _component_search(g: Graph, comp: list[int], bud: Budget, stop: int | None) -> PathWitness:
-    """Longest path inside one component, or its first on ``stop`` vertices.
+def _component_search(g: Graph, comp_mask: int, bud: Budget, stop_len: int) -> PathWitness:
+    """Longest path inside component ``comp_mask``, or its first on ``stop_len`` vertices.
 
     The search runs on an explicit stack, free of the recursion limit:
-    ``path``, its visited sets ``masks``, and the ``untried`` neighbours of
-    every path vertex below the top.
+    ``path``, its visited set ``mask``, and the ``untried`` neighbours of
+    every path vertex below the top.  Nodes are counted against a local
+    copy of ``bud.remaining``, written back on every exit, so the budget
+    runs out at the same node and is left as :meth:`Budget.spend` leaves it.
     """
-    comp_mask = 0
-    for v in comp:
-        comp_mask |= 1 << v
-    size = len(comp)
-    stop_len = size if stop is None else min(stop, size)
     adj = g.adj
+    comp = list(iter_bits(comp_mask))
     best: PathWitness = ()
-    dead: set[tuple[int, int]] | None = set() if size <= _MEMO_LIMIT else None
+    # A dead state (endpoint v, visited set mask) is keyed mask << shift | v.
+    shift = g.order.bit_length()
+    dead: set[int] | None = set() if len(comp) <= _MEMO_LIMIT else None
     side = _bipartite_side(adj, comp_mask, comp[0])
 
-    def bound(reach: int, own: int) -> int:
-        """How many of ``reach`` a path can gain from an endpoint on side ``own``."""
-        if side is None:
-            return reach.bit_count()
-        same = (reach & own).bit_count()
-        return min(2 * (reach.bit_count() - same), 2 * same + 1)
+    def can_gain(endpoint: int, frontier: int, free: int, need: int) -> bool:
+        """Can a path ending at ``endpoint`` gain more than ``need`` of the
+        ``free`` vertices, ``frontier`` being its free neighbours?
 
-    def can_gain(endpoint: int, mask: int, need: int) -> bool:
-        """Can a path ending at ``endpoint`` gain more than ``need`` vertices?"""
-        free = comp_mask & ~mask
-        own = 0
+        In a bipartite component at most min(2a, 2b + 1) of the reachable
+        set fit, ``a`` of it on the other side from the endpoint and ``b``
+        on its own; otherwise all of it may.
+        """
         if side is not None:
             own = side if side >> endpoint & 1 else comp_mask ^ side
-        frontier = adj[endpoint] & free
         reach = 0
         while frontier:
             reach |= frontier
-            if bound(reach, own) > need:
+            if side is None:
+                gain = reach.bit_count()
+            else:
+                same = (reach & own).bit_count()
+                gain = min(2 * (reach.bit_count() - same), 2 * same + 1)
+            if gain > need:
                 return True
             step = 0
-            for v in iter_bits(frontier):
-                step |= adj[v]
+            while frontier:
+                low = frontier & -frontier
+                step |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = step & free & ~reach
         return False
 
-    for start in comp:
-        path = [start]
-        masks = [1 << start]
-        untried: list[int] = []
-        while path:
-            # Visit the path's new last vertex.
-            v, mask = path[-1], masks[-1]
-            bud.spend()
-            if len(path) > len(best):
-                best = tuple(path)
-                if len(path) >= stop_len:
-                    return best
-            if dead is not None and (v, mask) in dead:
-                rest = 0
-            elif can_gain(v, mask, len(best) - len(path)):
-                rest = adj[v] & comp_mask & ~mask
-            else:
-                rest = 0
-            # Retreat past the vertices with nothing left to try, then step
-            # to the least untried neighbour of the deepest one that has one.
-            while not rest:
-                v, mask = path.pop(), masks.pop()
-                if dead is not None:
-                    dead.add((v, mask))
-                if not path:
-                    break
-                rest = untried.pop()
-            if rest:
-                low = rest & -rest
-                untried.append(rest ^ low)
-                path.append(low.bit_length() - 1)
-                masks.append(masks[-1] | low)
-    return best
+    remaining = bud.remaining
+    try:
+        for start in comp:
+            path = [start]
+            mask = 1 << start
+            untried: list[int] = []
+            while path:
+                # Visit the path's new last vertex.
+                v = path[-1]
+                remaining -= 1
+                if remaining < 0:
+                    raise BudgetExhausted(_EXHAUSTED)
+                if len(path) > len(best):
+                    best = tuple(path)
+                    if len(path) >= stop_len:
+                        return best
+                free = comp_mask & ~mask
+                rest = adj[v] & free
+                if rest and dead is not None and (mask << shift | v) in dead:
+                    rest = 0
+                # With no gap to the best path, any free neighbour is a gain.
+                elif rest and len(best) > len(path) and not can_gain(
+                    v, rest, free, len(best) - len(path)
+                ):
+                    rest = 0
+                # Retreat past the vertices with nothing left to try, then
+                # step to the least untried neighbour of the deepest one
+                # that has one.
+                while not rest:
+                    v = path.pop()
+                    if dead is not None:
+                        dead.add(mask << shift | v)
+                    mask ^= 1 << v
+                    if not path:
+                        break
+                    rest = untried.pop()
+                if rest:
+                    low = rest & -rest
+                    untried.append(rest ^ low)
+                    path.append(low.bit_length() - 1)
+                    mask |= low
+        return best
+    finally:
+        bud.remaining = remaining
 
 
 def _normalize_direction(path: PathWitness) -> PathWitness:
@@ -295,7 +320,7 @@ def _normalize_direction(path: PathWitness) -> PathWitness:
 
 def longest_path(
     g: Graph, budget: int | Budget | None = None, *, stop: int | None = None,
-    within: int | None = None,
+    within: int | None = None, searched: SearchedComponents | None = None,
 ) -> PathWitness:
     """A maximum-length path of g, deterministic across runs.
 
@@ -318,23 +343,41 @@ def longest_path(
     induced on it and answers in g's labels.  Exploration follows vertex
     order either way, so the path and the budget spent match a search of
     ``graphs.induced(g, ...)`` mapped back.
+
+    ``searched`` carries component answers from earlier calls on the same
+    g, keyed by the component's vertex mask and its stop length
+    ``min(stop, size)``; answers found here are added to it.  A
+    component's search reads nothing but g's edges inside that mask and
+    the stop length, so a repeat would explore the same nodes and return
+    the same path: a known answer is reused as is and spends no budget.
+    Without it, each call starts from an empty dict, which still keeps a
+    component from being searched twice within the call.
     """
     if stop is not None and stop < 1:
         raise ValueError("stop >= 1 required")
     bud = Budget.coerce(budget)
-    comps = components(g, within)
-    searched: dict[int, PathWitness] = {}
+    if searched is None:
+        searched = {}
+    comps = component_masks(g, within)
+
+    def search(comp: int) -> PathWitness:
+        size = comp.bit_count()
+        key = (comp, size if stop is None else min(stop, size))
+        if key not in searched:
+            searched[key] = _component_search(g, comp, bud, key[1])
+        return searched[key]
+
     if stop is not None:
-        for i, comp in enumerate(comps):
-            if len(comp) >= stop:
-                searched[i] = _component_search(g, comp, bud, stop)
-                if len(searched[i]) == stop:
-                    return _normalize_direction(searched[i])
+        for comp in comps:
+            if comp.bit_count() >= stop:
+                path = search(comp)
+                if len(path) == stop:
+                    return _normalize_direction(path)
     best: PathWitness = ()
-    for i, comp in enumerate(comps):
-        if len(comp) <= len(best):
+    for comp in comps:
+        if comp.bit_count() <= len(best):
             continue
-        cand = searched[i] if i in searched else _component_search(g, comp, bud, stop)
+        cand = search(comp)
         if len(cand) > len(best):
             best = cand
     return _normalize_direction(best)

@@ -66,10 +66,33 @@ class Graph:
                 yield (u, v)
 
     def validate(self) -> None:
-        """Full consistency check (symmetry included); raises ValueError."""
+        """Full consistency check (symmetry included); raises ValueError.
+
+        Each edge above the diagonal is checked for its mirror below it;
+        then the graph is symmetric exactly when the halves hold equally
+        many edges.  On failure every row is walked in order, so the
+        message names the first asymmetric pair (u, v) by u, then v.
+        """
+        adj = self.adj
+        upper = lower = 0
+        for u, row in enumerate(adj):
+            below = row & ((1 << u) - 1)
+            above = row ^ below
+            lower += below.bit_count()
+            upper += above.bit_count()
+            while above:
+                low = above & -above
+                if not adj[low.bit_length() - 1] >> u & 1:
+                    break
+                above ^= low
+            if above:  # an edge above the diagonal has no mirror
+                break
+        else:
+            if upper == lower:
+                return
         for u in range(self.order):
-            for v in iter_bits(self.adj[u]):
-                if not self.adj[v] >> u & 1:
+            for v in iter_bits(adj[u]):
+                if not adj[v] >> u & 1:
                     raise ValueError(f"asymmetric edge {u},{v}")
 
 
@@ -161,27 +184,37 @@ def vertex_mask(g: Graph, within: int | None = None) -> int:
     return within
 
 
+def component_masks(g: Graph, within: int | None = None) -> list[int]:
+    """Connected components as vertex bitmasks, ordered by least vertex.
+
+    With ``within``, a vertex bitmask, the components are those of the
+    subgraph induced on it.
+    """
+    unseen = vertex_mask(g, within)
+    adj = g.adj
+    out = []
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            step = 0
+            while frontier:
+                low = frontier & -frontier
+                step |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = step & unseen & ~comp
+            comp |= frontier
+        unseen ^= comp
+        out.append(comp)
+    return out
+
+
 def components(g: Graph, within: int | None = None) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by least vertex.
 
     With ``within``, a vertex bitmask, the components are those of the
     subgraph induced on it, still in g's labels.
     """
-    unseen = vertex_mask(g, within)
-    out = []
-    while unseen:
-        start = (unseen & -unseen).bit_length() - 1
-        comp = 1 << start
-        frontier = g.adj[start] & unseen
-        while frontier:
-            comp |= frontier
-            step = 0
-            for v in iter_bits(frontier):
-                step |= g.adj[v]
-            frontier = step & unseen & ~comp
-        unseen &= ~comp
-        out.append(list(iter_bits(comp)))
-    return out
+    return [list(iter_bits(comp)) for comp in component_masks(g, within)]
 
 
 def clique_union_sizes(g: Graph) -> tuple[int, ...] | None:
@@ -215,6 +248,8 @@ _G6_MAX_SHORT = 62
 _G6_MAX_LONG = 258047
 # Each body byte spelled out as its six bits, most significant first.
 _G6_BITS = {63 + value: format(value, "06b") for value in range(64)}
+# And back: six bits to their body byte.
+_G6_CHARS = {bits: chr(code) for code, bits in _G6_BITS.items()}
 
 
 def to_graph6(g: Graph) -> str:
@@ -225,20 +260,15 @@ def to_graph6(g: Graph) -> str:
         head = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
     else:
         raise Graph6Error(f"order {n} beyond supported graph6 headers")
-    chunk = 0
-    filled = 0
-    body = []
-    for col in range(1, n):
-        for row in range(col):
-            chunk = chunk << 1 | (g.adj[row] >> col & 1)
-            filled += 1
-            if filled == 6:
-                body.append(chr(63 + chunk))
-                chunk = 0
-                filled = 0
-    if filled:
-        body.append(chr(63 + (chunk << (6 - filled))))
-    return head + "".join(body)
+    # Column by column, as from_graph6 reads them: column ``col`` is vertex
+    # col's mask of lower neighbours spelled out row 0 first.  The padded
+    # run is then cut into bytes six bits at a time.
+    adj = g.adj
+    bits = "".join(
+        [format(adj[col] & ((1 << col) - 1), f"0{col}b")[::-1] for col in range(1, n)]
+    )
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join([_G6_CHARS[bits[i : i + 6]] for i in range(0, len(bits), 6)])
 
 
 def from_graph6(line: str) -> Graph:

@@ -131,6 +131,9 @@ def run_suite(
 ) -> dict:
     """Run ``count`` cases of a named suite; deterministic given the seed.
 
+    The seed is a 64-bit master seed, 0 to 2^64 - 1; one outside that range
+    raises ValueError rather than being wrapped onto another seed's cases.
+
     Each case record carries the host's graph6 code and the full trace
     document of its extraction.  ``ok`` is the conjunction of every case's
     ``verified`` flag.  Construction failures (MaximalityViolation, budget
@@ -140,6 +143,8 @@ def run_suite(
         raise ValueError(
             f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
         )
+    if not 0 <= seed <= _M64:
+        raise ValueError(f"seed {seed} outside 0 .. 2^64 - 1")
     if count < 1:
         raise ValueError("count >= 1 required")
     spec = SUITES[name]

@@ -29,6 +29,7 @@ from .embedding import (
     BudgetExhausted,
     Embedding,
     PathWitness,
+    SearchedComponents,
     find_subgraph,
     fits_complete_multipartite,
     longest_path,
@@ -194,6 +195,7 @@ def build_path_system(
     *,
     first: PathWitness | None = None,
     within: int | None = None,
+    searched: SearchedComponents | None = None,
 ) -> PathSystem:
     """Peel ``count`` disjoint maximum paths off ``f``, fabricating on edgeless residuals.
 
@@ -201,10 +203,20 @@ def build_path_system(
     ``f`` induced on it; the paths keep ``f``'s labels.  ``first``, when
     given, is a maximum path of that subgraph that ``longest_path`` already
     returned; it is peeled as is instead of searching the subgraph again.
+
+    Each residual is the previous one minus a path, so every component no
+    path has touched yet is a component of the next residual too.  One
+    dict of component answers (``longest_path``'s ``searched``) serves all
+    the residual searches, so such a component is searched once; pass the
+    dict of earlier searches of ``f`` to reuse theirs.  The reuse is exact:
+    a component's search depends only on its vertex set and stop length,
+    so a repeat would return the same path.
     """
     if count < 1:
         raise ValueError("count >= 1 required")
     bud = Budget.coerce(budget)
+    if searched is None:
+        searched = {}
     remaining = vertex_mask(f, within)
     paths: list[PathWitness] = []
     fabricated: list[tuple[int, int]] = []
@@ -215,7 +227,7 @@ def build_path_system(
                 f"host exhausted after {len(paths)} of {count} paths"
             )
         if path is None:
-            path = longest_path(f, bud, within=remaining)
+            path = longest_path(f, bud, within=remaining, searched=searched)
         if len(path) < 2:
             # Edgeless residual: promise a two-vertex path on the two least
             # residual vertices and remember the edge we invented for it.
@@ -332,7 +344,7 @@ def _assemble_endpoint_rim(
 
 def _endpoint_witness(
     g: Graph, first: PathWitness, theorem: str, case: str, s: int, m: int, k: int,
-    bud: Budget, alive: int,
+    bud: Budget, alive: int, searched: SearchedComponents,
 ) -> DichotomyWitness:
     """Short maximum path ``first`` of ``g`` on the vertices ``alive``: peel
     (sm - 1) // 2 paths there, starting with it, and rim their endpoints.
@@ -345,7 +357,9 @@ def _endpoint_witness(
     """
     sm = s * m
     count = (sm - 1) // 2
-    system = build_path_system(g, count, bud, first=first, within=alive)
+    system = build_path_system(
+        g, count, bud, first=first, within=alive, searched=searched
+    )
     spares = sm - 2 * count + 1
     if len(system.remainder) < spares:
         raise MaximalityViolation(
@@ -385,13 +399,16 @@ def _edgeless_witness(
 
 
 def _theorem1(
-    f: Graph, first: PathWitness, s: int, m: int, bud: Budget, alive: int
+    f: Graph, first: PathWitness, s: int, m: int, bud: Budget, alive: int,
+    searched: SearchedComponents,
 ) -> DichotomyWitness:
     """Even rim step, no ``P_n`` among ``alive``: rim the endpoints of short
     maximum paths (Case 1) or build on a long one (Case 2)."""
     k = len(first)
     if k <= 2 * s * m - 1:
-        return _endpoint_witness(f, first, "Thm1", "Thm1-Case1", s, m, k, bud, alive)
+        return _endpoint_witness(
+            f, first, "Thm1", "Thm1-Case1", s, m, k, bud, alive, searched
+        )
     return _theorem1_case2(f, first, s, m, alive)
 
 
@@ -461,7 +478,8 @@ def _theorem1_case2(
 
 
 def _theorem2_oddm(
-    f: Graph, first: PathWitness, s: int, m: int, bud: Budget, alive: int
+    f: Graph, first: PathWitness, s: int, m: int, bud: Budget, alive: int,
+    searched: SearchedComponents,
 ) -> DichotomyWitness:
     """Odd spoke count, no ``P_n``: rim the endpoints of short maximum paths
     (Case 1), interleave couple picks along two long paths (Case 2), or
@@ -469,18 +487,23 @@ def _theorem2_oddm(
     sm = s * m
     k = len(first)
     if k < sm - 1:
-        return _endpoint_witness(f, first, "Thm2", "Thm2-OddM-Case1", s, m, k, bud, alive)
+        return _endpoint_witness(
+            f, first, "Thm2", "Thm2-OddM-Case1", s, m, k, bud, alive, searched
+        )
     rest = alive & ~sum(1 << v for v in first)
-    second = longest_path(f, bud, within=rest)
+    second = longest_path(f, bud, within=rest, searched=searched)
     if len(second) >= sm - 1:
         return _theorem2_oddm_case2(f, first, second, s, m)
     # One long path: everything off it holds only short paths, so the
     # endpoint-rim construction runs there.
-    return _endpoint_witness(f, second, "Thm2", "Thm2-OddM-Case3", s, m, k, bud, rest)
+    return _endpoint_witness(
+        f, second, "Thm2", "Thm2-OddM-Case3", s, m, k, bud, rest, searched
+    )
 
 
 def _theorem2_even(
-    f: Graph, first: PathWitness, s: int, m: int, bud: Budget, alive: int
+    f: Graph, first: PathWitness, s: int, m: int, bud: Budget, alive: int,
+    searched: SearchedComponents,
 ) -> DichotomyWitness:
     """Even spoke count: find the full wheel in the complement, drop spokes."""
     sm = s * m
@@ -611,7 +634,10 @@ def _theorem2_oddm_case2(
 # Each single-path regime's Jahangir-side construction, run on a maximum
 # path when the vertices ``alive`` hold no P_n, and the theorem name its
 # traces carry.  Every round of Thm3 is the Thm1 dichotomy; the Thm2
-# regimes have t = 1, so their ``alive`` is always the whole host.
+# regimes have t = 1, so their ``alive`` is always the whole host.  Every
+# path search of one extraction shares one ``searched`` dict of component
+# answers (see ``longest_path``): what is left of the host after a path
+# keeps every component the path missed, so each is searched once.
 _REGIMES = {
     Thm1: ("Thm1", _theorem1),
     Thm2EvenM: ("Thm2", _theorem2_even),
@@ -621,22 +647,24 @@ _REGIMES = {
 
 
 def _single_path(
-    f: Graph, case: TheoremCase, bud: Budget, alive: int
+    f: Graph, case: TheoremCase, bud: Budget, alive: int, searched: SearchedComponents
 ) -> DichotomyWitness:
     """``P_n`` in the subgraph of ``f`` induced on the vertex bitmask
     ``alive``, or the regime's Jahangir side on a maximum path of it."""
     theorem, jahangir_side = _REGIMES[type(case)]
-    first = longest_path(f, bud, stop=case.n, within=alive)
+    first = longest_path(f, bud, stop=case.n, within=alive, searched=searched)
     if len(first) == case.n:
         emb = Embedding(Path(case.n), f.order, first)
         trace = ExtractionTrace(theorem, "path-found", case.n, (first,), ())
         return DichotomyWitness("paths", emb, trace)
     if len(first) <= 1:
         return _edgeless_witness(f, theorem, case.s, case.m, alive)
-    return jahangir_side(f, first, case.s, case.m, bud, alive)
+    return jahangir_side(f, first, case.s, case.m, bud, alive, searched)
 
 
-def _path_rounds(f: Graph, case: Thm3, bud: Budget, alive: int) -> DichotomyWitness:
+def _path_rounds(
+    f: Graph, case: Thm3, bud: Budget, alive: int, searched: SearchedComponents
+) -> DichotomyWitness:
     """``t . P_n`` in ``f`` or ``J_{s,m}`` in its complement.
 
     Runs the single-path dichotomy ``t`` times, clearing each found copy
@@ -647,7 +675,7 @@ def _path_rounds(f: Graph, case: Thm3, bud: Budget, alive: int) -> DichotomyWitn
     collected: list[PathWitness] = []
     last_k = 0
     for step in range(1, case.t + 1):
-        found = _single_path(f, case, bud, alive)
+        found = _single_path(f, case, bud, alive, searched)
         if found.kind == "jahangir":
             trace = replace(found.trace, theorem="Thm3", case=f"Thm3-step{step}")
             return replace(found, trace=trace)
@@ -684,7 +712,7 @@ def extract(
         require_thresholds(case, f)
     bud = Budget.coerce(budget)
     construct = _single_path if case.t == 1 else _path_rounds
-    return _ensure(f, construct(f, case, bud, vertex_mask(f)))
+    return _ensure(f, construct(f, case, bud, vertex_mask(f), {}))
 
 
 # --------------------------------------------------------------------------

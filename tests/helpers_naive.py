@@ -9,7 +9,8 @@ unfiltered enumeration level step use the package's canonical form only
 to name each labelled graph's class.  The exceptions are frozen copies of
 package code kept as exact references: the longest-path search with its
 bound counted in full at every node (with and without the bipartite
-side-count bound), and the graph6 decoder that reads one bit at a time.
+side-count bound), the graph6 decoder that reads one bit at a time, and
+the symmetry check that walks every arc.
 """
 
 from __future__ import annotations
@@ -97,6 +98,15 @@ def from_graph6_per_bit(line: str) -> Graph:
             if row == col:
                 row, col = 0, col + 1
     return Graph(n, tuple(rows))
+
+
+def validate_every_arc(g: Graph) -> None:
+    """``Graph.validate`` as it was before it walked the upper triangle only:
+    every arc u -> v, by u and then v, checked for its mirror v -> u."""
+    for u in range(g.order):
+        for v in iter_bits(g.adj[u]):
+            if not g.adj[v] >> u & 1:
+                raise ValueError(f"asymmetric edge {u},{v}")
 
 
 def contains_by_injections(host: Graph, pattern_order: int, pattern_edges) -> bool:

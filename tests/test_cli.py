@@ -284,6 +284,17 @@ def test_suite_unknown_name(capsys):
     capsys.readouterr()
 
 
+def test_suite_seed_outside_64_bits(capsys):
+    # -1 would otherwise replay the cases of seed 2^64 - 1 under "seed": -1.
+    for seed in ("-1", str(1 << 64)):
+        assert run(["suite", "thm1-s2m3", "--seed", seed, "--count", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: seed {seed} outside" in captured.err
+    assert run(["suite", "thm1-s2m3", "--seed", str((1 << 64) - 1), "--count", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == (1 << 64) - 1
+
+
 def test_no_arguments(capsys):
     assert run([]) == 2
     capsys.readouterr()

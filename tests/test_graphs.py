@@ -18,8 +18,9 @@ from ramsey_jahangir import (
     relabel,
     to_graph6,
 )
+from ramsey_jahangir.graphs import iter_bits
 
-from helpers_naive import from_graph6_per_bit, naive_graph6, random_graph
+from helpers_naive import from_graph6_per_bit, naive_graph6, random_graph, validate_every_arc
 
 
 def test_empty_and_complete():
@@ -52,6 +53,46 @@ def test_validate_catches_asymmetry():
     g = Graph(2, (2, 0))  # 0 says it has 1, but 1 disagrees
     with pytest.raises(ValueError):
         g.validate()
+
+
+def test_validate_names_the_first_asymmetric_pair():
+    """The upper-triangle check raises exactly where the every-arc walk does,
+    whether the missing mirrors sit above the diagonal, below it, or both."""
+    rng = random.Random(31)
+    seen = set()
+    for order in (2, 3, 7, 20, 64, 130):
+        for p in (0.1, 0.5, 0.9):
+            g = random_graph(rng, order, p)
+            g.validate()
+            edges = list(g.edges())
+            for where in ("above", "below", "both") * 3 if edges else ():
+                rows = list(g.adj)
+                picks = sorted(rng.sample(edges, min(len(edges), rng.randrange(1, 5))),
+                               key=lambda e: e[1])
+                for i, (u, v) in enumerate(picks):
+                    # "both": the pick whose larger end is least loses its
+                    # mirror above, the rest lose theirs below
+                    side = where if where != "both" else ("above", "below")[i > 0]
+                    if side == "above":
+                        rows[u] &= ~(1 << v)  # v keeps u below the diagonal
+                    else:
+                        rows[v] &= ~(1 << u)  # u keeps v above the diagonal
+                bad = Graph(order, tuple(rows))
+                with pytest.raises(ValueError) as want:
+                    validate_every_arc(bad)
+                with pytest.raises(ValueError) as got:
+                    bad.validate()
+                assert str(got.value) == str(want.value), (order, p, where)
+                a, b = map(int, str(want.value).split()[-1].split(","))
+                unmirrored_above = any(
+                    not rows[w] >> u & 1
+                    for u in range(order) for w in iter_bits(rows[u] >> u << u)
+                )
+                seen.add((where, "below" if a > b else "above", unmirrored_above))
+    # Among them: a first pair below the diagonal while an edge above it
+    # lacks its mirror too, so the upper walk alone would name another pair.
+    assert ("both", "below", True) in seen
+    assert {("above", "below", False), ("below", "above", True)} <= seen
 
 
 def test_edges_are_sorted_pairs():
@@ -127,6 +168,11 @@ def test_graph6_matches_independent_encoder():
         for _ in range(5):
             g = random_graph(rng, order, 0.4)
             assert to_graph6(g) == naive_graph6(order, g.edges())
+    # both sides of the long header, a large dense graph and a sparse one
+    # as long as the benchmark's longest path host
+    for order, p in ((62, 0.5), (63, 0.5), (500, 0.5), (1200, 0.003)):
+        g = random_graph(rng, order, p)
+        assert to_graph6(g) == naive_graph6(order, g.edges())
 
 
 def test_graph6_round_trip():

@@ -95,6 +95,16 @@ def test_bad_arguments():
         run_suite("thm1-s2m3", seed=0, count=0)
 
 
+def test_seed_must_fit_64_bits():
+    # The case stream works modulo 2^64, so -1 and 2^64 would replay the
+    # cases of 2^64 - 1 and 0 while recording a different seed.
+    for seed in (-1, 1 << 64, -(1 << 70)):
+        with pytest.raises(ValueError, match=f"seed {seed} outside"):
+            run_suite("thm1-s2m3", seed=seed, count=1)
+    for seed in (0, (1 << 64) - 1):
+        assert run_suite("thm1-s2m3", seed=seed, count=1)["seed"] == seed
+
+
 # sha256 of json.dumps(run_suite(name, 0, 40), indent=2), recorded before
 # the residual searches moved from induced subgraphs to vertex masks; any
 # change to a suite's bytes, even a consistent one, shows up here.

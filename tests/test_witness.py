@@ -32,6 +32,7 @@ from ramsey_jahangir import (
     verify_witness,
     wheel_to_jahangir,
 )
+import ramsey_jahangir.embedding as embedding_module
 import ramsey_jahangir.witness as witness_module
 from ramsey_jahangir.witness import _theorem2_oddm_case2, build_path_system
 
@@ -411,6 +412,109 @@ def test_no_graph_is_searched_twice(monkeypatch, make_host, case, case_name):
     if case_name == "Thm2-OddM-Case3":
         # the block off the long path 0..19 is searched once too
         assert searched.count((host, full & ~((1 << 20) - 1))) == 1
+
+
+def _tree_blocks(rng, base, end, lo, hi, chords):
+    """Random trees of ``lo..hi`` vertices on ``base..end-1``, each of four
+    or more vertices with ``chords`` random extra edges."""
+    edges = []
+    while base < end:
+        size = min(rng.randint(lo, hi), end - base)
+        edges += [(base + rng.randrange(v), base + v) for v in range(1, size)]
+        if size >= 4:
+            edges += [tuple(rng.sample(range(base, base + size), 2)) for _ in range(chords)]
+        base += size
+    return edges
+
+
+def _shuffled_host(rng, order, edges):
+    perm = list(range(order))
+    rng.shuffle(perm)
+    return from_edges(order, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _sparse_trees(rng):
+    order = rng.randint(25, 32)
+    return _shuffled_host(rng, order, _tree_blocks(rng, 0, order, 6, 11, 4))
+
+
+def _small_trees(rng):
+    order = rng.randint(64, 70)
+    return _shuffled_host(rng, order, _tree_blocks(rng, 0, order, 3, 7, 2))
+
+
+def _caterpillar(rng):
+    """A caterpillar (spine of 10 to 24, six legs) beside trees of 3 to 7."""
+    order, spine = rng.randint(64, 70), rng.randint(10, 24)
+    edges = [(v, v + 1) for v in range(spine - 1)]
+    edges += [(rng.randrange(1, spine - 1), leaf) for leaf in range(spine, spine + 6)]
+    edges += _tree_blocks(rng, spine + 6, order, 3, 7, 0)
+    return _shuffled_host(rng, order, edges)
+
+
+def _clique_beside_sparse(rng):
+    order = rng.randint(48, 55)
+    edges = [(u, v) for v in range(23) for u in range(v)]
+    edges += _tree_blocks(rng, 23, order, 6, 11, 4)
+    return _shuffled_host(rng, order, edges)
+
+
+# Sparse hosts whose residuals keep most of their components: the path
+# system, both searches of Case 3 and the second round of Thm3 all search
+# what an earlier path left.  Five hosts each from random.Random(name); the
+# digest is the sha256 of their trace_json texts joined by newlines,
+# recorded before component answers were carried between searches.
+CARRIED_SHAPES = [
+    ("sparse-trees", _sparse_trees, Thm1(23, 2, 3), "Thm1-Case1",
+     "6b94640ce3aad717da3019dc40e531d3b0c6ca6b40f3fdaf3a75b6479e86ca2d"),
+    ("small-trees", _small_trees, Thm2OddM(32, 3, 3), "Thm2-OddM-Case1",
+     "23fbd2876999419d3ece1a8327cd6e7fc4f6f2924f9b060cb9c16e2d188f806e"),
+    ("caterpillar", _caterpillar, Thm2OddM(32, 3, 3), "Thm2-OddM-Case3",
+     "32cdbe1688bb87f212819f3ac4b994451cccf168b63e198d2b6e8e79687b9d69"),
+    ("clique-beside-sparse", _clique_beside_sparse, Thm3(2, 23, 2, 3), "Thm3-step2",
+     "ef59068ce6bbc35cdaab78275d4d36b61dca503bcb54f837cdc58df8a4848fd8"),
+]
+
+
+def _carried_hosts(name, make):
+    rng = random.Random(name)
+    return [make(rng) for _ in range(5)]
+
+
+@pytest.mark.parametrize(
+    "name, make, case, case_name, digest", CARRIED_SHAPES, ids=[c[0] for c in CARRIED_SHAPES]
+)
+def test_no_component_is_searched_twice_in_one_extraction(
+    monkeypatch, name, make, case, case_name, digest
+):
+    searched = []
+    search = embedding_module._component_search
+
+    def counted(g, comp_mask, bud, stop_len):
+        searched.append((comp_mask, stop_len))
+        return search(g, comp_mask, bud, stop_len)
+
+    monkeypatch.setattr(embedding_module, "_component_search", counted)
+    texts = []
+    for host in _carried_hosts(name, make):
+        searched.clear()
+        w = extract(host, case)
+        assert w.trace.case == case_name
+        assert searched and len(set(searched)) == len(searched)
+        texts.append(trace_json(host, w))
+    # Carrying answers changes the work, never a witness.
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == digest
+
+
+def test_untouched_components_are_not_searched_again():
+    # The first maximum path lies in one block; the path system's second
+    # search of the residual reuses the other blocks' answers.  Every
+    # residual was searched afresh before, which spent 387 nodes.
+    host = _carried_hosts("sparse-trees", _sparse_trees)[1]
+    bud = Budget(1_000)
+    w = extract(host, Thm1(23, 2, 3), budget=bud)
+    assert w.trace.case == "Thm1-Case1"
+    assert 1_000 - bud.remaining == 335
 
 
 def test_complete_bipartite_host_settles_within_budget():
