@@ -1,18 +1,20 @@
 """Dichotomy witnesses, extremal certificates, and exhaustive small-order
-Ramsey oracles for paths versus generalized Jahangir graphs."""
+Ramsey oracles for paths versus generalized Jahangir graphs.
+
+The names imported here are the public API, listed in the README under
+"Public API"; everything else is internal to its module.
+"""
 
 from .embedding import (
     Budget,
     BudgetExhausted,
     DEFAULT_BUDGET,
     Embedding,
-    PathWitness,
     SubgraphSearch,
     check_embedding,
     find_subgraph,
     fits_complete_multipartite,
     longest_path,
-    verify_embedding,
 )
 from .families import (
     CliqueUnion,
@@ -22,6 +24,7 @@ from .families import (
     Jahangir,
     Path,
     PatternSpec,
+    PreconditionError,
     TheoremCase,
     Thm1,
     Thm2EvenM,
@@ -36,16 +39,13 @@ from .families import (
 from .graphs import (
     Graph,
     Graph6Error,
-    add_edge,
-    clique_union_sizes,
     complement,
     complete,
-    components,
+    component_masks,
     disjoint_union,
     empty,
     from_edges,
     from_graph6,
-    induced,
     relabel,
     to_graph6,
 )
@@ -53,15 +53,12 @@ from .oracle import (
     ArrowsReport,
     CANONICAL_CAP,
     CanonicalCapError,
-    CanonicalForm,
     CertificateError,
     ENUMERATION_CAP,
     EnumerationCapError,
     RamseyCertificate,
     RamseyIndeterminate,
-    are_isomorphic,
     arrows,
-    canonical_form,
     canonical_graph,
     certificate_from_json,
     certificate_to_json,
@@ -70,10 +67,8 @@ from .oracle import (
     ramsey,
 )
 from .suites import (
-    SUITE_COMPONENT_CAP,
     SUITES,
     SuiteSpec,
-    case_seed,
     generate_case,
     run_suite,
     splitmix64,
@@ -84,14 +79,12 @@ from .witness import (
     ExtremalReport,
     MaximalityViolation,
     PathSystem,
-    PreconditionError,
     build_path_system,
     extract,
     trace_document,
     trace_json,
     verify_extremal,
     verify_witness,
-    wheel_to_jahangir,
 )
 
 __version__ = "0.1.0"

@@ -28,8 +28,6 @@ from .oracle import RamseyIndeterminate, certificate_to_json, ramsey
 from .suites import SUITES, run_suite
 from .witness import MaximalityViolation, extract, trace_document
 
-__all__ = ["run", "entry"]
-
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

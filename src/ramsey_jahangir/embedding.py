@@ -83,10 +83,6 @@ def check_embedding(host: Graph, emb: Embedding) -> str | None:
     return None
 
 
-def verify_embedding(host: Graph, emb: Embedding) -> bool:
-    return check_embedding(host, emb) is None
-
-
 @dataclass(frozen=True)
 class SubgraphSearch:
     """Three-valued search outcome: present / absent / unknown (budget)."""
@@ -116,10 +112,10 @@ def find_subgraph(host: Graph, spec: PatternSpec, budget: int | Budget | None = 
     exhaustive search, or "unknown" if the expansion budget ran out.
     """
     bud = Budget.coerce(budget)
-    pattern = build(spec)
-    p = pattern.order
+    p = spec.order
     if p > host.order:
         return SubgraphSearch("absent")
+    pattern = build(spec)
     order = _search_order(spec)
     # neighbors of each pattern vertex that are placed before it
     placed_before: list[list[int]] = []
@@ -342,7 +338,7 @@ def longest_path(
     With ``within``, a vertex bitmask, the search runs in the subgraph
     induced on it and answers in g's labels.  Exploration follows vertex
     order either way, so the path and the budget spent match a search of
-    ``graphs.induced(g, ...)`` mapped back.
+    that subgraph, relabelled in vertex order, mapped back.
 
     ``searched`` carries component answers from earlier calls on the same
     g, keyed by the component's vertex mask and its stop length
@@ -350,8 +346,11 @@ def longest_path(
     component's search reads nothing but g's edges inside that mask and
     the stop length, so a repeat would explore the same nodes and return
     the same path: a known answer is reused as is and spends no budget.
-    Without it, each call starts from an empty dict, which still keeps a
-    component from being searched twice within the call.
+    A search that ends short of its stop length has explored every branch,
+    as a search without a stop does, so its path is also stored under the
+    stop-free key ``(mask, size)``.  Without ``searched``, each call
+    starts from an empty dict, which still keeps a component from being
+    searched twice within the call.
     """
     if stop is not None and stop < 1:
         raise ValueError("stop >= 1 required")
@@ -364,7 +363,9 @@ def longest_path(
         size = comp.bit_count()
         key = (comp, size if stop is None else min(stop, size))
         if key not in searched:
-            searched[key] = _component_search(g, comp, bud, key[1])
+            path = searched[key] = _component_search(g, comp, bud, key[1])
+            if len(path) < key[1]:  # every branch explored: the stop-free answer
+                searched[comp, size] = path
         return searched[key]
 
     if stop is not None:

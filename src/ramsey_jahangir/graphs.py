@@ -128,38 +128,6 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     return Graph(g.order + h.order, g.adj + tuple(row << shift for row in h.adj))
 
 
-def induced(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on ``vertices`` plus the index map back to ``g``.
-
-    The subgraph relabels the chosen vertices in increasing order; entry i
-    of the returned map is the original index of subgraph vertex i.
-    """
-    sub = sorted(set(vertices))
-    for v in sub:
-        if not 0 <= v < g.order:
-            raise ValueError(f"vertex {v} out of range")
-    pos = {v: i for i, v in enumerate(sub)}
-    rows = []
-    for v in sub:
-        row = 0
-        for w in iter_bits(g.adj[v]):
-            if w in pos:
-                row |= 1 << pos[w]
-        rows.append(row)
-    return Graph(len(sub), tuple(rows)), tuple(sub)
-
-
-def add_edge(g: Graph, u: int, v: int) -> Graph:
-    if not (0 <= u < g.order and 0 <= v < g.order):
-        raise ValueError(f"edge ({u},{v}) out of range")
-    if u == v:
-        raise ValueError("refusing to add a self-loop")
-    rows = list(g.adj)
-    rows[u] |= 1 << v
-    rows[v] |= 1 << u
-    return Graph(g.order, tuple(rows))
-
-
 def relabel(g: Graph, perm: Iterable[int]) -> Graph:
     """Relabel vertices: old vertex v becomes perm[v]."""
     p = list(perm)
@@ -206,15 +174,6 @@ def component_masks(g: Graph, within: int | None = None) -> list[int]:
         unseen ^= comp
         out.append(comp)
     return out
-
-
-def components(g: Graph, within: int | None = None) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by least vertex.
-
-    With ``within``, a vertex bitmask, the components are those of the
-    subgraph induced on it, still in g's labels.
-    """
-    return [list(iter_bits(comp)) for comp in component_masks(g, within)]
 
 
 def clique_union_sizes(g: Graph) -> tuple[int, ...] | None:

@@ -30,27 +30,6 @@ from .graphs import (
     to_graph6,
 )
 
-__all__ = [
-    "CANONICAL_CAP",
-    "ENUMERATION_CAP",
-    "CanonicalCapError",
-    "EnumerationCapError",
-    "CertificateError",
-    "RamseyIndeterminate",
-    "CanonicalForm",
-    "canonical_graph",
-    "canonical_form",
-    "are_isomorphic",
-    "enumerate_graphs",
-    "count_classes_cycle_index",
-    "ArrowsReport",
-    "arrows",
-    "RamseyCertificate",
-    "ramsey",
-    "certificate_to_json",
-    "certificate_from_json",
-]
-
 CANONICAL_CAP = 16
 ENUMERATION_CAP = 9
 
@@ -70,14 +49,6 @@ class EnumerationCapError(ValueError):
 
 class CertificateError(ValueError):
     """A loaded certificate failed re-verification."""
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Isomorphism-class label: the graph6 code of the canonical relabeling."""
-
-    order: int
-    encoding: str
 
 
 def _refine(g: Graph, cells: list[int], new: list[int] | None = None) -> list[int]:
@@ -255,16 +226,6 @@ def _root(parent: list[int], x: int) -> int:
     while parent[x] != x:
         parent[x] = x = parent[parent[x]]
     return x
-
-
-def canonical_form(g: Graph, budget: int | Budget | None = None) -> CanonicalForm:
-    return CanonicalForm(g.order, to_graph6(canonical_graph(g, budget)))
-
-
-def are_isomorphic(g: Graph, h: Graph, budget: int | Budget | None = None) -> bool:
-    if g.order != h.order or g.edge_count() != h.edge_count():
-        return False
-    return canonical_form(g, budget) == canonical_form(h, budget)
 
 
 # --------------------------------------------------------------------------
@@ -536,41 +497,59 @@ def certificate_to_json(cert: RamseyCertificate) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _field(doc: object, name: str, kinds: tuple[type, ...]):
+    """Field ``name`` (dotted, the last part its key in ``doc``) when its
+    exact type is one of ``kinds``, so a bool is no int; otherwise
+    :class:`CertificateError` naming the field."""
+    key = name.rpartition(".")[2]
+    if not isinstance(doc, dict) or key not in doc:
+        raise CertificateError(f"malformed certificate: no field {name!r}")
+    value = doc[key]
+    if type(value) not in kinds:
+        raise CertificateError(f"bad {name}: {value!r}")
+    return value
+
+
 def certificate_from_json(
     text: str, budget: int | Budget | None = None
 ) -> RamseyCertificate:
     """Parse a certificate and re-verify everything cheap about it.
 
-    The lower witness is re-checked edge by edge (neither pattern on its
-    side, right order).  The upper sweep is re-checked for internal
-    consistency -- it must claim to hold, cover every class, and carry a
-    class count agreeing with independent cycle-index arithmetic -- but is
-    not re-run; rerun :func:`arrows` for full, slow confidence.  A lower
-    witness search that runs out of budget raises :class:`BudgetExhausted`
-    naming the undecided side; it never counts as a rejection.
+    Every field must have its JSON type, and the value must be at most
+    :data:`ENUMERATION_CAP`, where :func:`ramsey` can produce it and
+    :func:`arrows` can re-run it.  The lower witness is re-checked edge by
+    edge (neither pattern on its side, right order).  The upper sweep is
+    re-checked for internal consistency -- it must claim to hold, cover
+    every class, and carry a class count agreeing with independent
+    cycle-index arithmetic -- but is not re-run; rerun :func:`arrows` for
+    full, slow confidence.  A lower witness search that runs out of budget
+    raises :class:`BudgetExhausted` naming the undecided side; it never
+    counts as a rejection.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CertificateError(f"not JSON: {exc}") from None
+    g_text = _field(doc, "g", (str,))
+    h_text = _field(doc, "h", (str,))
+    value = _field(doc, "value", (int,))
+    lower_code = _field(doc, "lower_witness", (str,))
+    up = _field(doc, "upper", (dict,))
+    upper = ArrowsReport(
+        _field(up, "upper.order", (int,)),
+        _field(up, "upper.holds", (bool,)),
+        _field(up, "upper.checked", (int,)),
+        _field(up, "upper.total", (int,)),
+        _field(up, "upper.counterexample", (str, type(None))),
+        _field(up, "upper.checksum", (str,)),
+    )
     try:
-        g_spec = parse_spec(doc["g"])
-        h_spec = parse_spec(doc["h"])
-        value = doc["value"]
-        lower_code = doc["lower_witness"]
-        up = doc["upper"]
-        upper = ArrowsReport(
-            up["order"],
-            up["holds"],
-            up["checked"],
-            up["total"],
-            up["counterexample"],
-            up["checksum"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        g_spec = parse_spec(g_text)
+        h_spec = parse_spec(h_text)
+    except ValueError as exc:
         raise CertificateError(f"malformed certificate: {exc}") from None
-    if not isinstance(value, int) or value < 1:
-        raise CertificateError(f"bad value {value!r}")
+    if not 1 <= value <= ENUMERATION_CAP:
+        raise CertificateError(f"bad value {value!r}: outside 1..{ENUMERATION_CAP}")
     bud = Budget.coerce(budget)
     try:
         witness = from_graph6(lower_code)

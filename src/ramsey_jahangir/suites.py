@@ -30,16 +30,6 @@ from .families import TheoremCase, Thm1, Thm2EvenM, Thm2OddM, Thm3
 from .graphs import Graph, from_edges, relabel, to_graph6
 from .witness import extract, trace_document
 
-__all__ = [
-    "SUITE_COMPONENT_CAP",
-    "SUITES",
-    "SuiteSpec",
-    "splitmix64",
-    "case_seed",
-    "generate_case",
-    "run_suite",
-]
-
 SUITE_COMPONENT_CAP = 20
 
 _M64 = (1 << 64) - 1

@@ -30,10 +30,10 @@ from .embedding import (
     Embedding,
     PathWitness,
     SearchedComponents,
+    check_embedding,
     find_subgraph,
     fits_complete_multipartite,
     longest_path,
-    verify_embedding,
 )
 from .families import (
     Cycle,
@@ -55,27 +55,10 @@ from .graphs import (
     Graph,
     clique_union_sizes,
     complement,
-    components,
+    component_masks,
     iter_bits,
     vertex_mask,
 )
-
-__all__ = [
-    "PreconditionError",
-    "MaximalityViolation",
-    "PathSystem",
-    "ExtractionTrace",
-    "DichotomyWitness",
-    "ExtremalReport",
-    "build_path_system",
-    "extract",
-    "wheel_to_jahangir",
-    "verify_witness",
-    "verify_extremal",
-    "trace_document",
-    "trace_json",
-]
-
 
 class MaximalityViolation(RuntimeError):
     """A selection the construction is entitled to make was impossible.
@@ -151,25 +134,13 @@ class DichotomyWitness:
     embedding: Embedding
     trace: ExtractionTrace
 
-    @property
-    def paths(self) -> tuple[PathWitness, ...]:
-        """The embedded paths, split per block (empty for jahangir kind)."""
-        spec = self.embedding.pattern
-        if isinstance(spec, Path):
-            return (self.embedding.mapping,)
-        if isinstance(spec, DisjointPaths):
-            n = spec.n
-            flat = self.embedding.mapping
-            return tuple(flat[i * n : (i + 1) * n] for i in range(spec.t))
-        return ()
-
 
 def verify_witness(host: Graph, witness: DichotomyWitness) -> bool:
     """Re-check a witness from scratch against the host it came from."""
     if witness.kind == "paths":
-        return verify_embedding(host, witness.embedding)
+        return check_embedding(host, witness.embedding) is None
     if witness.kind == "jahangir":
-        return verify_embedding(complement(host), witness.embedding)
+        return check_embedding(complement(host), witness.embedding) is None
     return False
 
 
@@ -193,16 +164,13 @@ def build_path_system(
     count: int,
     budget: int | Budget | None = None,
     *,
-    first: PathWitness | None = None,
     within: int | None = None,
     searched: SearchedComponents | None = None,
 ) -> PathSystem:
     """Peel ``count`` disjoint maximum paths off ``f``, fabricating on edgeless residuals.
 
     ``within``, a vertex bitmask, restricts the peeling to the subgraph of
-    ``f`` induced on it; the paths keep ``f``'s labels.  ``first``, when
-    given, is a maximum path of that subgraph that ``longest_path`` already
-    returned; it is peeled as is instead of searching the subgraph again.
+    ``f`` induced on it; the paths keep ``f``'s labels.
 
     Each residual is the previous one minus a path, so every component no
     path has touched yet is a component of the next residual too.  One
@@ -220,14 +188,12 @@ def build_path_system(
     remaining = vertex_mask(f, within)
     paths: list[PathWitness] = []
     fabricated: list[tuple[int, int]] = []
-    path = first
     for _ in range(count):
         if remaining.bit_count() < 2:
             raise PreconditionError(
                 f"host exhausted after {len(paths)} of {count} paths"
             )
-        if path is None:
-            path = longest_path(f, bud, within=remaining, searched=searched)
+        path = longest_path(f, bud, within=remaining, searched=searched)
         if len(path) < 2:
             # Edgeless residual: promise a two-vertex path on the two least
             # residual vertices and remember the edge we invented for it.
@@ -235,7 +201,6 @@ def build_path_system(
             fabricated.append(path)
         paths.append(path)
         remaining &= ~sum(1 << v for v in path)
-        path = None
     return PathSystem(tuple(paths), tuple(fabricated), tuple(iter_bits(remaining)))
 
 
@@ -343,11 +308,11 @@ def _assemble_endpoint_rim(
 
 
 def _endpoint_witness(
-    g: Graph, first: PathWitness, theorem: str, case: str, s: int, m: int, k: int,
+    g: Graph, theorem: str, case: str, s: int, m: int, k: int,
     bud: Budget, alive: int, searched: SearchedComponents,
 ) -> DichotomyWitness:
-    """Short maximum path ``first`` of ``g`` on the vertices ``alive``: peel
-    (sm - 1) // 2 paths there, starting with it, and rim their endpoints.
+    """Short maximum paths of ``g`` on the vertices ``alive``: peel
+    (sm - 1) // 2 of them there and rim their endpoints.
 
     The endpoints leave one rim slot (odd sm) or two (even sm) to the least
     vertices outside the path system, and one more of those is the hub.
@@ -357,9 +322,7 @@ def _endpoint_witness(
     """
     sm = s * m
     count = (sm - 1) // 2
-    system = build_path_system(
-        g, count, bud, first=first, within=alive, searched=searched
-    )
+    system = build_path_system(g, count, bud, within=alive, searched=searched)
     spares = sm - 2 * count + 1
     if len(system.remainder) < spares:
         raise MaximalityViolation(
@@ -407,7 +370,7 @@ def _theorem1(
     k = len(first)
     if k <= 2 * s * m - 1:
         return _endpoint_witness(
-            f, first, "Thm1", "Thm1-Case1", s, m, k, bud, alive, searched
+            f, "Thm1", "Thm1-Case1", s, m, k, bud, alive, searched
         )
     return _theorem1_case2(f, first, s, m, alive)
 
@@ -488,7 +451,7 @@ def _theorem2_oddm(
     k = len(first)
     if k < sm - 1:
         return _endpoint_witness(
-            f, first, "Thm2", "Thm2-OddM-Case1", s, m, k, bud, alive, searched
+            f, "Thm2", "Thm2-OddM-Case1", s, m, k, bud, alive, searched
         )
     rest = alive & ~sum(1 << v for v in first)
     second = longest_path(f, bud, within=rest, searched=searched)
@@ -497,7 +460,7 @@ def _theorem2_oddm(
     # One long path: everything off it holds only short paths, so the
     # endpoint-rim construction runs there.
     return _endpoint_witness(
-        f, second, "Thm2", "Thm2-OddM-Case3", s, m, k, bud, rest, searched
+        f, "Thm2", "Thm2-OddM-Case3", s, m, k, bud, rest, searched
     )
 
 
@@ -517,7 +480,10 @@ def _theorem2_even(
             f"complement holds no wheel with rim {sm}; the hypotheses cannot hold",
             ExtractionTrace("Thm2", "Thm2-EvenM", len(first), (first,), ()),
         )
-    emb = wheel_to_jahangir(result.embedding, s, m)
+    # Both layouts put the rim on the first ``sm`` vertices and the hub
+    # last, and the Jahangir keeps a subset of the wheel's edges, so the
+    # wheel's vertex images place it unchanged.
+    emb = Embedding(Jahangir(s, m), f.order, result.embedding.mapping)
     trace = ExtractionTrace(
         "Thm2",
         "Thm2-EvenM",
@@ -527,19 +493,6 @@ def _theorem2_even(
         {"hub": emb.mapping[-1]},
     )
     return DichotomyWitness("jahangir", emb, trace)
-
-
-def wheel_to_jahangir(wheel_embedding: Embedding, s: int, m: int) -> Embedding:
-    """Reuse a wheel embedding as a Jahangir embedding by forgetting spokes.
-
-    Both canonical layouts put the rim cycle on the first ``s * m`` vertices
-    and the hub last, and the Jahangir keeps a subset of the wheel's edges,
-    so the vertex images transfer unchanged.
-    """
-    spec = wheel_embedding.pattern
-    if not isinstance(spec, Wheel) or spec.k != s * m:
-        raise ValueError(f"need a wheel embedding with rim length {s * m}")
-    return Embedding(Jahangir(s, m), wheel_embedding.host_order, wheel_embedding.mapping)
 
 
 def _couples(path: PathWitness, q: int) -> tuple[tuple[int, int], ...]:
@@ -679,7 +632,7 @@ def _path_rounds(
         if found.kind == "jahangir":
             trace = replace(found.trace, theorem="Thm3", case=f"Thm3-step{step}")
             return replace(found, trace=trace)
-        path = found.paths[0]
+        path = found.trace.paths[0]
         collected.append(path)
         last_k = found.trace.k
         alive &= ~sum(1 << v for v in path)
@@ -759,8 +712,7 @@ def verify_extremal(
     sm = s * m
     checks: list[tuple[str, bool]] = []
 
-    comps = components(g)
-    capacity = sum(len(c) // n for c in comps)
+    capacity = sum(c.bit_count() // n for c in component_masks(g))
     checks.append(("path-capacity-by-components", capacity < t))
     if t == 1 and g.order <= _SEARCH_ORDER_CAP:
         checks.append(("path-absence-by-search", len(longest_path(g, bud, stop=n)) < n))

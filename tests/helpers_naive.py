@@ -9,8 +9,9 @@ unfiltered enumeration level step use the package's canonical form only
 to name each labelled graph's class.  The exceptions are frozen copies of
 package code kept as exact references: the longest-path search with its
 bound counted in full at every node (with and without the bipartite
-side-count bound), the graph6 decoder that reads one bit at a time, and
-the symmetry check that walks every arc.
+side-count bound), the graph6 decoder that reads one bit at a time, the
+symmetry check that walks every arc, and the induced subgraph with its
+index map, the reference for searches restricted to a vertex mask.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from ramsey_jahangir import (
     build,
     canonical_graph,
     complement,
-    components,
+    component_masks,
     from_edges,
     relabel,
     to_graph6,
@@ -100,6 +101,24 @@ def from_graph6_per_bit(line: str) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def induced(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
+    """Induced subgraph on ``vertices`` plus the index map back to ``g``.
+
+    The subgraph relabels the chosen vertices in increasing order; entry i
+    of the returned map is the original index of subgraph vertex i.
+    """
+    sub = sorted(set(vertices))
+    pos = {v: i for i, v in enumerate(sub)}
+    rows = []
+    for v in sub:
+        row = 0
+        for w in iter_bits(g.adj[v]):
+            if w in pos:
+                row |= 1 << pos[w]
+        rows.append(row)
+    return Graph(len(sub), tuple(rows)), tuple(sub)
+
+
 def validate_every_arc(g: Graph) -> None:
     """``Graph.validate`` as it was before it walked the upper triangle only:
     every arc u -> v, by u and then v, checked for its mirror v -> u."""
@@ -159,7 +178,7 @@ def longest_path_full_bound(
     ``side_bound=False`` drops the bipartite side-count bound, leaving
     reachability alone.
     """
-    comps = components(g)
+    comps = [list(iter_bits(comp)) for comp in component_masks(g)]
     searched = {}
     if stop is not None:
         for i, comp in enumerate(comps):
@@ -359,7 +378,8 @@ def build_complete_multipartite(part_sizes) -> Graph:
 
 def _clique_union_sizes_naive(g: Graph):
     sizes = []
-    for comp in components(g):
+    for comp in component_masks(g):
+        comp = list(iter_bits(comp))
         k = len(comp)
         if sum(g.degree(v) for v in comp) != k * (k - 1):
             return None

@@ -16,16 +16,15 @@ from ramsey_jahangir import (
     check_embedding,
     complement,
     complete,
-    components,
+    component_masks,
     disjoint_union,
     empty,
     find_subgraph,
     fits_complete_multipartite,
     from_edges,
-    induced,
     longest_path,
-    verify_embedding,
 )
+import ramsey_jahangir.embedding as embedding_module
 from ramsey_jahangir.embedding import _search_order
 from ramsey_jahangir.graphs import iter_bits
 from ramsey_jahangir.suites import SUITES, generate_case
@@ -33,6 +32,7 @@ from ramsey_jahangir.suites import SUITES, generate_case
 from helpers_naive import (
     build_complete_multipartite,
     contains_by_injections,
+    induced,
     longest_path_brute,
     longest_path_full_bound,
     longest_path_reference,
@@ -56,7 +56,7 @@ def test_budget_basics():
 def test_verify_embedding_positive_and_negative():
     host = build(Wheel(6))
     emb = Embedding(Jahangir(2, 3), host.order, tuple(range(7)))
-    assert verify_embedding(host, emb)
+    assert check_embedding(host, emb) is None
     # break injectivity
     bad = Embedding(Jahangir(2, 3), host.order, (0, 1, 2, 3, 4, 5, 5))
     assert check_embedding(host, bad) is not None
@@ -83,7 +83,7 @@ def test_find_subgraph_returns_verified_embedding():
     host = complement(disjoint_union(complete(4), complete(4)))
     res = find_subgraph(host, Cycle(8))
     assert res.status == "present"
-    assert verify_embedding(host, res.embedding)
+    assert check_embedding(host, res.embedding) is None
 
 
 def test_find_subgraph_budget_exhaustion_reports_unknown():
@@ -91,6 +91,16 @@ def test_find_subgraph_budget_exhaustion_reports_unknown():
     res = find_subgraph(host, Jahangir(2, 3), budget=1)
     assert res.status == "unknown"
     assert res.embedding is None
+
+
+def test_find_subgraph_rejects_a_larger_pattern_before_building_it(monkeypatch):
+    # A pattern with more vertices than the host is absent by its order
+    # alone, and building a long one takes seconds (P12000).
+    def refuse(spec):
+        raise AssertionError(f"built {spec.text()}")
+
+    monkeypatch.setattr(embedding_module, "build", refuse)
+    assert find_subgraph(empty(3), Path(50)).status == "absent"
 
 
 def test_find_subgraph_agrees_with_injections():
@@ -371,7 +381,9 @@ def test_within_matches_the_induced_subgraph():
         path = longest_path(g, masked, stop=stop, within=within)
         assert path == tuple(idx[v] for v in longest_path(sub, reference, stop=stop))
         assert masked.remaining == reference.remaining
-        assert components(g, within) == [[idx[v] for v in c] for c in components(sub)]
+        assert component_masks(g, within) == [
+            sum(1 << idx[v] for v in iter_bits(c)) for c in component_masks(sub)
+        ]
         checked += 1
     assert checked >= 2000
 
@@ -382,6 +394,6 @@ def test_within_must_be_a_vertex_set_of_the_graph():
         with pytest.raises(ValueError):
             longest_path(g, within=bad)
         with pytest.raises(ValueError):
-            components(g, bad)
+            component_masks(g, bad)
     assert longest_path(g, within=0) == ()
-    assert components(g, 0) == []
+    assert component_masks(g, 0) == []

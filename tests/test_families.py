@@ -16,7 +16,6 @@ from ramsey_jahangir import (
     Thm3,
     Wheel,
     build,
-    clique_union_sizes,
     empty,
     extract,
     extremal_graph,
@@ -24,6 +23,7 @@ from ramsey_jahangir import (
     parse_spec,
     require_thresholds,
 )
+from ramsey_jahangir.graphs import clique_union_sizes
 
 from helpers_naive import build_complete_multipartite
 

@@ -5,20 +5,17 @@ import pytest
 from ramsey_jahangir import (
     Graph,
     Graph6Error,
-    add_edge,
-    clique_union_sizes,
     complement,
     complete,
-    components,
+    component_masks,
     disjoint_union,
     empty,
     from_edges,
     from_graph6,
-    induced,
     relabel,
     to_graph6,
 )
-from ramsey_jahangir.graphs import iter_bits
+from ramsey_jahangir.graphs import clique_union_sizes, iter_bits
 
 from helpers_naive import from_graph6_per_bit, naive_graph6, random_graph, validate_every_arc
 
@@ -107,14 +104,6 @@ def test_disjoint_union_shifts_second_block():
     assert not any(g.has_edge(u, v) for u in range(3) for v in (3, 4))
 
 
-def test_induced_returns_index_map():
-    g = from_edges(5, [(0, 2), (2, 4), (1, 3)])
-    sub, idx = induced(g, [4, 0, 2])
-    assert idx == (0, 2, 4)
-    assert sub.order == 3
-    assert list(sub.edges()) == [(0, 1), (1, 2)]
-
-
 def test_relabel_round_trip():
     rng = random.Random(11)
     for _ in range(25):
@@ -129,18 +118,9 @@ def test_relabel_round_trip():
         assert relabel(h, inverse) == g
 
 
-def test_add_edge():
-    g = empty(3)
-    g = add_edge(g, 0, 2)
-    assert g.has_edge(0, 2) and g.has_edge(2, 0)
-    assert add_edge(g, 0, 2) == g  # idempotent
-    with pytest.raises(ValueError):
-        add_edge(g, 0, 0)
-
-
 def test_components_ordering():
     g = from_edges(7, [(1, 4), (2, 5), (5, 6)])
-    assert components(g) == [[0], [1, 4], [2, 5, 6], [3]]
+    assert component_masks(g) == [0b1, 0b10010, 0b1100100, 0b1000]
 
 
 def test_clique_union_sizes():

@@ -16,10 +16,8 @@ from ramsey_jahangir import (
     Jahangir,
     Path,
     RamseyIndeterminate,
-    are_isomorphic,
     arrows,
     build,
-    canonical_form,
     canonical_graph,
     certificate_from_json,
     certificate_to_json,
@@ -90,8 +88,7 @@ def test_canonical_invariant_under_relabeling():
         perm = list(range(order))
         rng.shuffle(perm)
         h = relabel(g, perm)
-        assert canonical_form(g) == canonical_form(h)
-        assert are_isomorphic(g, h)
+        assert canonical_graph(g) == canonical_graph(h)
 
 
 def test_canonical_separates_non_isomorphic():
@@ -99,17 +96,17 @@ def test_canonical_separates_non_isomorphic():
     p4 = build(Path(4))
     star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
     assert p4.edge_count() == star.edge_count() == 3
-    assert not are_isomorphic(p4, star)
+    assert canonical_graph(p4) != canonical_graph(star)
     c6 = build(Cycle(6))
     two_triangles = disjoint_union(build(Cycle(3)), build(Cycle(3)))
-    assert not are_isomorphic(c6, two_triangles)
+    assert canonical_graph(c6) != canonical_graph(two_triangles)
 
 
 def test_canonical_handles_symmetric_unions():
     g = disjoint_union(complete(8), complete(8))
     h = relabel(g, [(v * 7 + 3) % 16 for v in range(16)])
-    assert are_isomorphic(g, h)
-    assert are_isomorphic(complement(g), complement(h))
+    assert canonical_graph(g) == canonical_graph(h)
+    assert canonical_graph(complement(g)) == canonical_graph(complement(h))
 
 
 def _shuffled(g, rng):
@@ -297,3 +294,32 @@ def test_certificate_rejects_tampering():
 
     with pytest.raises(CertificateError):
         certificate_from_json("not json at all")
+
+    # every field has its JSON type, and the error names it; a bool is no
+    # integer
+    retyped = [
+        ("value", dict(doc, value=True)),
+        ("g", dict(doc, g=4)),
+        ("lower_witness", dict(doc, lower_witness=None)),
+        ("upper", dict(doc, upper=[])),
+    ] + [
+        (f"upper.{key}", dict(doc, upper=dict(doc["upper"], **{key: bad})))
+        for key, bad in [
+            ("order", 6.0), ("holds", 1), ("checked", "1044"), ("total", None),
+            ("counterexample", 5), ("checksum", 5),
+        ]
+    ]
+    for field, tampered in retyped:
+        with pytest.raises(CertificateError, match=field):
+            certificate_from_json(json.dumps(tampered))
+
+    # a value past the enumeration cap, which no scan can produce or re-run,
+    # even with a lower witness that checks out
+    classes = count_classes_cycle_index(11)
+    beyond = {
+        "g": "K11", "h": "P2", "value": 11, "lower_witness": to_graph6(complete(10)),
+        "upper": {"order": 11, "holds": True, "checked": classes, "total": classes,
+                  "counterexample": None, "checksum": "sha256:" + "0" * 64},
+    }
+    with pytest.raises(CertificateError, match="value"):
+        certificate_from_json(json.dumps(beyond))

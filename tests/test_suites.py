@@ -5,13 +5,14 @@ import pytest
 
 from ramsey_jahangir import (
     SUITES,
-    case_seed,
-    components,
+    component_masks,
     from_graph6,
     generate_case,
     run_suite,
     splitmix64,
 )
+from ramsey_jahangir.graphs import iter_bits
+from ramsey_jahangir.suites import case_seed
 
 
 def test_splitmix64_reference_values():
@@ -43,17 +44,17 @@ def test_generated_blocks_respect_the_caps():
             g = generate_case(spec, seed=11, index=index)
             assert g.order == spec.order
             cap = min(20, spec.case.n - 1)
-            assert all(len(c) <= cap for c in components(g))
+            assert all(c.bit_count() <= cap for c in component_masks(g))
 
 
 def test_clique_paths_recipe_shape():
     spec = SUITES["thm3-t2s2m3-paths"]
     g = generate_case(spec, seed=5, index=0)
     assert g.order == 48
-    sizes = sorted(len(c) for c in components(g))
+    sizes = sorted(c.bit_count() for c in component_masks(g))
     assert sizes == [1, 1, 23, 23]
-    big = max(components(g), key=len)
-    sub = set(big)
+    big = max(component_masks(g), key=int.bit_count)
+    sub = set(iter_bits(big))
     assert all(g.has_edge(u, v) for u in sub for v in sub if u < v)
 
 

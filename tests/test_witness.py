@@ -17,8 +17,6 @@ from ramsey_jahangir import (
     Thm2EvenM,
     Thm2OddM,
     Thm3,
-    Wheel,
-    add_edge,
     build,
     complete,
     disjoint_union,
@@ -30,7 +28,6 @@ from ramsey_jahangir import (
     trace_json,
     verify_extremal,
     verify_witness,
-    wheel_to_jahangir,
 )
 import ramsey_jahangir.embedding as embedding_module
 import ramsey_jahangir.witness as witness_module
@@ -253,14 +250,6 @@ def test_couple_rim_takes_the_first_closing_selection(s, m):
     assert outcomes == {"greedy", "backtracked", "no closing selection"}
 
 
-def test_wheel_reuse_rejects_mismatch():
-    emb = Embedding(Wheel(8), 9, tuple(range(9)))
-    with pytest.raises(ValueError):
-        wheel_to_jahangir(emb, 3, 2)
-    with pytest.raises(ValueError):
-        wheel_to_jahangir(Embedding(Path(3), 5, (0, 1, 2)), 3, 2)
-
-
 # ------------------------------------------------------ several paths
 
 
@@ -271,7 +260,7 @@ def test_t_paths_found():
     assert w.embedding.pattern == DisjointPaths(2, 23)
     assert w.trace.case == "Thm3-step2"
     assert w.trace.theorem == "Thm3"
-    a, b = w.paths
+    a, b = w.trace.paths
     assert len(a) == len(b) == 23
     assert not (set(a) & set(b))
     assert verify_witness(host, w)
@@ -391,27 +380,34 @@ def test_one_path_search_per_host():
     ],
 )
 def test_no_graph_is_searched_twice(monkeypatch, make_host, case, case_name):
-    # The path system starts from the maximum path already found instead of
-    # searching the same vertex set again; every search runs on the host
-    # itself, restricted by a vertex mask.
-    searched = []
+    # Every search runs on the host itself, restricted by a vertex mask.  The
+    # path system finds the maximum path the extractor already holds among
+    # the component answers, so no component search repeats, and each
+    # extraction spends what it spent when that path was handed to the path
+    # system instead.
+    graphs, components = [], []
     search = witness_module.longest_path
+    component_search = embedding_module._component_search
 
-    def counted(g, *args, within=None, **kwargs):
-        searched.append((g, within))
-        return search(g, *args, within=within, **kwargs)
+    def counted(g, *args, **kwargs):
+        graphs.append(g)
+        return search(g, *args, **kwargs)
+
+    def counted_component(g, comp_mask, bud, stop_len):
+        components.append((comp_mask, stop_len))
+        return component_search(g, comp_mask, bud, stop_len)
 
     monkeypatch.setattr(witness_module, "longest_path", counted)
+    monkeypatch.setattr(embedding_module, "_component_search", counted_component)
     host = make_host()
-    full = (1 << host.order) - 1
-    w = extract(host, case)
+    bud = Budget(1_000)
+    w = extract(host, case, budget=bud)
     assert w.trace.case == case_name
-    assert all(g is host for g, _ in searched)
-    assert searched.count((host, full)) == 1
-    assert len(set(searched)) == len(searched)
-    if case_name == "Thm2-OddM-Case3":
-        # the block off the long path 0..19 is searched once too
-        assert searched.count((host, full & ~((1 << 20) - 1))) == 1
+    assert graphs and all(g is host for g in graphs)
+    assert len(set(components)) == len(components)
+    assert 1_000 - bud.remaining == {
+        "Thm1-Case1": 6, "Thm2-OddM-Case1": 29, "Thm2-OddM-Case3": 48,
+    }[case_name]
 
 
 def _tree_blocks(rng, base, end, lo, hi, chords):
@@ -661,7 +657,8 @@ def test_extremal_disjoint_paths_fail_fast_on_component_capacity():
 def test_extremal_audit_spots_a_spoiled_graph():
     case = Thm1(23, 2, 3)
     g = extremal_graph(case)
-    spoiled = add_edge(g, 0, g.order - 1)  # bridge the two cliques
+    # bridge the two cliques
+    spoiled = from_edges(g.order, [*g.edges(), (0, g.order - 1)])
     report = verify_extremal(case, graph=spoiled)
     assert not report
     failed = {name for name, ok in report.checks if not ok}
