@@ -40,8 +40,8 @@ class Budget:
             raise ValueError("budget must be positive")
         self.remaining = limit
 
-    def spend(self, amount: int = 1) -> None:
-        self.remaining -= amount
+    def spend(self) -> None:
+        self.remaining -= 1
         if self.remaining < 0:
             raise BudgetExhausted(_EXHAUSTED)
 

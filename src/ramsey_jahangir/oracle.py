@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import factorial, gcd
 
 from .embedding import Budget, BudgetExhausted, find_subgraph
@@ -485,14 +485,7 @@ def certificate_to_json(cert: RamseyCertificate) -> str:
         "h": cert.h_spec.text(),
         "value": cert.value,
         "lower_witness": cert.lower_witness,
-        "upper": {
-            "order": cert.upper.order,
-            "holds": cert.upper.holds,
-            "checked": cert.upper.checked,
-            "total": cert.upper.total,
-            "counterexample": cert.upper.counterexample,
-            "checksum": cert.upper.checksum,
-        },
+        "upper": asdict(cert.upper),
     }
     return json.dumps(doc, indent=2)
 

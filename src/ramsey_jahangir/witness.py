@@ -123,25 +123,23 @@ class ExtractionTrace:
 
 @dataclass(frozen=True)
 class DichotomyWitness:
-    """One verified side of the dichotomy.
+    """One verified side of the dichotomy: ``embedding`` maps a Jahangir
+    graph into the host's complement, or a path structure into the host."""
 
-    ``kind`` is ``"paths"`` when ``embedding`` maps a path structure into
-    the host and ``"jahangir"`` when it maps a Jahangir graph into the
-    host's complement.
-    """
-
-    kind: str
     embedding: Embedding
     trace: ExtractionTrace
+
+    @property
+    def kind(self) -> str:
+        """``"jahangir"`` or ``"paths"``, read off the embedded pattern."""
+        return "jahangir" if isinstance(self.embedding.pattern, Jahangir) else "paths"
 
 
 def verify_witness(host: Graph, witness: DichotomyWitness) -> bool:
     """Re-check a witness from scratch against the host it came from."""
-    if witness.kind == "paths":
-        return check_embedding(host, witness.embedding) is None
     if witness.kind == "jahangir":
-        return check_embedding(complement(host), witness.embedding) is None
-    return False
+        host = complement(host)
+    return check_embedding(host, witness.embedding) is None
 
 
 def _ensure(host: Graph, witness: DichotomyWitness) -> DichotomyWitness:
@@ -204,15 +202,6 @@ def build_path_system(
     return PathSystem(tuple(paths), tuple(fabricated), tuple(iter_bits(remaining)))
 
 
-def _spare_roles(pool: list[int], rim_count: int):
-    """Yield (rim spares, hub) splits of the spare pool, lexicographically."""
-    for rim_choice in combinations(pool, rim_count):
-        taken = set(rim_choice)
-        for hub in pool:
-            if hub not in taken:
-                yield list(rim_choice), hub
-
-
 def _fill_rim(
     f: Graph,
     rim: list[int],
@@ -266,16 +255,15 @@ def _assemble_endpoint_rim(
     f: Graph,
     path_list: tuple[PathWitness, ...],
     spares: list[int],
-    rim_spare_count: int,
     s: int,
     m: int,
 ) -> tuple[list[int], int]:
     """Lay path endpoints plus spare vertices out as a Jahangir rim.
 
-    The spare vertices that go on the rim all land in one nonzero residue
-    class mod ``s``, so they are pairwise non-consecutive (class positions
-    sit ``s`` >= 2 apart, wraparound included) and never occupy a spoke
-    position; the leftover spare becomes the hub.  Endpoints fill the rest
+    Each spare in turn, greatest first, is the hub; the others go on the
+    rim, all in one nonzero residue class mod ``s``, so they are pairwise
+    non-consecutive (class positions sit ``s`` >= 2 apart, wraparound
+    included) and never occupy a spoke position.  Endpoints fill the rest
     by ascending-order backtracking.  Returns ``(rim, hub)`` or raises
     :class:`MaximalityViolation` after exhausting every arrangement.
     """
@@ -287,15 +275,16 @@ def _assemble_endpoint_rim(
         partner[a] = b
         partner[b] = a
         endpoints.extend((a, b))
-    if len(endpoints) + rim_spare_count != sm:
+    if len(endpoints) + len(spares) - 1 != sm:
         raise ValueError("endpoints plus rim spares must fill the rim exactly")
     endpoints.sort()
 
     pool = sorted(spares)
-    for rim_spares, hub in _spare_roles(pool, rim_spare_count):
+    for hub in reversed(pool):
+        rim_spares = [v for v in pool if v != hub]
         for residue in range(1, s):
             class_positions = [p for p in range(sm) if p % s == residue]
-            for chosen in combinations(class_positions, rim_spare_count):
+            for chosen in combinations(class_positions, len(rim_spares)):
                 rim = [-1] * sm
                 for pos, v in zip(chosen, rim_spares):
                     rim[pos] = v
@@ -323,21 +312,18 @@ def _endpoint_witness(
     sm = s * m
     count = (sm - 1) // 2
     system = build_path_system(g, count, bud, within=alive, searched=searched)
+    base = ExtractionTrace(theorem, case, k, system.paths, system.augmented_edges)
     spares = sm - 2 * count + 1
     if len(system.remainder) < spares:
         raise MaximalityViolation(
-            f"fewer than {spares} vertices remain outside the path system",
-            ExtractionTrace(theorem, case, k, system.paths, system.augmented_edges),
+            f"fewer than {spares} vertices remain outside the path system", base
         )
     chosen = list(system.remainder[:spares])
-    rim, hub = _assemble_endpoint_rim(g, system.paths, chosen, spares - 1, s, m)
+    rim, hub = _assemble_endpoint_rim(g, system.paths, chosen, s, m)
     selections = dict(zip(("x", "y", "z"), chosen))
     selections["hub"] = hub
-    trace = ExtractionTrace(
-        theorem, case, k, system.paths, system.augmented_edges, selections
-    )
     emb = Embedding(Jahangir(s, m), g.order, tuple(rim) + (hub,))
-    return DichotomyWitness("jahangir", emb, trace)
+    return DichotomyWitness(emb, replace(base, selections=selections))
 
 
 def _edgeless_witness(
@@ -347,14 +333,14 @@ def _edgeless_witness(
     least ``sm + 1`` of them, in order, place the Jahangir."""
     sm = s * m
     placed = tuple(islice(iter_bits(alive), sm + 1))
+    base = ExtractionTrace(theorem, "edgeless-host", 1, (), ())
     if len(placed) < sm + 1:
         raise MaximalityViolation(
             f"edgeless host of order {len(placed)} cannot hold a rim of {sm} plus a hub",
-            ExtractionTrace(theorem, "edgeless-host", 1, (), ()),
+            base,
         )
     emb = Embedding(Jahangir(s, m), f.order, placed)
-    trace = ExtractionTrace(theorem, "edgeless-host", 1, (), (), {"hub": placed[-1]})
-    return DichotomyWitness("jahangir", emb, trace)
+    return DichotomyWitness(emb, replace(base, selections={"hub": placed[-1]}))
 
 
 # --------------------------------------------------------------------------
@@ -391,15 +377,17 @@ def _theorem1_case2(
     half = sm // 2
     on_path = set(first)
     outside = [v for v in iter_bits(alive) if v not in on_path]
+    base = ExtractionTrace("Thm1", "Thm1-Case2", k, (first,), ())
     if len(outside) < half:
         raise MaximalityViolation(
             f"need {half} vertices outside the maximum path, found {len(outside)}",
-            ExtractionTrace("Thm1", "Thm1-Case2", k, (first,), ()),
+            base,
         )
     ys = outside[:half]
     quadruples = tuple(
         tuple(first[4 * i - 3 : 4 * i + 1]) for i in range(1, half)
     )
+    base = replace(base, quadruples=quadruples)
     selections: dict[str, int] = {}
     for j, y in enumerate(ys, start=1):
         selections[f"y{j}"] = y
@@ -415,9 +403,7 @@ def _theorem1_case2(
             raise MaximalityViolation(
                 f"every vertex of quadruple {i} touches one of its flanking"
                 " outside vertices",
-                ExtractionTrace(
-                    "Thm1", "Thm1-Case2", k, (first,), (), dict(selections), quadruples
-                ),
+                replace(base, selections=selections),
             )
         cs.append(pick)
         selections[f"c{i}"] = pick
@@ -431,9 +417,8 @@ def _theorem1_case2(
     selections["hub"] = hub
     # Spoke positions are even (s is even), and even rim slots hold only the
     # outside vertices -- all complement-adjacent to the path's first vertex.
-    trace = ExtractionTrace("Thm1", "Thm1-Case2", k, (first,), (), selections, quadruples)
     emb = Embedding(Jahangir(s, m), f.order, tuple(rim) + (hub,))
-    return DichotomyWitness("jahangir", emb, trace)
+    return DichotomyWitness(emb, replace(base, selections=selections))
 
 
 # --------------------------------------------------------------------------
@@ -470,6 +455,7 @@ def _theorem2_even(
 ) -> DichotomyWitness:
     """Even spoke count: find the full wheel in the complement, drop spokes."""
     sm = s * m
+    base = ExtractionTrace("Thm2", "Thm2-EvenM", len(first), (first,), ())
     result = find_subgraph(complement(f), Wheel(sm), bud)
     if result.status == "unknown":
         raise BudgetExhausted(
@@ -478,21 +464,13 @@ def _theorem2_even(
     if result.status == "absent":
         raise MaximalityViolation(
             f"complement holds no wheel with rim {sm}; the hypotheses cannot hold",
-            ExtractionTrace("Thm2", "Thm2-EvenM", len(first), (first,), ()),
+            base,
         )
     # Both layouts put the rim on the first ``sm`` vertices and the hub
     # last, and the Jahangir keeps a subset of the wheel's edges, so the
     # wheel's vertex images place it unchanged.
     emb = Embedding(Jahangir(s, m), f.order, result.embedding.mapping)
-    trace = ExtractionTrace(
-        "Thm2",
-        "Thm2-EvenM",
-        len(first),
-        (first,),
-        (),
-        {"hub": emb.mapping[-1]},
-    )
-    return DichotomyWitness("jahangir", emb, trace)
+    return DichotomyWitness(emb, replace(base, selections={"hub": emb.mapping[-1]}))
 
 
 def _couples(path: PathWitness, q: int) -> tuple[tuple[int, int], ...]:
@@ -528,7 +506,8 @@ def _theorem2_oddm_case2(
     on_paths = set(first) | set(second)
     outside = [v for v in range(f.order) if v not in on_paths]
     base = ExtractionTrace(
-        "Thm2", "Thm2-OddM-Case2", k, (first, second), (), {}, (), couples_a, couples_b
+        "Thm2", "Thm2-OddM-Case2", k, (first, second), (),
+        couples_a=couples_a, couples_b=couples_b,
     )
     if len(outside) < 2:
         raise MaximalityViolation(
@@ -565,20 +544,8 @@ def _theorem2_oddm_case2(
     for i in range(1, q + 1):
         selections[f"b{i}"] = rim[2 * i - 1]
         selections[f"a{i}"] = rim[2 * i]
-    hub = x
-    trace = ExtractionTrace(
-        "Thm2",
-        "Thm2-OddM-Case2",
-        k,
-        (first, second),
-        (),
-        selections,
-        (),
-        couples_a,
-        couples_b,
-    )
-    emb = Embedding(Jahangir(s, m), f.order, tuple(rim) + (hub,))
-    return DichotomyWitness("jahangir", emb, trace)
+    emb = Embedding(Jahangir(s, m), f.order, tuple(rim) + (x,))
+    return DichotomyWitness(emb, replace(base, selections=selections))
 
 
 # --------------------------------------------------------------------------
@@ -609,7 +576,7 @@ def _single_path(
     if len(first) == case.n:
         emb = Embedding(Path(case.n), f.order, first)
         trace = ExtractionTrace(theorem, "path-found", case.n, (first,), ())
-        return DichotomyWitness("paths", emb, trace)
+        return DichotomyWitness(emb, trace)
     if len(first) <= 1:
         return _edgeless_witness(f, theorem, case.s, case.m, alive)
     return jahangir_side(f, first, case.s, case.m, bud, alive, searched)
@@ -626,7 +593,6 @@ def _path_rounds(
     complement because deleting host vertices only shrinks the complement.
     """
     collected: list[PathWitness] = []
-    last_k = 0
     for step in range(1, case.t + 1):
         found = _single_path(f, case, bud, alive, searched)
         if found.kind == "jahangir":
@@ -634,13 +600,12 @@ def _path_rounds(
             return replace(found, trace=trace)
         path = found.trace.paths[0]
         collected.append(path)
-        last_k = found.trace.k
         alive &= ~sum(1 << v for v in path)
     emb = Embedding(
         DisjointPaths(case.t, case.n), f.order, tuple(v for p in collected for v in p)
     )
-    trace = ExtractionTrace("Thm3", f"Thm3-step{case.t}", last_k, tuple(collected), ())
-    return DichotomyWitness("paths", emb, trace)
+    trace = ExtractionTrace("Thm3", f"Thm3-step{case.t}", case.n, tuple(collected), ())
+    return DichotomyWitness(emb, trace)
 
 
 def extract(

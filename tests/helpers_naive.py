@@ -10,14 +10,16 @@ to name each labelled graph's class.  The exceptions are frozen copies of
 package code kept as exact references: the longest-path search with its
 bound counted in full at every node (with and without the bipartite
 side-count bound), the graph6 decoder that reads one bit at a time, the
-symmetry check that walks every arc, and the induced subgraph with its
-index map, the reference for searches restricted to a vertex mask.
+symmetry check that walks every arc, the induced subgraph with its
+index map, the reference for searches restricted to a vertex mask, and
+the order in which the endpoint rim splits its spare vertices into rim
+spares and a hub.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from ramsey_jahangir import (
     Budget,
@@ -353,6 +355,56 @@ def first_closing_couple_picks(g: Graph, first, second, hub: int, q: int):
         chain = (first[0], *picks, second[-1])
         if not any(g.has_edge(u, v) for u, v in zip(chain, chain[1:])):
             return picks
+    return None
+
+
+def spare_roles_lexicographic(pool: list[int], rim_count: int):
+    """Frozen (rim spares, hub) split order of the endpoint rim: every
+    ``rim_count``-subset of the pool in ``combinations`` order, and for each
+    every pool vertex left out of it as the hub, ascending."""
+    for rim_choice in combinations(pool, rim_count):
+        for hub in pool:
+            if hub not in rim_choice:
+                yield list(rim_choice), hub
+
+
+def first_endpoint_rim(g: Graph, paths, spares, s: int, m: int):
+    """Try every arrangement of path endpoints and spare vertices as a rim.
+
+    Splits run in :func:`spare_roles_lexicographic` order, then each nonzero
+    residue class mod ``s``, then the class positions the rim spares take,
+    in ``combinations`` order; within one, the sorted endpoints fill the
+    open positions, ascending, in ``permutations`` order.  A rim is valid
+    when no two consecutive vertices share a host edge or are the two ends
+    of one path, and no spoke position (0 mod ``s``) holds a host neighbour
+    of the hub.  Returns ``(rim, hub, attempt)`` for the first valid rim,
+    ``attempt`` counting the (split, residue, positions) arrangements tried
+    before its own, or None.
+    """
+    sm = s * m
+    partner = {}
+    for p in paths:
+        partner[p[0]], partner[p[-1]] = p[-1], p[0]
+    endpoints = sorted(partner)
+    attempt = 0
+    for rim_spares, hub in spare_roles_lexicographic(sorted(spares), len(spares) - 1):
+        for residue in range(1, s):
+            class_positions = [p for p in range(sm) if p % s == residue]
+            for chosen in combinations(class_positions, len(rim_spares)):
+                open_positions = [p for p in range(sm) if p not in chosen]
+                for order in permutations(endpoints):
+                    rim = [-1] * sm
+                    for pos, v in zip(chosen, rim_spares):
+                        rim[pos] = v
+                    for pos, v in zip(open_positions, order):
+                        rim[pos] = v
+                    pairs = [(rim[i], rim[(i + 1) % sm]) for i in range(sm)]
+                    if any(g.has_edge(u, v) or partner.get(u) == v for u, v in pairs):
+                        continue
+                    if any(g.has_edge(rim[p], hub) for p in range(0, sm, s)):
+                        continue
+                    return rim, hub, attempt
+                attempt += 1
     return None
 
 

@@ -18,6 +18,8 @@ from ramsey_jahangir import (
     Thm2OddM,
     Thm3,
     build,
+    check_embedding,
+    complement,
     complete,
     disjoint_union,
     empty,
@@ -31,10 +33,15 @@ from ramsey_jahangir import (
 )
 import ramsey_jahangir.embedding as embedding_module
 import ramsey_jahangir.witness as witness_module
-from ramsey_jahangir.witness import _theorem2_oddm_case2, build_path_system
+from ramsey_jahangir.witness import (
+    _assemble_endpoint_rim,
+    _theorem2_oddm_case2,
+    build_path_system,
+)
 
 from helpers_naive import (
     first_closing_couple_picks,
+    first_endpoint_rim,
     near_end_couples,
     random_graph,
     shuffled_complete_bipartite,
@@ -248,6 +255,52 @@ def test_couple_rim_takes_the_first_closing_selection(s, m):
             greedy.append(prev)
         outcomes.add("greedy" if tuple(greedy) == expected else "backtracked")
     assert outcomes == {"greedy", "backtracked", "no closing selection"}
+
+
+def _endpoint_rim_host(rng, s, m):
+    """The (sm - 1) // 2 short paths of the endpoint rim, two to four
+    vertices each, the spare vertices off them (one more than the rim slots
+    their endpoints leave), and random host edges among all of them.
+    Labels are shuffled."""
+    sm = s * m
+    count = (sm - 1) // 2
+    lengths = [rng.randint(2, 4) for _ in range(count)]
+    order = sum(lengths) + sm - 2 * count + 1
+    label = list(range(order))
+    rng.shuffle(label)
+    paths, start = [], 0
+    for length in lengths:
+        paths.append(tuple(label[start : start + length]))
+        start += length
+    spares = label[start:]
+    edges = {e for path in paths for e in zip(path, path[1:])}
+    p = rng.choice([0.05, 0.15, 0.3])
+    edges.update(
+        (u, v) for u in range(order) for v in range(u + 1, order) if rng.random() < p
+    )
+    return from_edges(order, sorted(edges)), tuple(paths), spares
+
+
+# J_{2,2} is left out: there every split needs the same six endpoint-spare
+# non-edges, so a later hub never closes a rim the first one cannot.
+@pytest.mark.parametrize("s, m", [(2, 3), (3, 2), (2, 4)])
+def test_endpoint_rim_takes_the_first_valid_arrangement(s, m):
+    outcomes = set()
+    for i in range(60):
+        rng = random.Random(f"endpoint-rim/{s},{m}/{i}")
+        host, paths, spares = _endpoint_rim_host(rng, s, m)
+        expected = first_endpoint_rim(host, paths, spares, s, m)
+        if expected is None:
+            with pytest.raises(MaximalityViolation, match="^no arrangement of path endpoints"):
+                _assemble_endpoint_rim(host, paths, spares, s, m)
+            outcomes.add("no arrangement")
+            continue
+        rim, hub, attempt = expected
+        assert _assemble_endpoint_rim(host, paths, spares, s, m) == (rim, hub)
+        emb = Embedding(Jahangir(s, m), host.order, (*rim, hub))
+        assert check_embedding(complement(host), emb) is None
+        outcomes.add("first arrangement" if attempt == 0 else "later hub or arrangement")
+    assert outcomes == {"first arrangement", "later hub or arrangement", "no arrangement"}
 
 
 # ------------------------------------------------------ several paths
@@ -537,7 +590,7 @@ def test_verify_witness_catches_corruption():
     w = extract(host, Thm1(23, 2, 3))
     mapping = list(w.embedding.mapping)
     mapping[0], mapping[1] = mapping[1], mapping[0]
-    bad = type(w)(w.kind, Embedding(w.embedding.pattern, host.order, tuple(mapping)), w.trace)
+    bad = type(w)(Embedding(w.embedding.pattern, host.order, tuple(mapping)), w.trace)
     assert not verify_witness(host, bad)
 
 
