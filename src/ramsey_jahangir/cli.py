@@ -12,6 +12,10 @@ stdin); a single input graph prints an indented trace document, several
 print one compact JSON line each.  Exit codes: 0 success, 2 bad usage or
 failed precondition, 3 maximality violation, 4 search budget exhausted,
 5 Ramsey scan hit its cap undecided.
+
+Each subcommand imports the modules it runs when it runs, so a process
+loads only its own: ``build`` neither the extractor nor the oracle,
+``witness`` no oracle, ``ramsey`` no extractor.
 """
 
 from __future__ import annotations
@@ -22,11 +26,29 @@ import sys
 from pathlib import Path
 
 from .embedding import BudgetExhausted
-from .families import TheoremCase, Thm1, Thm2EvenM, Thm2OddM, Thm3, build, parse_spec
+from .families import (
+    MaximalityViolation,
+    TheoremCase,
+    Thm1,
+    Thm2EvenM,
+    Thm2OddM,
+    Thm3,
+    build,
+    parse_spec,
+)
 from .graphs import Graph, from_graph6, to_graph6
-from .oracle import RamseyIndeterminate, certificate_to_json, ramsey
-from .suites import SUITES, run_suite
-from .witness import MaximalityViolation, extract, trace_document
+
+
+class _SuiteHelp(argparse.HelpFormatter):
+    """Help for ``suite``, which lists the suite names: the suite table is
+    loaded only when that help is printed."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        if action.dest != "name":
+            return action.help
+        from .suites import SUITES
+
+        return f"one of: {', '.join(sorted(SUITES))}"
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -64,8 +86,10 @@ def _parser() -> argparse.ArgumentParser:
     p_ram.add_argument("--format", choices=("json", "human"), default="json")
     p_ram.add_argument("--out", metavar="FILE", default=None)
 
-    p_suite = sub.add_parser("suite", help="run a seeded extraction suite")
-    p_suite.add_argument("name", help=f"one of: {', '.join(sorted(SUITES))}")
+    p_suite = sub.add_parser(
+        "suite", help="run a seeded extraction suite", formatter_class=_SuiteHelp
+    )
+    p_suite.add_argument("name", help="the suite to run")
     p_suite.add_argument("--seed", type=int, default=0)
     p_suite.add_argument("--count", type=int, default=10)
     p_suite.add_argument("--budget", type=int, default=None)
@@ -144,6 +168,8 @@ def _regime(args: argparse.Namespace) -> TheoremCase:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
+    from .witness import extract, trace_document
+
     case = _regime(args)
     codes = _read_codes(args.input)
     if not codes:
@@ -167,6 +193,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_ramsey(args: argparse.Namespace) -> int:
+    from .oracle import RamseyIndeterminate, certificate_to_json, ramsey
+
     g_spec = parse_spec(args.g)
     h_spec = parse_spec(args.h)
     try:
@@ -205,6 +233,8 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
+    from .suites import run_suite
+
     doc = run_suite(args.name, args.seed, args.count, budget=args.budget)
     if args.format == "human":
         lines = [

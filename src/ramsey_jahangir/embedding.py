@@ -12,11 +12,10 @@ audit's path side is the component-capacity argument alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .families import PatternSpec, build
-from .graphs import Graph, component_masks, iter_bits
+from .graphs import Frozen, Graph, component_masks, iter_bits
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -54,8 +53,7 @@ class Budget:
         return cls(budget)
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Frozen):
     """Injective map of a pattern's canonical labeling into a host.
 
     ``mapping[i]`` is the host vertex carrying pattern vertex i.
@@ -83,8 +81,7 @@ def check_embedding(host: Graph, emb: Embedding) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class SubgraphSearch:
+class SubgraphSearch(Frozen):
     """Three-valued search outcome: present / absent / unknown (budget)."""
 
     status: str

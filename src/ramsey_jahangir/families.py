@@ -9,13 +9,15 @@ sit at rim positions 0, s, 2s, ...
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import ClassVar, get_args
+from typing import TYPE_CHECKING, ClassVar, get_args
 
-from .graphs import Graph, from_edges
+from .graphs import Frozen, Graph, from_edges
+
+if TYPE_CHECKING:
+    from .witness import ExtractionTrace
 
 
-class _Family:
+class _Family(Frozen):
     """One pattern family: its fields, text form, parse rule and edge list.
 
     ``SYNTAX`` matches the upper-cased text form in full; by default each
@@ -34,7 +36,6 @@ class _Family:
         return None
 
 
-@dataclass(frozen=True)
 class Path(_Family):
     n: int
     SYNTAX = re.compile(r"P(\d+)")
@@ -54,7 +55,6 @@ class Path(_Family):
         return [(i, i + 1) for i in range(self.n - 1)]
 
 
-@dataclass(frozen=True)
 class Cycle(_Family):
     n: int
     SYNTAX = re.compile(r"C(\d+)")
@@ -74,7 +74,6 @@ class Cycle(_Family):
         return [(i, (i + 1) % self.n) for i in range(self.n)]
 
 
-@dataclass(frozen=True)
 class Wheel(_Family):
     """Cycle on k rim vertices plus a hub adjacent to every rim vertex."""
 
@@ -100,7 +99,6 @@ class Wheel(_Family):
         return Cycle(self.k).edges() + [(i, self.k) for i in range(self.k)]
 
 
-@dataclass(frozen=True)
 class Jahangir(_Family):
     """Cycle on s*m rim vertices plus a hub on every s-th rim vertex.
 
@@ -134,7 +132,6 @@ class Jahangir(_Family):
         return Cycle(sm).edges() + [(j * self.s, sm) for j in range(self.m)]
 
 
-@dataclass(frozen=True)
 class DisjointPaths(_Family):
     """t vertex-disjoint paths, each on n vertices."""
 
@@ -164,7 +161,6 @@ class DisjointPaths(_Family):
         ]
 
 
-@dataclass(frozen=True)
 class CliqueUnion(_Family):
     """Disjoint cliques of the given sizes, numbered block by block."""
 
@@ -240,13 +236,26 @@ class PreconditionError(ValueError):
     """A stated hypothesis of a theorem regime or an extraction does not hold."""
 
 
+class MaximalityViolation(RuntimeError):
+    """A selection the construction is entitled to make was impossible.
+
+    With the exact path engine underneath, this surfaces only when an
+    extractor runs outside its guarantees (``force=True``, or hypotheses
+    that fail to hold) -- or when there is a genuine defect.  ``trace``
+    carries the partial extraction state when one was available.
+    """
+
+    def __init__(self, message: str, trace: ExtractionTrace | None = None):
+        super().__init__(message)
+        self.trace = trace
+
+
 def _need(condition: bool, message: str) -> None:
     if not condition:
         raise PreconditionError(message)
 
 
-@dataclass(frozen=True)
-class Thm1:
+class Thm1(Frozen):
     """Even rim step: K_{n-1} + K_{sm/2-1}."""
 
     n: int
@@ -269,8 +278,7 @@ class Thm1:
         return (self.n - 1, self.s * self.m // 2 - 1)
 
 
-@dataclass(frozen=True)
-class Thm2EvenM:
+class Thm2EvenM(Frozen):
     """Odd rim step, even spoke count: 2 K_{n-1}."""
 
     n: int
@@ -293,8 +301,7 @@ class Thm2EvenM:
         return (self.n - 1, self.n - 1)
 
 
-@dataclass(frozen=True)
-class Thm2OddM:
+class Thm2OddM(Frozen):
     """Odd rim step, odd spoke count: K_1 + 2 K_{n-1}."""
 
     n: int
@@ -317,8 +324,7 @@ class Thm2OddM:
         return (1, self.n - 1, self.n - 1)
 
 
-@dataclass(frozen=True)
-class Thm3:
+class Thm3(Frozen):
     """t disjoint paths, even rim step: K_{sm/2-1} + K_{tn-1}; shape and min_n of Thm1."""
 
     t: int

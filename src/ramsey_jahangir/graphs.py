@@ -7,12 +7,107 @@ couple of integer operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 
 class Graph6Error(ValueError):
     """Malformed graph6 input."""
+
+
+class Frozen:
+    """Immutable value with the semantics of a frozen dataclass.
+
+    The fields are the names annotated in the class body, after those of
+    its bases; ``ClassVar`` annotations are not fields.  A field assigned in
+    the class body defaults to that value (a dict default is copied for each
+    instance).  Construction takes the fields positionally or by keyword
+    and then calls ``__post_init__``, which validates.  Values are equal
+    when their types are the same and their fields are equal, hash as the
+    tuple of their fields, print as ``Name(field=value, ...)`` and refuse
+    assignment; :meth:`replace` builds a changed copy, validated anew.  No
+    code is generated per class, so defining one costs a few attribute
+    lookups.  Fields live in the instance dict; a subclass that keeps them
+    in slots instead (:class:`Graph`) brings its own constructor, equality
+    and hash.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        body = cls.__dict__
+        slots = body.get("__slots__", ())
+        own = [
+            name for name, kind in body.get("__annotations__", {}).items()
+            if not str(kind).startswith(("ClassVar", "typing.ClassVar"))
+        ]
+        cls._fields = cls._fields + tuple(own)
+        cls._defaults = cls._defaults | {
+            name: body[name] for name in own if name in body and name not in slots
+        }
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """Field values in field order from a call's arguments and the defaults."""
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{cls.__qualname__}() takes {len(fields)} arguments but {len(args)} were given"
+            )
+        values = list(args)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._defaults:
+                default = cls._defaults[name]
+                values.append(dict(default) if isinstance(default, dict) else default)
+            else:
+                raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            raise TypeError(f"{cls.__qualname__}() got an unexpected or repeated argument {name!r}")
+        return values
+
+    def __post_init__(self) -> None:
+        pass
+
+    # The constructor fills the instance dict in field order and nothing
+    # else writes to it, so its values are the field tuple.
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes: object) -> Frozen:
+        """A copy with ``changes`` to some fields, validated like a new value."""
+        values = [changes.pop(name, getattr(self, name)) for name in self._fields]
+        if changes:
+            name = next(iter(changes))
+            raise TypeError(f"{type(self).__qualname__} has no field {name!r}")
+        return type(self)(*values)
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -23,29 +118,44 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """Simple undirected graph on vertices ``0..order-1``.
 
     ``adj[v]`` is the neighbor bitmask of ``v``.  Instances are immutable:
     every operation returns a new graph, so a host and its edge-augmented
-    variant can be kept side by side without defensive copying.
+    variant can be kept side by side without defensive copying.  Graphs are
+    built in every inner loop of enumeration, so the class keeps its fields
+    in slots and has its own constructor, equality and hash.
     """
 
+    __slots__ = ("order", "adj")
     order: int
     adj: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
+    def __init__(self, order: int, adj: tuple[int, ...]) -> None:
+        if order < 0:
             raise ValueError("negative order")
-        if len(self.adj) != self.order:
+        if len(adj) != order:
             raise ValueError("adjacency row count does not match order")
-        full = (1 << self.order) - 1
-        for v, row in enumerate(self.adj):
-            if row & ~full:
-                raise ValueError(f"row {v} references vertices >= order")
-            if row >> v & 1:
+        outside = -1 << order
+        for v, row in enumerate(adj):
+            if row & outside or row >> v & 1:
+                if row & outside:
+                    raise ValueError(f"row {v} references vertices >= order")
                 raise ValueError(f"self-loop at vertex {v}")
+        _set_order(self, order)
+        _set_adj(self, adj)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return self.order == other.order and self.adj == other.adj
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.adj))
+
+    def __reduce__(self) -> tuple:
+        return Graph, (self.order, self.adj)  # slots refuse pickle's setattr
 
     def has_edge(self, u: int, v: int) -> bool:
         return self.adj[u] >> v & 1 == 1
@@ -94,6 +204,12 @@ class Graph:
             for v in iter_bits(adj[u]):
                 if not adj[v] >> u & 1:
                     raise ValueError(f"asymmetric edge {u},{v}")
+
+
+# The slots' own setters, which the constructor uses past the frozen
+# ``__setattr__``; faster than ``object.__setattr__``.
+_set_order = Graph.order.__set__
+_set_adj = Graph.adj.__set__
 
 
 def empty(n: int) -> Graph:

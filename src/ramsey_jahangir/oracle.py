@@ -11,15 +11,14 @@ the enumerator and certificates.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass
 from math import factorial, gcd
 
 from .embedding import Budget, BudgetExhausted, find_subgraph
 from .families import CliqueUnion, PatternSpec, build, parse_spec
 from .graphs import (
+    Frozen,
     Graph,
     clique_union_sizes,
     complement,
@@ -333,8 +332,7 @@ def count_classes_cycle_index(n: int) -> int:
 # arrows and Ramsey certificates
 
 
-@dataclass(frozen=True)
-class ArrowsReport:
+class ArrowsReport(Frozen):
     """Result of one exhaustive order sweep.
 
     ``holds`` means every graph F on ``order`` vertices contains the first
@@ -373,8 +371,10 @@ def _sweep(
     classes: list[Graph], g_spec: PatternSpec, h_spec: PatternSpec, bud: Budget
 ) -> ArrowsReport:
     """The arrows sweep over ``classes``, every class of one order."""
+    from hashlib import sha256  # here, so that only a sweep loads hashlib
+
     order = classes[0].order
-    digest = hashlib.sha256()
+    digest = sha256()
     checked = 0
     for f in classes:
         code = to_graph6(f)
@@ -423,8 +423,7 @@ class RamseyIndeterminate(RuntimeError):
         self.last = last
 
 
-@dataclass(frozen=True)
-class RamseyCertificate:
+class RamseyCertificate(Frozen):
     """Self-contained evidence for one small Ramsey value.
 
     ``lower_witness`` is the graph6 code of a graph on ``value - 1``
@@ -480,12 +479,20 @@ def ramsey(
 
 
 def certificate_to_json(cert: RamseyCertificate) -> str:
+    up = cert.upper
     doc = {
         "g": cert.g_spec.text(),
         "h": cert.h_spec.text(),
         "value": cert.value,
         "lower_witness": cert.lower_witness,
-        "upper": asdict(cert.upper),
+        "upper": {
+            "order": up.order,
+            "holds": up.holds,
+            "checked": up.checked,
+            "total": up.total,
+            "counterexample": up.counterexample,
+            "checksum": up.checksum,
+        },
     }
     return json.dumps(doc, indent=2)
 

@@ -23,12 +23,10 @@ Host recipes (frozen: changing any detail would silently break replay):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .embedding import Budget
 from .families import TheoremCase, Thm1, Thm2EvenM, Thm2OddM, Thm3
-from .graphs import Graph, from_edges, relabel, to_graph6
-from .witness import extract, trace_document
+from .graphs import Frozen, Graph, from_edges, relabel, to_graph6
 
 SUITE_COMPONENT_CAP = 20
 
@@ -49,8 +47,7 @@ def case_seed(seed: int, index: int) -> int:
     return splitmix64((seed + index * _GOLDEN) & _M64)
 
 
-@dataclass(frozen=True)
-class SuiteSpec:
+class SuiteSpec(Frozen):
     name: str
     kind: str  # "er-union" or "clique-paths"
     case: TheoremCase
@@ -137,6 +134,10 @@ def run_suite(
         raise ValueError(f"seed {seed} outside 0 .. 2^64 - 1")
     if count < 1:
         raise ValueError("count >= 1 required")
+    # Here, not at the top, so that reading the suite table (the CLI's help
+    # does) leaves the extractor unloaded.
+    from .witness import extract, trace_document
+
     spec = SUITES[name]
     cases = []
     for index in range(count):

@@ -21,7 +21,6 @@ selection the construction is entitled to make but cannot raises
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from itertools import combinations, islice
 
 from .embedding import (
@@ -39,6 +38,7 @@ from .families import (
     Cycle,
     DisjointPaths,
     Jahangir,
+    MaximalityViolation,
     Path,
     PreconditionError,
     TheoremCase,
@@ -52,6 +52,7 @@ from .families import (
     require_thresholds,
 )
 from .graphs import (
+    Frozen,
     Graph,
     clique_union_sizes,
     complement,
@@ -60,26 +61,11 @@ from .graphs import (
     vertex_mask,
 )
 
-class MaximalityViolation(RuntimeError):
-    """A selection the construction is entitled to make was impossible.
-
-    With the exact path engine underneath, this surfaces only when an
-    extractor runs outside its guarantees (``force=True``, or hypotheses
-    that fail to hold) -- or when there is a genuine defect.  ``trace``
-    carries the partial extraction state when one was available.
-    """
-
-    def __init__(self, message: str, trace: ExtractionTrace | None = None):
-        super().__init__(message)
-        self.trace = trace
-
-
 # --------------------------------------------------------------------------
 # data carried by every extraction
 
 
-@dataclass(frozen=True)
-class PathSystem:
+class PathSystem(Frozen):
     """Vertex-disjoint maximum paths peeled greedily off a vertex set of a host.
 
     ``paths[0]`` is a maximum path of the subgraph induced on that set
@@ -98,8 +84,7 @@ class PathSystem:
     remainder: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ExtractionTrace:
+class ExtractionTrace(Frozen):
     """Replayable record of how a witness was put together.
 
     ``k`` is the maximum path length found in the host, which picks the
@@ -115,14 +100,13 @@ class ExtractionTrace:
     k: int
     paths: tuple[PathWitness, ...]
     augmented_edges: tuple[tuple[int, int], ...]
-    selections: dict[str, int] = field(default_factory=dict)
+    selections: dict[str, int] = {}  # a fresh dict per trace (see Frozen)
     quadruples: tuple[tuple[int, ...], ...] = ()
     couples_a: tuple[tuple[int, int], ...] = ()
     couples_b: tuple[tuple[int, int], ...] = ()
 
 
-@dataclass(frozen=True)
-class DichotomyWitness:
+class DichotomyWitness(Frozen):
     """One verified side of the dichotomy: ``embedding`` maps a Jahangir
     graph into the host's complement, or a path structure into the host."""
 
@@ -257,6 +241,7 @@ def _assemble_endpoint_rim(
     spares: list[int],
     s: int,
     m: int,
+    trace: ExtractionTrace | None = None,
 ) -> tuple[list[int], int]:
     """Lay path endpoints plus spare vertices out as a Jahangir rim.
 
@@ -264,8 +249,9 @@ def _assemble_endpoint_rim(
     rim, all in one nonzero residue class mod ``s``, so they are pairwise
     non-consecutive (class positions sit ``s`` >= 2 apart, wraparound
     included) and never occupy a spoke position.  Endpoints fill the rest
-    by ascending-order backtracking.  Returns ``(rim, hub)`` or raises
-    :class:`MaximalityViolation` after exhausting every arrangement.
+    by ascending-order backtracking.  Returns ``(rim, hub)`` or, after
+    exhausting every arrangement, raises :class:`MaximalityViolation`
+    carrying ``trace``.
     """
     sm = s * m
     partner: dict[int, int] = {}
@@ -292,7 +278,7 @@ def _assemble_endpoint_rim(
                 if _fill_rim(f, rim, slots, partner, hub, s):
                     return rim, hub
     raise MaximalityViolation(
-        "no arrangement of path endpoints and spare vertices forms the rim"
+        "no arrangement of path endpoints and spare vertices forms the rim", trace
     )
 
 
@@ -319,11 +305,11 @@ def _endpoint_witness(
             f"fewer than {spares} vertices remain outside the path system", base
         )
     chosen = list(system.remainder[:spares])
-    rim, hub = _assemble_endpoint_rim(g, system.paths, chosen, s, m)
+    rim, hub = _assemble_endpoint_rim(g, system.paths, chosen, s, m, base)
     selections = dict(zip(("x", "y", "z"), chosen))
     selections["hub"] = hub
     emb = Embedding(Jahangir(s, m), g.order, tuple(rim) + (hub,))
-    return DichotomyWitness(emb, replace(base, selections=selections))
+    return DichotomyWitness(emb, base.replace(selections=selections))
 
 
 def _edgeless_witness(
@@ -340,7 +326,7 @@ def _edgeless_witness(
             base,
         )
     emb = Embedding(Jahangir(s, m), f.order, placed)
-    return DichotomyWitness(emb, replace(base, selections={"hub": placed[-1]}))
+    return DichotomyWitness(emb, base.replace(selections={"hub": placed[-1]}))
 
 
 # --------------------------------------------------------------------------
@@ -387,8 +373,8 @@ def _theorem1_case2(
     quadruples = tuple(
         tuple(first[4 * i - 3 : 4 * i + 1]) for i in range(1, half)
     )
-    base = replace(base, quadruples=quadruples)
-    selections: dict[str, int] = {}
+    base = base.replace(quadruples=quadruples)
+    selections: dict[str, int] = {}  # a fresh dict per trace (see Frozen)
     for j, y in enumerate(ys, start=1):
         selections[f"y{j}"] = y
     cs: list[int] = []
@@ -403,7 +389,7 @@ def _theorem1_case2(
             raise MaximalityViolation(
                 f"every vertex of quadruple {i} touches one of its flanking"
                 " outside vertices",
-                replace(base, selections=selections),
+                base.replace(selections=selections),
             )
         cs.append(pick)
         selections[f"c{i}"] = pick
@@ -418,7 +404,7 @@ def _theorem1_case2(
     # Spoke positions are even (s is even), and even rim slots hold only the
     # outside vertices -- all complement-adjacent to the path's first vertex.
     emb = Embedding(Jahangir(s, m), f.order, tuple(rim) + (hub,))
-    return DichotomyWitness(emb, replace(base, selections=selections))
+    return DichotomyWitness(emb, base.replace(selections=selections))
 
 
 # --------------------------------------------------------------------------
@@ -470,7 +456,7 @@ def _theorem2_even(
     # last, and the Jahangir keeps a subset of the wheel's edges, so the
     # wheel's vertex images place it unchanged.
     emb = Embedding(Jahangir(s, m), f.order, result.embedding.mapping)
-    return DichotomyWitness(emb, replace(base, selections={"hub": emb.mapping[-1]}))
+    return DichotomyWitness(emb, base.replace(selections={"hub": emb.mapping[-1]}))
 
 
 def _couples(path: PathWitness, q: int) -> tuple[tuple[int, int], ...]:
@@ -545,7 +531,7 @@ def _theorem2_oddm_case2(
         selections[f"b{i}"] = rim[2 * i - 1]
         selections[f"a{i}"] = rim[2 * i]
     emb = Embedding(Jahangir(s, m), f.order, tuple(rim) + (x,))
-    return DichotomyWitness(emb, replace(base, selections=selections))
+    return DichotomyWitness(emb, base.replace(selections=selections))
 
 
 # --------------------------------------------------------------------------
@@ -596,8 +582,8 @@ def _path_rounds(
     for step in range(1, case.t + 1):
         found = _single_path(f, case, bud, alive, searched)
         if found.kind == "jahangir":
-            trace = replace(found.trace, theorem="Thm3", case=f"Thm3-step{step}")
-            return replace(found, trace=trace)
+            trace = found.trace.replace(theorem="Thm3", case=f"Thm3-step{step}")
+            return found.replace(trace=trace)
         path = found.trace.paths[0]
         collected.append(path)
         alive &= ~sum(1 << v for v in path)
@@ -637,8 +623,7 @@ def extract(
 # extremal constructions
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
+class ExtremalReport(Frozen):
     """Outcome of auditing a lower-bound construction, check by check."""
 
     ok: bool

@@ -284,6 +284,16 @@ def test_suite_unknown_name(capsys):
     capsys.readouterr()
 
 
+def test_suite_help_names_every_suite(capsys, monkeypatch):
+    # The names come from the suite table, read only when this help prints.
+    monkeypatch.setenv("COLUMNS", "200")
+    assert run(["suite", "--help"]) == 0
+    assert (
+        "one of: thm1-s2m3, thm2-s3m2, thm2-s3m3, thm3-t2s2m3, thm3-t2s2m3-paths\n"
+        in capsys.readouterr().out
+    )
+
+
 def test_suite_seed_outside_64_bits(capsys):
     # -1 would otherwise replay the cases of seed 2^64 - 1 under "seed": -1.
     for seed in ("-1", str(1 << 64)):

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from ramsey_jahangir import (
@@ -204,7 +202,7 @@ def test_hosts_need_order_r(theorem, case):
         extract(empty(r - 1), case)
     require_thresholds(case, empty(r))
     assert extract(empty(r), case).kind == "jahangir"
-    below = replace(case, n=case.min_n - 1)
+    below = case.replace(n=case.min_n - 1)
     with pytest.raises(PreconditionError):
         require_thresholds(below, empty(10 * r))
 

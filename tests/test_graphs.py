@@ -1,10 +1,18 @@
+import pickle
 import random
 
 import pytest
 
 from ramsey_jahangir import (
+    Cycle,
+    ExtractionTrace,
     Graph,
     Graph6Error,
+    Jahangir,
+    Path,
+    PreconditionError,
+    SubgraphSearch,
+    Thm1,
     complement,
     complete,
     component_masks,
@@ -207,3 +215,29 @@ def test_graph6_rejects_garbage():
             with pytest.raises(Graph6Error) as err:
                 decode(junk)
             assert str(err.value) == message, (junk, decode)
+
+
+# ---------------------------------------------------------------- values
+
+
+def test_values_keep_frozen_dataclass_semantics():
+    # Each expectation below was read off the dataclass implementation.
+    assert Path(5) != Cycle(5)
+    assert Path(5) == Path(5) and hash(Path(5)) == hash(Path(5))
+    assert hash(Thm1(23, 2, 3)) == hash((23, 2, 3))
+    assert hash(complete(3)) == hash((3, (6, 5, 3)))
+    assert repr(Jahangir(2, 3)) == "Jahangir(s=2, m=3)"
+    assert repr(complete(3)) == "Graph(order=3, adj=(6, 5, 3))"
+    for value, name in ((Jahangir(2, 3), "m"), (Thm1(23, 2, 3), "t"), (complete(3), "adj")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, 1)
+    case = Thm1(23, 2, 3)
+    assert case.replace(n=30) == Thm1(30, 2, 3)
+    with pytest.raises(PreconditionError):
+        case.replace(m=2)
+    assert SubgraphSearch("absent").embedding is None
+    a = ExtractionTrace("Thm1", "path-found", 1, (), ())
+    b = ExtractionTrace("Thm1", "path-found", 1, (), ())
+    assert a == b and a.selections == {} and a.selections is not b.selections
+    for value in (complete(3), case, a):
+        assert pickle.loads(pickle.dumps(value)) == value

@@ -2,6 +2,7 @@
 export, so a renamed, removed or added name fails the suite rather than
 leaving the README stale."""
 
+import importlib
 import re
 import types
 from pathlib import Path
@@ -24,11 +25,13 @@ def test_readme_lists_the_public_api():
     listed = set()
     for module, names in re.findall(r"^- \*\*(\w+)\*\*: (.*)$", section, re.M):
         names = re.findall(r"`(\w+)`", names)
-        home = getattr(ramsey_jahangir, module)
+        home = importlib.import_module(f"ramsey_jahangir.{module}")
         assert all(hasattr(home, name) for name in names), module
         listed.update(names)
-    exported = {
-        name for name, value in vars(ramsey_jahangir).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
+    # The package loads each name on first use, so the names it exports are
+    # its __all__, and each must resolve to its module's object.
+    exported = set(ramsey_jahangir.__all__)
+    for name in exported:
+        value = getattr(ramsey_jahangir, name)
+        assert not isinstance(value, types.ModuleType), name
     assert listed == exported

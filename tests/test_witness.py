@@ -303,6 +303,26 @@ def test_endpoint_rim_takes_the_first_valid_arrangement(s, m):
     assert outcomes == {"first arrangement", "later hub or arrangement", "no arrangement"}
 
 
+def test_endpoint_rim_failure_carries_the_peeled_paths(monkeypatch):
+    # Maximum paths leave the rim an arrangement, so the failure is reached
+    # by handing the construction the hand-made paths of a host that has
+    # none; the violation must still carry the trace with those paths.
+    s, m = 2, 3
+    for i in range(60):
+        rng = random.Random(f"endpoint-rim/{s},{m}/{i}")
+        host, paths, spares = _endpoint_rim_host(rng, s, m)
+        if first_endpoint_rim(host, paths, spares, s, m) is None:
+            break
+    system = witness_module.PathSystem(paths, (), tuple(sorted(spares)))
+    monkeypatch.setattr(witness_module, "build_path_system", lambda *args, **kwargs: system)
+    with pytest.raises(MaximalityViolation, match="^no arrangement of path endpoints") as info:
+        witness_module._endpoint_witness(
+            host, "Thm1", "Thm1-Case1", s, m, 4, Budget(1000), (1 << host.order) - 1, {}
+        )
+    assert info.value.trace.paths == paths
+    assert info.value.trace.case == "Thm1-Case1"
+
+
 # ------------------------------------------------------ several paths
 
 
