@@ -14,7 +14,7 @@ failed precondition, 3 maximality violation, 4 search budget exhausted,
 5 Ramsey scan hit its cap undecided.
 
 Each subcommand imports the modules it runs when it runs, so a process
-loads only its own: ``build`` neither the extractor nor the oracle,
+loads only its own: ``build`` no search engine, extractor or oracle,
 ``witness`` no oracle, ``ramsey`` no extractor.
 """
 
@@ -25,7 +25,6 @@ import json
 import sys
 from pathlib import Path
 
-from .embedding import BudgetExhausted
 from .families import (
     MaximalityViolation,
     TheoremCase,
@@ -271,12 +270,17 @@ def run(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except BudgetExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except MaximalityViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RuntimeError as exc:
+        # BudgetExhausted comes from the search engines' module, which a
+        # command that runs no search (``build``) never loads.
+        engines = sys.modules.get(f"{__package__}.embedding")
+        if engines is None or not isinstance(exc, engines.BudgetExhausted):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -164,22 +164,38 @@ def find_subgraph(host: Graph, spec: PatternSpec, budget: int | Budget | None = 
 # sides, so from an endpoint whose unvisited reachable set holds ``a``
 # vertices on the other side and ``b`` on its own, at most min(2a, 2b + 1)
 # more vertices fit: the side-count bound, which settles K_{10,30} (no P23)
-# in a few hundred nodes where reachability alone cannot.  A node is pruned
-# when the bound is at most the gap ``len(best) - len(path)``; both forms
-# grow with the reachable set, so the bound is decided, not counted: the
-# reachable set is grown layer by layer from the endpoint and the walk
-# stops at the first layer that lifts the bound over the gap, or prunes when
-# the set is complete without doing so.  A node that has just set a new
-# best has a gap of 0 and is decided by its first layer, so the descent of a
-# long path costs a few bit operations per node.  On components of at most
-# 24 vertices the explored states are memoized, which makes the search the
-# subset/endpoint dynamic program evaluated lazily; larger components run
-# plain branch-and-bound.  A path covering its whole component stops the
-# search early (nothing longer can exist), which is what makes dense random
-# components cheap; so does a path on ``stop`` vertices when one is asked
-# for.  The bound prunes only branches that cannot beat the best path so
-# far, and the best is replaced only by a strictly longer path, so it
-# changes node counts and never an answer.
+# in a few dozen nodes where reachability alone cannot.  A dead end, a free
+# vertex with at most one neighbour among the free vertices and the
+# endpoint, can only be the last vertex of an extension, so at most the
+# reachable set less all but one of its dead ends fits; the bound is the
+# least of the two forms.  A node is pruned when the bound is at most the
+# gap ``len(best) - len(path)``; every form grows with the reachable set
+# (a new layer adds no more dead ends than vertices), so the bound is
+# decided, not counted: the reachable set is grown layer by layer from the
+# endpoint and the walk stops as soon as the bound exceeds the gap, or
+# prunes when the set is complete without doing so.  A node that has just
+# set a new best is not bounded at all, so the descent of a long path costs
+# a few bit operations per node.
+#
+# Twins, two vertices with the same open or the same closed neighbourhood
+# in the component, are swapped by an automorphism that fixes every other
+# vertex.  So while both are free, the subtree under the higher mirrors the
+# subtree under the lower, and the higher is skipped, as a start vertex and
+# as a next step.  The lower is tried first (vertex order), and the best
+# path is replaced only by a strictly longer one, so the mirror could not
+# have replaced it.  The twin table is built at the first step that is not
+# a least neighbour: a component whose first descent reaches the stop length
+# (the dense random blocks of the suites) never builds it.
+#
+# On components of at most 24 vertices the explored states are memoized,
+# which makes the search the subset/endpoint dynamic program evaluated
+# lazily; larger components run plain branch-and-bound.  A path covering
+# its whole component stops the search early (nothing longer can exist),
+# which is what makes dense random components cheap; so does a path on
+# ``stop`` vertices when one is asked for.  The bounds prune only branches
+# that cannot beat the best path so far and the twins skip only mirrors of
+# branches already searched, so together they change node counts and never
+# an answer, a tie-break or an early stop.
 # ---------------------------------------------------------------------------
 
 _MEMO_LIMIT = 24
@@ -215,6 +231,31 @@ def _bipartite_side(adj: Sequence[int], comp_mask: int, start: int) -> int | Non
     return sides[0]
 
 
+def _lower_twins(adj: Sequence[int], comp: list[int], comp_mask: int) -> tuple[dict[int, int], int]:
+    """Each vertex of the component that has a lower twin, mapped to the mask
+    of its lower twins, and the mask of those vertices.
+
+    Twins share their open or their closed neighbourhood in ``comp_mask``.
+    Both relations are equivalences, and one dict keyed by neighbourhood
+    holds the classes of both: an open neighbourhood ``N(u)`` never equals
+    a closed one ``N[x]``, since ``x`` in ``N(u)`` puts ``u`` in ``N(x)``.
+    """
+    classes: dict[int, int] = {}
+    for v in comp:
+        bit = 1 << v
+        row = adj[v] & comp_mask
+        classes[row] = classes.get(row, 0) | bit
+        classes[row | bit] = classes.get(row | bit, 0) | bit
+    lower: dict[int, int] = {}
+    twinned = 0
+    for members in classes.values():
+        above = members & (members - 1)  # all but the least member
+        twinned |= above
+        for w in iter_bits(above):
+            lower[w] = members & ((1 << w) - 1)
+    return lower, twinned
+
+
 def _component_search(g: Graph, comp_mask: int, bud: Budget, stop_len: int) -> PathWitness:
     """Longest path inside component ``comp_mask``, or its first on ``stop_len`` vertices.
 
@@ -231,38 +272,63 @@ def _component_search(g: Graph, comp_mask: int, bud: Budget, stop_len: int) -> P
     shift = g.order.bit_length()
     dead: set[int] | None = set() if len(comp) <= _MEMO_LIMIT else None
     side = _bipartite_side(adj, comp_mask, comp[0])
+    # The twin table is built on first use: at the first nonempty untried
+    # set popped, which ``twinned`` selects until then, or the second start.
+    lower: dict[int, int] | None = None
+    twinned = -1
 
     def can_gain(endpoint: int, frontier: int, free: int, need: int) -> bool:
         """Can a path ending at ``endpoint`` gain more than ``need`` of the
         ``free`` vertices, ``frontier`` being its free neighbours?
 
-        In a bipartite component at most min(2a, 2b + 1) of the reachable
-        set fit, ``a`` of it on the other side from the endpoint and ``b``
-        on its own; otherwise all of it may.
+        At most the reachable set fits, less all but one of its dead ends
+        (vertices with at most one neighbour among ``free`` and the
+        endpoint, which can only come last): its non-dead vertices plus one
+        if it has a dead end, counted vertex by vertex.  In a bipartite
+        component at most min(2a, 2b + 1) fit as well, ``a`` of the
+        reachable set on the other side from the endpoint and ``b`` on its
+        own, checked once per layer.
         """
         if side is not None:
             own = side if side >> endpoint & 1 else comp_mask ^ side
+        avail = free | 1 << endpoint
         reach = 0
+        # The dead-end bound so far: the non-dead vertices of ``reach``,
+        # plus 1 once it holds a dead end (``ends``).
+        gain = ends = 0
+        fits = True
         while frontier:
             reach |= frontier
-            if side is None:
-                gain = reach.bit_count()
-            else:
+            if side is not None:
                 same = (reach & own).bit_count()
-                gain = min(2 * (reach.bit_count() - same), 2 * same + 1)
-            if gain > need:
-                return True
+                fits = min(2 * (reach.bit_count() - same), 2 * same + 1) > need
+                if fits and gain > need:
+                    return True
             step = 0
             while frontier:
                 low = frontier & -frontier
-                step |= adj[low.bit_length() - 1]
+                row = adj[low.bit_length() - 1]
+                step |= row
                 frontier ^= low
+                row &= avail
+                if not row & (row - 1):
+                    if ends:
+                        continue
+                    ends = 1
+                gain += 1
+                if gain > need and fits:
+                    return True
             frontier = step & free & ~reach
         return False
 
     remaining = bud.remaining
     try:
         for start in comp:
+            if start != comp[0]:
+                if lower is None:
+                    lower, twinned = _lower_twins(adj, comp, comp_mask)
+                if start in lower:  # its paths mirror those of a lower twin
+                    continue
             path = [start]
             mask = 1 << start
             untried: list[int] = []
@@ -287,7 +353,11 @@ def _component_search(g: Graph, comp_mask: int, bud: Budget, stop_len: int) -> P
                     rest = 0
                 # Retreat past the vertices with nothing left to try, then
                 # step to the least untried neighbour of the deepest one
-                # that has one.
+                # that has one.  A neighbour with a free lower twin is
+                # skipped: that twin is a neighbour too, tried before it,
+                # and swapping the two maps one subtree onto the other.  So
+                # a least neighbour is never skipped, and only the popped
+                # sets are filtered.
                 while not rest:
                     v = path.pop()
                     if dead is not None:
@@ -296,6 +366,15 @@ def _component_search(g: Graph, comp_mask: int, bud: Budget, stop_len: int) -> P
                     if not path:
                         break
                     rest = untried.pop()
+                    if rest & twinned:
+                        if lower is None:
+                            lower, twinned = _lower_twins(adj, comp, comp_mask)
+                        skip = rest & twinned
+                        while skip:
+                            low = skip & -skip
+                            if lower[low.bit_length() - 1] & ~mask:
+                                rest ^= low
+                            skip ^= low
                 if rest:
                     low = rest & -rest
                     untried.append(rest ^ low)
@@ -325,12 +404,19 @@ def longest_path(
     maximum path otherwise.  The components with at least ``stop`` vertices
     are searched first, since no other can hold that path; each component's
     search is independent of the others, so this changes the work, never
-    the answer.  A branch is bounded by the vertices its
-    endpoint can still reach and, in a bipartite component, by how many of
-    those lie on each side, since a path alternates sides.  The bound is
-    decided against the gap to the best path, layer by layer of the
-    reachable set, and never counted in full: a branch continues as soon
-    as one layer lifts it over the gap.
+    the answer.  A branch is bounded by the vertices its endpoint can still
+    reach, less all but one of the dead ends among them (a vertex with at
+    most one neighbour among the free vertices and the endpoint can only
+    come last), and, in a bipartite component, by how many of those lie on
+    each side, since a path alternates sides.  The bound is decided against
+    the gap to the best path as the reachable set grows, and never counted
+    in full: a branch continues as soon as the bound exceeds the gap.  Of
+    two twins (same open or closed neighbourhood) that are both free, only
+    the lower is tried, as a start or a next step: swapping them maps the
+    higher's branch onto the lower's, which was searched first.  The bounds
+    cut only branches that cannot beat the best path, the twins skip only
+    mirrors of searched branches, and the best path is replaced only by a
+    longer one, so they change the nodes spent, never a path or a tie-break.
 
     With ``within``, a vertex bitmask, the search runs in the subgraph
     induced on it and answers in g's labels.  Exploration follows vertex

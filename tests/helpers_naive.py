@@ -174,9 +174,10 @@ def longest_path_full_bound(
     """``longest_path`` with its bound counted in full at every node.
 
     A frozen copy of the search from before the bound was decided against
-    the gap layer by layer: the whole unvisited reachable set is walked and
-    counted, then compared.  Deciding the bound early changes no prune, so
-    the path and every node spent from ``budget`` must match this one.
+    the gap layer by layer, and before twin pruning and the dead-end bound:
+    the whole unvisited reachable set is walked and counted, then compared.
+    None of those changes a path, so the path must match this one; they
+    only prune, so ``longest_path`` spends at most the nodes this spends.
     ``side_bound=False`` drops the bipartite side-count bound, leaving
     reachability alone.
     """

@@ -87,6 +87,19 @@ def test_witness_settles_complete_bipartite_host(tmp_path, capsys):
     assert doc["verified"] is True
 
 
+def test_witness_settles_complete_bipartite_host_with_an_odd_edge(monkeypatch, capsys):
+    # One edge inside the 30-side of K_{10,30}: the longest path has 22
+    # vertices, no P23, and twin pruning proves that well inside the budget.
+    edges = [(u, v) for u in range(10) for v in range(10, 40)] + [(10, 11)]
+    monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(from_edges(40, edges)) + "\n"))
+    rc = run(["witness", "-", "--theorem", "1", "-n", "23", "-s", "2", "-m", "3",
+              "--budget", "10000"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["case"] == "Thm1-Case2"
+    assert doc["k"] == 22
+
+
 def test_witness_stdin_many(monkeypatch, capsys):
     code = triangles_code()
     monkeypatch.setattr("sys.stdin", io.StringIO(code + "\n" + code + "\n"))

@@ -232,30 +232,108 @@ def _er_union_hosts(per_suite):
 
 
 def test_deciding_the_bound_keeps_paths_and_node_counts():
-    """Deciding the bound against the gap prunes exactly where counting it
-    in full did: the same path and the same nodes spent, so the budget runs
-    out at the same node."""
+    """Deciding the bound against the gap, twin pruning and the dead-end
+    bound keep every path of the search that counts its bound in full, and
+    spend at most its nodes.  The budget boundary is exact: ``spent`` nodes
+    finish the search, one fewer exhausts it."""
     rng = random.Random(13)
     hosts = [*_bipartite_hosts(rng), *_odd_cycle_hosts(rng),
              *_er_union_hosts(4), *_long_path_hosts(rng)]
     for g in hosts:
         full = len(longest_path(g))
         for stop in {None, 2, max(1, full // 2), full, full + 1}:
-            ours = Budget(1 << 40)
-            path = longest_path(g, ours, stop=stop)
-            spent = (1 << 40) - ours.remaining
-            # Both searches finish on exactly ``spent`` nodes, one fewer
-            # exhausts both.
-            exact = Budget(spent)
-            assert longest_path_full_bound(g, exact, stop) == path, (g, stop)
-            assert exact.remaining == 0, (g, stop)
-            assert longest_path(g, Budget(spent), stop=stop) == path
-            if spent > 1:
-                with pytest.raises(BudgetExhausted):
-                    longest_path(g, Budget(spent - 1), stop=stop)
-                with pytest.raises(BudgetExhausted):
-                    longest_path_full_bound(g, Budget(spent - 1), stop)
+            _assert_agrees_with(g, stop, side_bound=True)
     assert max(g.order for g in hosts) == 300
+
+
+def _assert_agrees_with(g, stop, *, side_bound):
+    """``longest_path`` returns the path of the frozen full-bound search and
+    spends at most its nodes; exactly its own spend suffices."""
+    ours = Budget(1 << 40)
+    path = longest_path(g, ours, stop=stop)
+    spent = (1 << 40) - ours.remaining
+    reference = Budget(1 << 40)
+    assert longest_path_full_bound(g, reference, stop, side_bound=side_bound) == path, (g, stop)
+    assert spent <= (1 << 40) - reference.remaining, (g, stop)
+    assert longest_path(g, Budget(spent), stop=stop) == path
+    if spent > 1:
+        with pytest.raises(BudgetExhausted):
+            longest_path(g, Budget(spent - 1), stop=stop)
+
+
+def _complete_bipartite_plus(rng, a, b, extra):
+    """K_{a,b} with the ``extra`` edges among the b-side vertices a, a+1, ...,
+    labels shuffled."""
+    cross = [(u, a + v) for u in range(a) for v in range(b)]
+    return _relabelled(rng, a + b, cross + extra)
+
+
+def _pruning_hosts(rng):
+    """Seeded hosts full of twins and dead ends, labels shuffled: trees with
+    many leaves on a few hubs, trees of bounded height with chords (as the
+    benchmark's sparse blocks), a clique block beside sparse random edges,
+    K_{a,b} with one edge or a triangle inside a side, and dense random
+    block unions."""
+    for _ in range(10):
+        order = rng.randrange(4, 31)
+        hubs = rng.randrange(1, order // 3 + 1)
+        edges = [(rng.randrange(v), v) for v in range(1, hubs)]
+        edges += [(rng.randrange(hubs), v) for v in range(hubs, order)]
+        yield _relabelled(rng, order, edges)
+    for _ in range(10):
+        order = rng.randrange(6, 31)
+        height = rng.randrange(2, 5)
+        depth = [0]
+        edges = []
+        for v in range(1, order):
+            parent = rng.choice([u for u in range(v) if depth[u] < height])
+            depth.append(depth[parent] + 1)
+            edges.append((parent, v))
+        for _ in range(rng.randrange(1, 6)):
+            chord = tuple(sorted(rng.sample(range(order), 2)))
+            if chord not in edges:
+                edges.append(chord)
+        yield _relabelled(rng, order, edges)
+    for _ in range(10):
+        order = rng.randrange(10, 31)
+        k = rng.randrange(3, order - 3)
+        p = rng.choice((0.02, 0.03, 0.05))
+        edges = {(u, v) for v in range(k) for u in range(v)}
+        edges |= {(u, v) for v in range(order) for u in range(v) if rng.random() < p}
+        yield _relabelled(rng, order, sorted(edges))
+    for a, b in ((2, 5), (3, 5), (3, 7), (4, 6), (4, 8)):
+        yield _complete_bipartite_plus(rng, a, b, [(a, a + 1)])
+        yield _complete_bipartite_plus(rng, a, b, [(a, a + 1), (a + 1, a + 2), (a, a + 2)])
+    yield from _er_union_hosts(2)
+
+
+def test_twins_and_dead_ends_change_no_answer():
+    """Against the search bounded by reachability alone: the same path for
+    every stop length, at most its nodes, and an exact budget boundary."""
+    rng = random.Random(17)
+    hosts = list(_pruning_hosts(rng))
+    for g in hosts:
+        full = len(longest_path_reference(g))
+        for stop in {None, 2, max(1, full // 2), full, full + 1}:
+            _assert_agrees_with(g, stop, side_bound=False)
+    # both the memoised search and plain branch-and-bound ran
+    assert min(g.order for g in hosts) <= 24 < max(g.order for g in hosts)
+
+
+@pytest.mark.parametrize(
+    "a, b, extra, stop, length",
+    [
+        (10, 30, [(10, 11)], 23, 22),
+        (10, 30, [(10, 11), (11, 12), (10, 12)], 23, 23),
+        (8, 24, [(8, 9)], 19, 18),
+    ],
+    ids=["K10,30+edge", "K10,30+triangle", "K8,24+edge"],
+)
+def test_complete_bipartite_with_an_odd_cycle_settles(a, b, extra, stop, length):
+    # One odd cycle removes the side-count bound; twins on each side and
+    # the dead-end bound still settle these hosts in a few thousand nodes.
+    host = _complete_bipartite_plus(random.Random(3), a, b, extra)
+    assert len(longest_path(host, Budget(10_000), stop=stop)) == length
 
 
 def test_complete_bipartite_stall_is_settled():

@@ -33,6 +33,7 @@ print(json.dumps({
 
 ORACLE = "ramsey_jahangir.oracle"
 WITNESS = "ramsey_jahangir.witness"
+EMBEDDING = "ramsey_jahangir.embedding"
 EDGELESS_25 = "X" + "?" * 50  # graph6 of the edgeless graph on 25 vertices
 
 
@@ -51,8 +52,8 @@ def test_importing_the_cli_loads_no_engine_and_build_loads_none_either():
     code, imported, ran = _probe(["build", "J2,3"])
     assert code == 0
     assert "ramsey_jahangir.cli" in imported
-    assert not imported & {"dataclasses", "hashlib", ORACLE, WITNESS}
-    assert not ran & {ORACLE, WITNESS}
+    assert not imported & {"dataclasses", "hashlib", ORACLE, WITNESS, EMBEDDING}
+    assert not ran & {ORACLE, WITNESS, EMBEDDING}
 
 
 @pytest.mark.parametrize(

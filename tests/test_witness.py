@@ -578,12 +578,13 @@ def test_no_component_is_searched_twice_in_one_extraction(
 def test_untouched_components_are_not_searched_again():
     # The first maximum path lies in one block; the path system's second
     # search of the residual reuses the other blocks' answers.  Every
-    # residual was searched afresh before, which spent 387 nodes.
+    # residual was searched afresh before, which spent 387 nodes; reuse
+    # alone spends 335, and twin pruning with the dead-end bound 107.
     host = _carried_hosts("sparse-trees", _sparse_trees)[1]
     bud = Budget(1_000)
     w = extract(host, Thm1(23, 2, 3), budget=bud)
     assert w.trace.case == "Thm1-Case1"
-    assert 1_000 - bud.remaining == 335
+    assert 1_000 - bud.remaining == 107
 
 
 def test_complete_bipartite_host_settles_within_budget():
