@@ -5,7 +5,8 @@ attempted assignments, not wall time); running out is reported explicitly,
 never silently converted into an "absent" answer.
 
 :func:`longest_path` is the one path search: with ``stop=n`` it finds a
-``P_n`` or, failing that, a maximum path.  ``t . P_n`` is the pattern
+``P_n`` or, failing that, a maximum path, and :func:`find_subgraph` asks
+it for every ``Path(n)`` pattern.  ``t . P_n`` is the pattern
 ``DisjointPaths(t, n)`` for :func:`find_subgraph`; for t > 1 the extremal
 audit's path side is the component-capacity argument alone.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .families import PatternSpec, build
+from .families import Path, PatternSpec, build
 from .graphs import Frozen, Graph, component_masks, iter_bits
 
 DEFAULT_BUDGET = 50_000_000
@@ -106,12 +107,36 @@ def find_subgraph(host: Graph, spec: PatternSpec, budget: int | Budget | None = 
     """Exact subgraph-containment search with an explicit third outcome.
 
     Returns status "present" with a verified embedding, "absent" after an
-    exhaustive search, or "unknown" if the expansion budget ran out.
+    exhaustive search, or "unknown" if the expansion budget ran out.  A
+    pattern with more vertices than the host is absent without a search.
+    ``Path(n)`` goes to the path engine, ``longest_path(host, budget,
+    stop=n)``, whose pruning settles it in far fewer nodes; the path it
+    returns is the embedding.  Every other pattern is placed vertex by
+    vertex in the order of :func:`_search_order`.
     """
     bud = Budget.coerce(budget)
     p = spec.order
     if p > host.order:
         return SubgraphSearch("absent")
+    try:
+        if isinstance(spec, Path):  # the path it finds, shorter when there is none
+            image = longest_path(host, bud, stop=p)
+        else:
+            image = _place(host, spec, bud)
+    except BudgetExhausted:
+        return SubgraphSearch("unknown")
+    if image is None or len(image) < p:
+        return SubgraphSearch("absent")
+    emb = Embedding(spec, host.order, tuple(image))
+    reason = check_embedding(host, emb)
+    if reason is not None:  # pragma: no cover - engine invariant
+        raise AssertionError(f"search produced an invalid embedding: {reason}")
+    return SubgraphSearch("present", emb)
+
+
+def _place(host: Graph, spec: PatternSpec, bud: Budget) -> list[int] | None:
+    """Host image of each vertex of ``spec``'s pattern, or None when none fits."""
+    p = spec.order
     pattern = build(spec)
     order = _search_order(spec)
     # neighbors of each pattern vertex that are placed before it
@@ -143,17 +168,7 @@ def find_subgraph(host: Graph, spec: PatternSpec, budget: int | Budget | None = 
         image[pv] = -1
         return False
 
-    try:
-        found = place(0, 0)
-    except BudgetExhausted:
-        return SubgraphSearch("unknown")
-    if not found:
-        return SubgraphSearch("absent")
-    emb = Embedding(spec, host.order, tuple(image))
-    reason = check_embedding(host, emb)
-    if reason is not None:  # pragma: no cover - engine invariant
-        raise AssertionError(f"search produced an invalid embedding: {reason}")
-    return SubgraphSearch("present", emb)
+    return image if place(0, 0) else None
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .graphs import (
     disjoint_cover_sizes,
     empty,
     from_graph6,
+    iter_bits,
     relabel,
     to_graph6,
 )
@@ -112,16 +113,8 @@ def canonical_graph(g: Graph, budget: int | Budget | None = None) -> Graph:
     Two graphs are isomorphic exactly when their canonical representatives
     are equal.  Clique unions and their complements are recognized directly
     (these cover the library's extremal constructions); everything else
-    goes through a search over vertex individualizations, each node
-    refined to an equitable partition, taking the relabeling whose graph6
-    code is least over the search's leaves.  Leaves are compared as
-    integers holding the graph6 body bits, and only the winner is
-    relabeled.  A leaf whose code equals the best one yields an
-    automorphism (McKay 1981; McKay and Piperno 2014): the search then
-    leaves the subtree it has just matched, and each node skips a branch
-    vertex in the orbit of an explored sibling under the automorphisms
-    found so far that fix the node's individualized vertices.  Neither
-    changes the least code.  Each node spends one unit of ``budget``
+    goes through :func:`_search`, and the best leaf it returns is the
+    relabeling applied.  Each search node spends one unit of ``budget``
     (default 500,000 per call).
     """
     if g.order > CANONICAL_CAP:
@@ -138,7 +131,30 @@ def canonical_graph(g: Graph, budget: int | Budget | None = None) -> Graph:
     co_sizes = disjoint_cover_sizes({full ^ row for row in g.adj}, g.order)
     if co_sizes is not None:
         return complement(build(CliqueUnion(co_sizes)))
-    bud = Budget.coerce(budget if budget is not None else _CANONICAL_NODES)
+    leaf, _ = _search(g, Budget.coerce(budget if budget is not None else _CANONICAL_NODES))
+    perm = [0] * g.order
+    for pos, v in enumerate(leaf):
+        perm[v] = pos
+    return relabel(g, perm)
+
+
+def _search(g: Graph, bud: Budget) -> tuple[list[int], list[list[int]]]:
+    """The best leaf of g's canonical search and the automorphisms it found.
+
+    The search runs over vertex individualizations, each node refined to an
+    equitable partition, and takes the leaf whose graph6 code is least.
+    Leaves are compared as integers holding the graph6 body bits.  A leaf
+    whose code equals the best one yields an automorphism (McKay 1981;
+    McKay and Piperno 2014): the search then leaves the subtree it has just
+    matched, and each node skips a branch vertex in the orbit of an
+    explored sibling under the automorphisms found so far that fix the
+    node's individualized vertices.  Neither changes the least code.  Each
+    node spends one unit of ``bud``.
+
+    The leaf lists the vertex put at each position; each automorphism maps
+    v to ``auto[v]``, in g's own labels.  They generate a subgroup of
+    Aut(g), possibly trivial.  g has at least two vertices.
+    """
     n = g.order
     adj = g.adj
     best_code: int | None = None
@@ -214,10 +230,7 @@ def canonical_graph(g: Graph, budget: int | Budget | None = None) -> Graph:
         return depth
 
     descend([(1 << n) - 1], None)
-    perm = [0] * n
-    for pos, v in enumerate(best_leaf):
-        perm[v] = pos
-    return relabel(g, perm)
+    return best_leaf, autos
 
 
 def _root(parent: list[int], x: int) -> int:
@@ -244,28 +257,79 @@ def _grow(level: list[Graph]) -> list[Graph]:
     """One representative per class of the order above ``level``'s.
 
     ``level`` holds one representative per class of its order j.  Each
-    representative is extended by a new vertex with every possible
-    neighbourhood, keeping only the extensions in which the new vertex has
-    maximum degree (McKay 1998), and the survivors are deduplicated
-    canonically.  No class of order j+1 is lost: deleting a vertex u of
-    maximum degree leaves a graph isomorphic to some representative, and
-    that representative extended by u's neighbourhood is a copy of the
-    class whose new vertex has maximum degree.  The test reads only the
-    parent's degrees, so a rejected extension is never built or labelled.
+    representative P is extended by a new vertex x with neighbourhood
+    ``bits`` for the ``bits`` that pass two tests, and the survivors are
+    canonicalised and deduplicated.
+
+    Key.  An extension is kept only when x maximises the key (degree, sum
+    of neighbour degrees) over its vertices (McKay 1998).  No class of
+    order j+1 is lost: deleting a vertex u with the largest key leaves a
+    graph isomorphic to some representative, and that representative
+    extended by the image of u's neighbourhood is a copy of the class in
+    which x, standing for u, has the largest key, since the key does not
+    depend on labels.  The test reads only P's degrees and ``bits``, so a
+    rejected extension is never built.  With d = |bits|, a parent vertex
+    gains one to its degree when it is in ``bits``; its sum gains one per
+    neighbour in ``bits``, and d when it is in ``bits`` itself.  x's sum is
+    d plus the parent degrees of ``bits``.  Only the vertices tied with x
+    at degree d are compared by sum.
+
+    Orbits.  P is searched once with :func:`_search`, clique unions
+    included, and ``bits`` is kept only when it is least in its orbit under
+    the automorphisms found, which are in P's own labels.  An automorphism
+    a of P, fixing x, maps the extension by ``bits`` onto the one by
+    a(bits), x to x, so the two are isomorphic and the key test answers
+    the same for both.  Dropping all but the least of an orbit therefore
+    loses no class, whatever subgroup of Aut(P) the search found.  The
+    automorphisms of one parent are dropped before the next is searched.
+
     Canonical representatives of one class are equal graphs, so a set
     deduplicates them.  Output is sorted by (edge count, graph6 code).
     """
     size = level[0].order
     seen: set[Graph] = set()
     for parent in level:
-        degrees = [row.bit_count() for row in parent.adj]
+        adj = parent.adj
+        degrees = [row.bit_count() for row in adj]
         top = max(degrees, default=0)
-        top_mask = sum(1 << v for v, deg in enumerate(degrees) if deg == top)
+        # of_degree[k] is the mask of parent vertices of degree k; the two
+        # entries past the largest degree stay 0, so index -1 reads 0.
+        of_degree = [0] * (size + 2)
+        for v, deg in enumerate(degrees):
+            of_degree[deg] |= 1 << v
+        sums = [sum(degrees[u] for u in iter_bits(row)) for row in adj]
+        autos = _search(parent, Budget(_CANONICAL_NODES))[1] if size > 1 else []
+        # moves[i][v] is the bit of automorphism i's image of v.
+        moves = [[1 << w for w in auto] for auto in autos]
+        met = bytearray(1 << size) if moves else None  # bits in an orbit met already
         for bits in range(1 << size):
-            # The new vertex has degree d; a parent vertex in ``bits`` gains one.
             d = bits.bit_count()
-            if d < top or (d == top and bits & top_mask):
-                continue
+            if d < top or (d == top and bits & of_degree[top]):
+                continue  # a parent vertex would outrank x by degree
+            if met is not None:
+                if met[bits]:
+                    continue  # a lesser member of its orbit came first
+                met[bits] = 1
+                orbit = [bits]
+                for member in orbit:
+                    for move in moves:
+                        image = 0
+                        rest = member
+                        while rest:
+                            low = rest & -rest
+                            image |= move[low.bit_length() - 1]
+                            rest ^= low
+                        if not met[image]:
+                            met[image] = 1
+                            orbit.append(image)
+            tied = of_degree[d] & ~bits | of_degree[d - 1] & bits
+            if tied:
+                mine = d + sum(degrees[u] for u in iter_bits(bits))
+                if any(
+                    sums[v] + (adj[v] & bits).bit_count() + (d if bits >> v & 1 else 0) > mine
+                    for v in iter_bits(tied)
+                ):
+                    continue
             seen.add(canonical_graph(_extend(parent, bits)))
     return sorted(seen, key=lambda g: (g.edge_count(), to_graph6(g)))
 
@@ -274,10 +338,11 @@ def enumerate_graphs(n: int) -> list[Graph]:
     """One canonical representative per isomorphism class of order ``n``.
 
     Grows order by order from the empty graph, each level through the
-    extensions of the one below whose new vertex has maximum degree (see
-    :func:`_grow`; every class has such a vertex, so none is lost); output
-    is sorted by (edge count, graph6 code).  Orders above ENUMERATION_CAP
-    are refused: counts grow super-exponentially.
+    extensions of the one below whose new vertex has the largest (degree,
+    neighbour-degree sum), one per orbit of the parent's automorphisms (see
+    :func:`_grow`; neither test loses a class); output is sorted by (edge
+    count, graph6 code).  Orders above ENUMERATION_CAP are refused: counts
+    grow super-exponentially.
     """
     if n < 0:
         raise ValueError("n >= 0 required")

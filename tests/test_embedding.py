@@ -19,6 +19,7 @@ from ramsey_jahangir import (
     component_masks,
     disjoint_union,
     empty,
+    enumerate_graphs,
     find_subgraph,
     fits_complete_multipartite,
     from_edges,
@@ -101,6 +102,13 @@ def test_find_subgraph_rejects_a_larger_pattern_before_building_it(monkeypatch):
 
     monkeypatch.setattr(embedding_module, "build", refuse)
     assert find_subgraph(empty(3), Path(50)).status == "absent"
+    # Nor does a path longer than the host reach the path engine.
+    monkeypatch.setattr(embedding_module, "longest_path", refuse)
+    for order in range(4):
+        for n in (order + 1, order + 5):
+            bud = Budget(1)
+            assert find_subgraph(complete(order), Path(n), bud).status == "absent"
+            assert bud.remaining == 1
 
 
 def test_find_subgraph_agrees_with_injections():
@@ -114,6 +122,35 @@ def test_find_subgraph_agrees_with_injections():
             want = contains_by_injections(host, spec.order, spec.edges())
             got = find_subgraph(host, spec).status
             assert got == ("present" if want else "absent"), (host, spec)
+
+
+def test_path_patterns_go_to_the_path_engine_and_agree_with_injections():
+    """``Path(n)`` is answered by ``longest_path(host, budget, stop=n)``:
+    on every class of order at most 6 and its complement, the answer is
+    brute force's, a present path checks out, the nodes spent are the path
+    engine's, and one node fewer gives "unknown", never "absent"."""
+    for order in range(7):
+        for g in enumerate_graphs(order):
+            for host in (g, complement(g)):
+                for n in range(1, 8):
+                    spec = Path(n)
+                    want = contains_by_injections(host, n, spec.edges())
+                    bud = Budget(1 << 30)
+                    res = find_subgraph(host, spec, bud)
+                    assert res.status == ("present" if want else "absent"), (host, n)
+                    if want:
+                        assert check_embedding(host, res.embedding) is None
+                    spent = (1 << 30) - bud.remaining
+                    if n > order:
+                        assert spent == 0
+                        continue
+                    engine = Budget(1 << 30)
+                    longest_path(host, engine, stop=n)
+                    assert spent == (1 << 30) - engine.remaining, (host, n)
+                    if spent > 1:
+                        starved = find_subgraph(host, spec, Budget(spent - 1))
+                        assert starved.status == "unknown", (host, n)
+                        assert starved.embedding is None
 
 
 def test_longest_path_known_values():

@@ -157,18 +157,63 @@ def test_filtered_levels_equal_the_unfiltered_reference():
 
 
 def test_enumeration_canonicalises_only_maximum_degree_extensions(monkeypatch):
-    # Every one-vertex extension would cost 11,291 calls up to order 7.
-    calls = 0
-    real = oracle.canonical_graph
+    # Every one-vertex extension would cost 11,291 canonical forms up to
+    # order 7, and those whose new vertex has maximum degree 3,132.  The
+    # (degree, neighbour-degree sum) key and one extension per orbit of
+    # the parent's automorphisms leave 1,307, for one automorphism search
+    # on each parent of order 2 to 6 (207).
+    extensions = parents = 0
+    inside = False
+    real_form, real_search = oracle.canonical_graph, oracle._search
 
-    def counted(g, budget=None):
-        nonlocal calls
-        calls += 1
-        return real(g, budget)
+    def form(g, budget=None):
+        nonlocal extensions, inside
+        extensions += 1
+        inside = True
+        try:
+            return real_form(g, budget)
+        finally:
+            inside = False
 
-    monkeypatch.setattr(oracle, "canonical_graph", counted)
+    def search(g, bud):
+        nonlocal parents
+        parents += not inside
+        return real_search(g, bud)
+
+    monkeypatch.setattr(oracle, "canonical_graph", form)
+    monkeypatch.setattr(oracle, "_search", search)
     assert len(enumerate_graphs(7)) == 1044
-    assert calls == 3132
+    assert (extensions, parents) == (1307, 207)
+
+
+def _assert_automorphisms(g):
+    """Every automorphism the search reports permutes g's vertices and maps
+    each edge of g to an edge, in g's own labels; returns how many."""
+    _, autos = oracle._search(g, Budget(500_000))
+    edges = set(g.edges())
+    for auto in autos:
+        assert sorted(auto) == list(range(g.order)), g
+        for u, v in edges:
+            assert g.has_edge(auto[u], auto[v]), (g, auto)
+    return len(autos)
+
+
+def test_parent_search_automorphisms_are_in_the_parents_labels():
+    # _grow prunes extensions of a parent with these automorphisms, so one
+    # read in other labels (say, those of a clique union's generic
+    # canonical form) would drop classes.
+    for order in range(2, 8):
+        for g in enumerate_graphs(order):
+            _assert_automorphisms(g)
+    rng = random.Random(17)
+    for order in range(2, 9):
+        for sizes in oracle._partitions(order):
+            union = build(CliqueUnion(sizes))
+            for g in (union, _shuffled(union, rng)):
+                # every clique union of order 2 or more has a nontrivial
+                # automorphism, and the search finds one
+                assert _assert_automorphisms(g) > 0, (sizes, g)
+                assert _assert_automorphisms(complement(g)) > 0, (sizes, g)
 
 
 def test_symmetric_stragglers_finish_in_few_nodes():
