@@ -21,10 +21,10 @@ _MODULES = {
         "Path", "Cycle", "Wheel", "Jahangir", "DisjointPaths", "CliqueUnion",
         "Complete", "PatternSpec", "build", "parse_spec", "TheoremCase", "Thm1",
         "Thm2EvenM", "Thm2OddM", "Thm3", "PreconditionError", "MaximalityViolation",
-        "extremal_graph", "require_thresholds",
+        "BudgetExhausted", "extremal_graph", "require_thresholds",
     ),
     "embedding": (
-        "Budget", "BudgetExhausted", "DEFAULT_BUDGET", "Embedding", "check_embedding",
+        "Budget", "DEFAULT_BUDGET", "Embedding", "check_embedding",
         "SubgraphSearch", "find_subgraph", "fits_complete_multipartite", "longest_path",
     ),
     "witness": (

@@ -26,6 +26,7 @@ import sys
 from pathlib import Path
 
 from .families import (
+    BudgetExhausted,
     MaximalityViolation,
     TheoremCase,
     Thm1,
@@ -273,12 +274,7 @@ def run(argv: list[str] | None = None) -> int:
     except MaximalityViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except RuntimeError as exc:
-        # BudgetExhausted comes from the search engines' module, which a
-        # command that runs no search (``build``) never loads.
-        engines = sys.modules.get(f"{__package__}.embedding")
-        if engines is None or not isinstance(exc, engines.BudgetExhausted):
-            raise
+    except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (ValueError, OSError) as exc:

@@ -15,16 +15,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .families import Path, PatternSpec, build
+from .families import BudgetExhausted, Path, PatternSpec, build
 from .graphs import Frozen, Graph, component_masks, iter_bits
 
 DEFAULT_BUDGET = 50_000_000
 
 PathWitness = tuple[int, ...]
-
-
-class BudgetExhausted(RuntimeError):
-    """A search ran out of its expansion budget before settling the question."""
 
 
 _EXHAUSTED = "search expansion budget exhausted"

@@ -229,6 +229,8 @@ def parse_spec(text: str) -> PatternSpec:
 # dichotomy covers, and the clique sizes of the extremal graph, a lower-bound
 # witness for every n >= 2 whose order plus one is R.  `require_thresholds`
 # holds the n and host-order hypotheses the extractors in `witness` add.
+# The three exceptions below are the package's contract failures; they live
+# here so that the command line names each without loading a search engine.
 # ---------------------------------------------------------------------------
 
 
@@ -248,6 +250,10 @@ class MaximalityViolation(RuntimeError):
     def __init__(self, message: str, trace: ExtractionTrace | None = None):
         super().__init__(message)
         self.trace = trace
+
+
+class BudgetExhausted(RuntimeError):
+    """A search ran out of its expansion budget before settling the question."""
 
 
 def _need(condition: bool, message: str) -> None:

@@ -15,8 +15,8 @@ import json
 from collections import Counter
 from math import factorial, gcd
 
-from .embedding import Budget, BudgetExhausted, find_subgraph
-from .families import CliqueUnion, PatternSpec, build, parse_spec
+from .embedding import Budget, find_subgraph
+from .families import BudgetExhausted, CliqueUnion, PatternSpec, build, parse_spec
 from .graphs import (
     Frozen,
     Graph,

@@ -373,6 +373,16 @@ def test_complete_bipartite_with_an_odd_cycle_settles(a, b, extra, stop, length)
     assert len(longest_path(host, Budget(10_000), stop=stop)) == length
 
 
+def test_the_dead_state_memo_settles_a_bipartite_host_with_a_matching():
+    # K_{5,14} with a perfect matching inside the 14-side: the longest path
+    # puts two matched vertices between consecutive 5-side vertices, 5 + 12.
+    # The memo of dead states settles it in about 29k nodes; without it the
+    # search takes about 870k.
+    matching = [(v, v + 1) for v in range(5, 19, 2)]
+    host = _complete_bipartite_plus(random.Random(0), 5, 14, matching)
+    assert len(longest_path(host, Budget(100_000))) == 17
+
+
 def test_complete_bipartite_stall_is_settled():
     # K_{10,30} holds no P23; its longest path alternates sides, 11 + 10.
     host = shuffled_complete_bipartite(random.Random(3), 10, 30)

@@ -7,11 +7,16 @@ reports the modules that importing ``ramsey_jahangir.cli`` added to
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from ramsey_jahangir import to_graph6
+
+from helpers_naive import shuffled_complete_bipartite
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -35,6 +40,8 @@ ORACLE = "ramsey_jahangir.oracle"
 WITNESS = "ramsey_jahangir.witness"
 EMBEDDING = "ramsey_jahangir.embedding"
 EDGELESS_25 = "X" + "?" * 50  # graph6 of the edgeless graph on 25 vertices
+# graph6 of K_{10,30}, labels shuffled: the path search needs more than 5 nodes
+K10_30 = to_graph6(shuffled_complete_bipartite(random.Random(5), 10, 30))
 
 
 def _probe(argv: list[str], stdin: str = "") -> tuple[int, set[str], set[str]]:
@@ -62,8 +69,10 @@ def test_importing_the_cli_loads_no_engine_and_build_loads_none_either():
         (["witness", "-", "--theorem", "1", "-n", "23", "-s", "2", "-m", "3"],
          EDGELESS_25, 0, WITNESS, ORACLE),
         (["ramsey", "P4", "J2,2", "--cap", "5"], "", 5, ORACLE, WITNESS),
+        (["witness", "-", "--theorem", "1", "-n", "23", "-s", "2", "-m", "3",
+          "--budget", "5"], K10_30, 4, WITNESS, ORACLE),
     ],
-    ids=["witness", "ramsey"],
+    ids=["witness", "ramsey", "witness-budget"],
 )
 def test_each_command_loads_only_its_own_engine(argv, stdin, code, loaded, unloaded):
     got, imported, ran = _probe(argv, stdin)

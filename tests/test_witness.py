@@ -698,22 +698,42 @@ def test_lifted_trace_keeps_unserialized_fields():
 # ------------------------------------------------- extremal lower bounds
 
 
+_CAPACITY = "path-capacity-by-components"
+_PATH_SEARCH = "path-absence-by-search"
+_COLOURING = "jahangir-vs-multipartite-complement"
+_JAHANGIR_SEARCH = "jahangir-absence-by-search"
+
+
 def test_extremal_constructions_all_check_out():
-    cases = [
-        Thm1(23, 2, 3),
-        Thm1(29, 2, 4),
-        Thm1(56, 4, 3),
-        Thm2EvenM(12, 3, 2),
-        Thm2OddM(32, 3, 3),
-        Thm3(2, 23, 2, 3),
-    ]
-    for case in cases:
+    # Searches run up to order 30; above it the clique union's colouring
+    # argument is the complement side's whole case.
+    cases = {
+        Thm1(23, 2, 3): (_CAPACITY, _PATH_SEARCH, _COLOURING, _JAHANGIR_SEARCH),
+        Thm1(29, 2, 4): (_CAPACITY, _COLOURING),
+        Thm1(56, 4, 3): (_CAPACITY, _COLOURING),
+        Thm2EvenM(12, 3, 2): (_CAPACITY, _PATH_SEARCH, _COLOURING, _JAHANGIR_SEARCH),
+        Thm2OddM(32, 3, 3): (_CAPACITY, _COLOURING),
+        Thm3(2, 23, 2, 3): (_CAPACITY, _COLOURING),
+    }
+    for case, names in cases.items():
         report = verify_extremal(case)
         assert report.ok, (case, report.checks)
         assert report.reason is None
-        named = dict(report.checks)
-        assert named["path-capacity-by-components"]
-        assert named["jahangir-vs-multipartite-complement"]
+        assert tuple(name for name, _ in report.checks) == names, case
+
+
+@pytest.mark.parametrize(
+    "case, k",
+    [(Thm1(23, 2, 3), 3), (Thm1(23, 2, 4), 4), (Thm3(2, 23, 2, 4), 4)],
+    ids=["Thm1-J2,3", "Thm1-J2,4", "Thm3-J2,4"],
+)
+def test_extremal_audit_accepts_a_balanced_clique_union(case, k):
+    # The complement of K_k + K_k is K_{k,k}, which holds the rim cycle but
+    # no Jahangir: a graph the audit must pass, whatever the regime.
+    report = verify_extremal(case, graph=disjoint_union(complete(k), complete(k)))
+    assert report.ok, report.checks
+    named = dict(report.checks)
+    assert named[_COLOURING] and named[_JAHANGIR_SEARCH]
 
 
 def test_extremal_disjoint_paths_fail_fast_on_component_capacity():
