@@ -5,17 +5,18 @@ attempted assignments, not wall time); running out is reported explicitly,
 never silently converted into an "absent" answer.
 
 :func:`longest_path` is the one path search: with ``stop=n`` it finds a
-``P_n`` or, failing that, a maximum path, and :func:`find_subgraph` asks
-it for every ``Path(n)`` pattern.  ``t . P_n`` is the pattern
-``DisjointPaths(t, n)`` for :func:`find_subgraph`; for t > 1 the extremal
-audit's path side is the component-capacity argument alone.
+``P_n`` or, failing that, a maximum path.  ``t . P_n`` is the pattern
+``DisjointPaths(t, n)``, and ``Path(n)`` is ``DisjointPaths(1, n)``;
+:func:`find_subgraph` asks the path search for every one-path pattern and
+places the others vertex by vertex.  For t > 1 the extremal audit's path
+side is the component-capacity argument alone.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .families import BudgetExhausted, Path, PatternSpec, build
+from .families import BudgetExhausted, DisjointPaths, PatternSpec, build
 from .graphs import Frozen, Graph, component_masks, iter_bits
 
 DEFAULT_BUDGET = 50_000_000
@@ -105,17 +106,19 @@ def find_subgraph(host: Graph, spec: PatternSpec, budget: int | Budget | None = 
     Returns status "present" with a verified embedding, "absent" after an
     exhaustive search, or "unknown" if the expansion budget ran out.  A
     pattern with more vertices than the host is absent without a search.
-    ``Path(n)`` goes to the path engine, ``longest_path(host, budget,
-    stop=n)``, whose pruning settles it in far fewer nodes; the path it
-    returns is the embedding.  Every other pattern is placed vertex by
-    vertex in the order of :func:`_search_order`.
+    A one-path pattern, ``Path(n)`` or ``DisjointPaths(1, n)``, goes to the
+    path engine, ``longest_path(host, budget, stop=n)``, whose pruning
+    settles it in far fewer nodes; the path it returns is the embedding.
+    Every other pattern is placed vertex by vertex in the order of
+    :func:`_search_order`.
     """
     bud = Budget.coerce(budget)
     p = spec.order
     if p > host.order:
         return SubgraphSearch("absent")
     try:
-        if isinstance(spec, Path):  # the path it finds, shorter when there is none
+        if isinstance(spec, DisjointPaths) and spec.t == 1:
+            # the path it finds, shorter when there is none
             image = longest_path(host, bud, stop=p)
         else:
             image = _place(host, spec, bud)

@@ -1,9 +1,9 @@
 """Parametric pattern families and the extremal clique-union constructions.
 
 Patterns carry a canonical labeling that the rest of the package relies on:
-paths and cycles are numbered along the traversal, wheels and Jahangir
-graphs number the rim 0..sm-1 with the hub last, and the Jahangir spokes
-sit at rim positions 0, s, 2s, ...
+paths and cycles are numbered along the traversal (``tP_n`` path by path),
+wheels and Jahangir graphs number the rim 0..sm-1 with the hub last, and
+the Jahangir spokes sit at rim positions 0, s, 2s, ...
 """
 
 from __future__ import annotations
@@ -34,25 +34,6 @@ class _Family(Frozen):
     @property
     def hub(self) -> int | None:
         return None
-
-
-class Path(_Family):
-    n: int
-    SYNTAX = re.compile(r"P(\d+)")
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("path needs n >= 1")
-
-    @property
-    def order(self) -> int:
-        return self.n
-
-    def text(self) -> str:
-        return f"P{self.n}"
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(i, i + 1) for i in range(self.n - 1)]
 
 
 class Cycle(_Family):
@@ -133,11 +114,14 @@ class Jahangir(_Family):
 
 
 class DisjointPaths(_Family):
-    """t vertex-disjoint paths, each on n vertices."""
+    """t vertex-disjoint paths on n vertices each; ``Path(n)`` is t = 1.
+
+    ``P23`` and ``1P23`` parse to ``Path(23)``, which prints as ``P23``.
+    """
 
     t: int
     n: int
-    SYNTAX = re.compile(r"(\d+)P(\d+)")
+    SYNTAX = re.compile(r"(\d*)P(\d+)")
 
     def __post_init__(self) -> None:
         if self.t < 1:
@@ -145,19 +129,22 @@ class DisjointPaths(_Family):
         if self.n < 1:
             raise ValueError("path needs n >= 1")
 
+    @classmethod
+    def from_match(cls, match: re.Match[str]) -> DisjointPaths:
+        return cls(int(match[1] or 1), int(match[2]))
+
     @property
     def order(self) -> int:
         return self.t * self.n
 
     def text(self) -> str:
-        return f"{self.t}P{self.n}"
+        return f"P{self.n}" if self.t == 1 else f"{self.t}P{self.n}"
 
     def edges(self) -> list[tuple[int, int]]:
-        block = Path(self.n).edges()
         return [
-            (base + u, base + v)
+            (base + i, base + i + 1)
             for base in range(0, self.order, self.n)
-            for u, v in block
+            for i in range(self.n - 1)
         ]
 
 
@@ -193,12 +180,17 @@ class CliqueUnion(_Family):
         return out
 
 
+def Path(n: int) -> DisjointPaths:
+    """P_n, the one-path union; ``P5`` and ``1P5`` parse to the same value."""
+    return DisjointPaths(1, n)
+
+
 def Complete(n: int) -> CliqueUnion:
     """K_n, the one-clique union; ``K5`` parses to the same value."""
     return CliqueUnion((n,))
 
 
-PatternSpec = Path | Cycle | Wheel | Jahangir | DisjointPaths | CliqueUnion
+PatternSpec = Cycle | Wheel | Jahangir | DisjointPaths | CliqueUnion
 
 
 def build(spec: PatternSpec) -> Graph:

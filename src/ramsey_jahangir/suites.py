@@ -23,10 +23,13 @@ Host recipes (frozen: changing any detail would silently break replay):
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
-from .embedding import Budget
 from .families import TheoremCase, Thm1, Thm2EvenM, Thm2OddM, Thm3
 from .graphs import Frozen, Graph, from_edges, relabel, to_graph6
+
+if TYPE_CHECKING:
+    from .embedding import Budget
 
 SUITE_COMPONENT_CAP = 20
 

@@ -124,33 +124,45 @@ def test_find_subgraph_agrees_with_injections():
             assert got == ("present" if want else "absent"), (host, spec)
 
 
-def test_path_patterns_go_to_the_path_engine_and_agree_with_injections():
-    """``Path(n)`` is answered by ``longest_path(host, budget, stop=n)``:
-    on every class of order at most 6 and its complement, the answer is
-    brute force's, a present path checks out, the nodes spent are the path
-    engine's, and one node fewer gives "unknown", never "absent"."""
+def test_path_patterns_go_to_the_path_engine_and_agree_with_injections(monkeypatch):
+    """A one-path pattern, spelt ``Path(n)`` or ``DisjointPaths(1, n)``, is
+    answered by ``longest_path(host, budget, stop=n)``: on every class of
+    order at most 6 and its complement, the answer is brute force's, a
+    present path checks out, the nodes spent are the path engine's, one
+    node fewer gives "unknown", never "absent", and the generic placement
+    search never runs."""
+    def refuse(*args):
+        raise AssertionError("a path pattern reached the placement search")
+
+    monkeypatch.setattr(embedding_module, "_place", refuse)
+    monkeypatch.setattr(embedding_module, "build", refuse)
     for order in range(7):
         for g in enumerate_graphs(order):
             for host in (g, complement(g)):
                 for n in range(1, 8):
-                    spec = Path(n)
-                    want = contains_by_injections(host, n, spec.edges())
-                    bud = Budget(1 << 30)
-                    res = find_subgraph(host, spec, bud)
-                    assert res.status == ("present" if want else "absent"), (host, n)
-                    if want:
-                        assert check_embedding(host, res.embedding) is None
-                    spent = (1 << 30) - bud.remaining
-                    if n > order:
-                        assert spent == 0
-                        continue
-                    engine = Budget(1 << 30)
-                    longest_path(host, engine, stop=n)
-                    assert spent == (1 << 30) - engine.remaining, (host, n)
-                    if spent > 1:
-                        starved = find_subgraph(host, spec, Budget(spent - 1))
-                        assert starved.status == "unknown", (host, n)
-                        assert starved.embedding is None
+                    for spec in (Path(n), DisjointPaths(1, n)):
+                        _assert_path_route(host, spec)
+
+
+def _assert_path_route(host, spec):
+    n = spec.n
+    want = contains_by_injections(host, n, spec.edges())
+    bud = Budget(1 << 30)
+    res = find_subgraph(host, spec, bud)
+    assert res.status == ("present" if want else "absent"), (host, spec)
+    if want:
+        assert check_embedding(host, res.embedding) is None
+    spent = (1 << 30) - bud.remaining
+    if n > host.order:
+        assert spent == 0
+        return
+    engine = Budget(1 << 30)
+    longest_path(host, engine, stop=n)
+    assert spent == (1 << 30) - engine.remaining, (host, spec)
+    if spent > 1:
+        starved = find_subgraph(host, spec, Budget(spent - 1))
+        assert starved.status == "unknown", (host, spec)
+        assert starved.embedding is None
 
 
 def test_longest_path_known_values():
@@ -381,6 +393,20 @@ def test_the_dead_state_memo_settles_a_bipartite_host_with_a_matching():
     matching = [(v, v + 1) for v in range(5, 19, 2)]
     host = _complete_bipartite_plus(random.Random(0), 5, 14, matching)
     assert len(longest_path(host, Budget(100_000))) == 17
+
+
+@pytest.mark.parametrize("a, b, length", [(10, 30, 21), (8, 24, 17)], ids=["K10,30", "K8,24"])
+def test_the_side_count_bound_settles_a_complete_bipartite_host_less_a_matching(a, b, length):
+    # K_{a,b} less the matching (i, a+i), i < a: a path alternates sides, so
+    # 2a + 1 vertices.  The side-count bound settles it in a few hundred
+    # nodes; reachability alone, twins and dead ends exhaust millions, so
+    # the path is checked against the frozen full-count search with the
+    # bound, not against the reachability-only reference.
+    cross = [(u, a + v) for u in range(a) for v in range(b) if u != v]
+    host = _relabelled(random.Random(0), a + b, cross)
+    path = longest_path(host, Budget(10_000))
+    assert len(path) == length
+    assert path == longest_path_full_bound(host, Budget(1 << 30))
 
 
 def test_complete_bipartite_stall_is_settled():

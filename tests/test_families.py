@@ -114,6 +114,8 @@ def test_format_round_trip():
     ]
     for spec in specs:
         assert parse_spec(spec.text()) == spec
+    # one path is one value with one text, however it is spelt
+    assert Path(5) == DisjointPaths(1, 5) and DisjointPaths(1, 5).text() == "P5"
 
 
 def test_parse_spec_text():
@@ -121,6 +123,8 @@ def test_parse_spec_text():
     assert parse_spec("p23") == Path(23)  # case-insensitive
     assert parse_spec("J2,3") == Jahangir(2, 3)
     assert parse_spec("2P23") == DisjointPaths(2, 23)
+    assert parse_spec("1P5") == parse_spec("P5") == Path(5) == DisjointPaths(1, 5)
+    assert parse_spec("1p5").text() == "P5"
     assert parse_spec("K5") == Complete(5) == CliqueUnion((5,))
     assert parse_spec("K3+K1") == CliqueUnion((3, 1))
     assert parse_spec("k3+k1") == CliqueUnion((3, 1))

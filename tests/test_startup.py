@@ -39,6 +39,7 @@ print(json.dumps({
 ORACLE = "ramsey_jahangir.oracle"
 WITNESS = "ramsey_jahangir.witness"
 EMBEDDING = "ramsey_jahangir.embedding"
+SUITES = "ramsey_jahangir.suites"
 EDGELESS_25 = "X" + "?" * 50  # graph6 of the edgeless graph on 25 vertices
 # graph6 of K_{10,30}, labels shuffled: the path search needs more than 5 nodes
 K10_30 = to_graph6(shuffled_complete_bipartite(random.Random(5), 10, 30))
@@ -67,15 +68,17 @@ def test_importing_the_cli_loads_no_engine_and_build_loads_none_either():
     "argv, stdin, code, loaded, unloaded",
     [
         (["witness", "-", "--theorem", "1", "-n", "23", "-s", "2", "-m", "3"],
-         EDGELESS_25, 0, WITNESS, ORACLE),
-        (["ramsey", "P4", "J2,2", "--cap", "5"], "", 5, ORACLE, WITNESS),
+         EDGELESS_25, 0, WITNESS, {ORACLE}),
+        (["ramsey", "P4", "J2,2", "--cap", "5"], "", 5, ORACLE, {WITNESS}),
         (["witness", "-", "--theorem", "1", "-n", "23", "-s", "2", "-m", "3",
-          "--budget", "5"], K10_30, 4, WITNESS, ORACLE),
+          "--budget", "5"], K10_30, 4, WITNESS, {ORACLE}),
+        # the help lists the suites, and running none needs no engine
+        (["suite", "--help"], "", 0, SUITES, {ORACLE, WITNESS, EMBEDDING}),
     ],
-    ids=["witness", "ramsey", "witness-budget"],
+    ids=["witness", "ramsey", "witness-budget", "suite-help"],
 )
 def test_each_command_loads_only_its_own_engine(argv, stdin, code, loaded, unloaded):
     got, imported, ran = _probe(argv, stdin)
     assert got == code
     assert loaded in ran
-    assert unloaded not in imported | ran
+    assert not unloaded & (imported | ran)
