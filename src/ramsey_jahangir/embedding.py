@@ -85,6 +85,13 @@ class SubgraphSearch(Frozen):
     status: str
     embedding: Embedding | None = None
 
+    def decided(self, spec: PatternSpec, where: str) -> bool:
+        """True when present, False when absent; an unknown outcome raises
+        :class:`BudgetExhausted` naming ``spec`` and ``where`` it was sought."""
+        if self.status == "unknown":
+            raise BudgetExhausted(f"undecided: {spec.text()} in {where}")
+        return self.status == "present"
+
 
 def _search_order(spec: PatternSpec) -> list[int]:
     """Pattern vertices in a connectivity-respecting order.

@@ -16,7 +16,7 @@ from collections import Counter
 from math import factorial, gcd
 
 from .embedding import Budget, find_subgraph
-from .families import BudgetExhausted, CliqueUnion, PatternSpec, build, parse_spec
+from .families import CliqueUnion, PatternSpec, build, parse_spec
 from .graphs import (
     Frozen,
     Graph,
@@ -446,21 +446,11 @@ def _sweep(
         digest.update(code.encode("ascii"))
         digest.update(b"\n")
         checked += 1
-        in_f = find_subgraph(f, g_spec, bud)
-        if in_f.status == "present":
+        where = f"class {checked} of order {order}"
+        if find_subgraph(f, g_spec, bud).decided(g_spec, where):
             continue
-        if in_f.status == "unknown":
-            raise BudgetExhausted(
-                f"undecided: {g_spec.text()} in class {checked} of order {order}"
-            )
-        in_co = find_subgraph(complement(f), h_spec, bud)
-        if in_co.status == "present":
+        if find_subgraph(complement(f), h_spec, bud).decided(h_spec, f"complement of {where}"):
             continue
-        if in_co.status == "unknown":
-            raise BudgetExhausted(
-                f"undecided: {h_spec.text()} in complement of class {checked}"
-                f" of order {order}"
-            )
         return ArrowsReport(
             order,
             False,
@@ -629,10 +619,7 @@ def certificate_from_json(
         (complement(witness), h_spec, "lower witness complement", "second"),
     )
     for host, spec, where, which in sides:
-        status = find_subgraph(host, spec, bud).status
-        if status == "unknown":
-            raise BudgetExhausted(f"undecided: {spec.text()} in the {where}")
-        if status == "present":
+        if find_subgraph(host, spec, bud).decided(spec, "the " + where):
             raise CertificateError(f"{where} contains the {which} pattern")
     if not upper.holds:
         raise CertificateError("upper sweep does not claim to hold")

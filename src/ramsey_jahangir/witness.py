@@ -296,7 +296,10 @@ def _endpoint_witness(
     """
     sm = s * m
     count = (sm - 1) // 2
-    system = build_path_system(g, count, bud, within=alive, searched=searched)
+    try:
+        system = build_path_system(g, count, bud, within=alive, searched=searched)
+    except PreconditionError as exc:
+        raise MaximalityViolation(str(exc), ExtractionTrace(theorem, case, k, (), ())) from None
     base = ExtractionTrace(theorem, case, k, system.paths, system.augmented_edges)
     spares = sm - 2 * count + 1
     if len(system.remainder) < spares:
@@ -647,31 +650,33 @@ def verify_extremal(
     ``graph`` when supplied) holds no target path structure and its
     complement holds no target Jahangir.  The path side argues through
     component sizes (a path lies in one component), which for ``t > 1`` is
-    the whole argument; for ``t == 1`` a longest-path search cross-checks
-    it.  When the graph is a clique union, its complement is complete
-    multipartite, and containment there is exactly a capped colouring of
-    the Jahangir; explicit search cross-checks it.  The case is read only
-    through ``n``, ``t``, ``s``, ``m`` and its extremal graph.  Searches run
-    whenever the order allows them, and every check lands in the report
-    either way.
+    the whole argument; for ``t == 1`` a path search cross-checks it.  A
+    clique union's complement is complete multipartite, and containment
+    there is exactly a capped colouring of the Jahangir; search
+    cross-checks it.  The case is read only through ``n``, ``t``, ``s``,
+    ``m`` and its extremal graph.  Searches run whenever the order allows
+    them.  One that runs out of budget fails no check: it raises
+    :class:`BudgetExhausted` naming the undecided pattern.
     """
     bud = Budget.coerce(budget)
     g = extremal_graph(case) if graph is None else graph
-    n, t, s, m = case.n, case.t, case.s, case.m
+    n, t, jahangir = case.n, case.t, Jahangir(case.s, case.m)
     checks: list[tuple[str, bool]] = []
 
     capacity = sum(c.bit_count() // n for c in component_masks(g))
     checks.append(("path-capacity-by-components", capacity < t))
     if t == 1 and g.order <= _SEARCH_ORDER_CAP:
-        checks.append(("path-absence-by-search", len(longest_path(g, bud, stop=n)) < n))
+        found = find_subgraph(g, Path(n), bud).decided(Path(n), "the audited graph")
+        checks.append(("path-absence-by-search", not found))
 
     parts = clique_union_sizes(g)
     if parts is not None:
-        fits = fits_complete_multipartite(build(Jahangir(s, m)), parts)
+        fits = fits_complete_multipartite(build(jahangir), parts)
         checks.append(("jahangir-vs-multipartite-complement", not fits))
     if g.order <= _SEARCH_ORDER_CAP:
-        result = find_subgraph(complement(g), Jahangir(s, m), bud)
-        checks.append(("jahangir-absence-by-search", result.status == "absent"))
+        co = complement(g)
+        found = find_subgraph(co, jahangir, bud).decided(jahangir, "the audited graph's complement")
+        checks.append(("jahangir-absence-by-search", not found))
     elif parts is None:
         # Too large to search and not a clique union: nothing left to argue.
         checks.append(("complement-side-undecided", False))

@@ -201,6 +201,17 @@ def test_witness_maximality_exit(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_witness_forced_run_out_of_host_exits_3(monkeypatch, capsys):
+    # P3 + K1 holds one short path where Case 1 peels two: the forced
+    # construction fails as a maximality violation, not a precondition.
+    host = disjoint_union(build(Path(3)), empty(1))
+    monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(host) + "\n"))
+    rc = run(["witness", "-", "--theorem", "1", "-n", "23", "-s", "2", "-m", "3",
+              "--force"])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: host exhausted after 1 of 2 paths\n"
+
+
 def test_witness_budget_exit(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(triangles_code() + "\n"))
     rc = run(["witness", "-", "--theorem", "1", "-n", "23", "-s", "2", "-m", "3",
@@ -245,6 +256,13 @@ def test_ramsey_scan_bytes_are_pinned(capsys, path, cap, digest):
     assert run(["ramsey", path, "J2,2", "--cap", cap]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_ramsey_undecided_class_exits_4(capsys):
+    assert run(["ramsey", "P6", "J2,2", "--cap", "9", "--budget", "500"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: undecided: P6 in class 24 of order 6\n"
 
 
 def test_ramsey_indeterminate_exit(capsys):

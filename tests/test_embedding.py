@@ -94,6 +94,17 @@ def test_find_subgraph_budget_exhaustion_reports_unknown():
     assert res.embedding is None
 
 
+def test_decided_answers_present_and_absent_and_raises_on_unknown():
+    c5 = build(Cycle(5))
+    assert find_subgraph(c5, Path(5)).decided(Path(5), "C5") is True
+    assert find_subgraph(c5, Cycle(4)).decided(Cycle(4), "C5") is False
+    host = random_graph(random.Random(1), 12, 0.5)
+    unknown = find_subgraph(host, Jahangir(2, 3), budget=1)
+    with pytest.raises(BudgetExhausted) as info:
+        unknown.decided(Jahangir(2, 3), "a random host")
+    assert str(info.value) == "undecided: J2,3 in a random host"
+
+
 def test_find_subgraph_rejects_a_larger_pattern_before_building_it(monkeypatch):
     # A pattern with more vertices than the host is absent by its order
     # alone, and building a long one takes seconds (P12000).

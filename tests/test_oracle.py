@@ -279,6 +279,18 @@ def test_ramsey_indeterminate_carries_context():
     assert not exc.last.holds
 
 
+def test_ramsey_sweep_out_of_budget_names_the_undecided_class():
+    # The budget is shared over the scan: 5 nodes run dry on the complement
+    # side at order 5, 500 on the path side at order 6.
+    for budget, message in [
+        (5, "undecided: J2,2 in complement of class 2 of order 5"),
+        (500, "undecided: P6 in class 24 of order 6"),
+    ]:
+        with pytest.raises(BudgetExhausted) as info:
+            ramsey(Path(6), Jahangir(2, 2), 9, budget=budget)
+        assert str(info.value) == message
+
+
 def test_ramsey_cap_validation():
     with pytest.raises(ValueError):
         ramsey(Path(3), Path(3), cap=1)
@@ -339,6 +351,20 @@ def test_certificate_rejects_tampering():
 
     with pytest.raises(CertificateError):
         certificate_from_json("not json at all")
+
+    # each upper-sweep claim and the header are checked, not just typed
+    up = doc["upper"]
+    rejected = [
+        ("no field 'h'", {key: v for key, v in doc.items() if key != "h"}),
+        ("malformed certificate", dict(doc, g="Q7")),
+        ("does not claim to hold", dict(doc, upper=dict(up, holds=False))),
+        ("upper sweep at order 6, expected 7", dict(doc, upper=dict(up, order=6))),
+        ("cannot carry a counterexample", dict(doc, upper=dict(up, counterexample="E???"))),
+        ("sha256-prefixed", dict(doc, upper=dict(up, checksum=up["checksum"][7:]))),
+    ]
+    for message, tampered in rejected:
+        with pytest.raises(CertificateError, match=message):
+            certificate_from_json(json.dumps(tampered))
 
     # every field has its JSON type, and the error names it; a bool is no
     # integer

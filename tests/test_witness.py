@@ -35,6 +35,7 @@ import ramsey_jahangir.embedding as embedding_module
 import ramsey_jahangir.witness as witness_module
 from ramsey_jahangir.witness import (
     _assemble_endpoint_rim,
+    _theorem1,
     _theorem2_oddm_case2,
     build_path_system,
 )
@@ -403,6 +404,70 @@ def test_force_skips_preconditions_and_may_fail_loudly():
     assert info.value.trace.case == "edgeless-host"
 
 
+@pytest.mark.parametrize(
+    "case, theorem, case_name, message",
+    [
+        (Thm1(23, 2, 3), "Thm1", "Thm1-Case1", "host exhausted after 1 of 2 paths"),
+        (Thm2OddM(32, 3, 3), "Thm2", "Thm2-OddM-Case1", "host exhausted after 1 of 4 paths"),
+    ],
+    ids=["Thm1", "Thm2OddM"],
+)
+def test_forced_run_out_of_host_is_a_maximality_violation(case, theorem, case_name, message):
+    # P3 + K1: the endpoint rim peels more short paths than the host holds
+    host = disjoint_union(build(Path(3)), empty(1))
+    with pytest.raises(MaximalityViolation, match=f"^{message}$") as info:
+        extract(host, case, force=True)
+    trace = info.value.trace
+    assert (trace.theorem, trace.case, trace.k) == (theorem, case_name, 3)
+
+
+def test_long_path_rim_needs_vertices_outside_the_path():
+    with pytest.raises(MaximalityViolation) as info:
+        extract(build(Path(20)), Thm1(23, 2, 3), force=True)
+    assert str(info.value) == "need 3 vertices outside the maximum path, found 0"
+    assert info.value.trace.case == "Thm1-Case2"
+    assert info.value.trace.paths == (tuple(range(20)),)
+
+
+def test_long_path_rim_fails_when_a_quadruple_touches_its_flanks():
+    # Hand a path of 12 and three outside vertices to the Case 2
+    # construction, with the first outside vertex adjacent to the whole of
+    # the first quadruple; a maximum path would not allow it.
+    first = tuple(range(12))
+    host = from_edges(15, [*zip(first, first[1:]), *((12, v) for v in first[1:5])])
+    with pytest.raises(MaximalityViolation) as info:
+        _theorem1(host, first, 2, 3, Budget(1000), (1 << 15) - 1, {})
+    assert str(info.value) == (
+        "every vertex of quadruple 1 touches one of its flanking outside vertices"
+    )
+    assert info.value.trace.case == "Thm1-Case2"
+    assert info.value.trace.selections == {"y1": 12, "y2": 13, "y3": 14}
+
+
+@pytest.mark.parametrize(
+    "outside, extra, message",
+    [
+        (1, [], "fewer than two vertices lie outside the two paths"),
+        (2, [(20, 0)], "hub candidate is host-adjacent to the first path's start"),
+        (2, [(19, 21)], "rim closer is host-adjacent to a fixed rim neighbour"),
+        (2, [(0, 21)], "rim closer is host-adjacent to a fixed rim neighbour"),
+        (2, [(20, 11), (20, 12)], "both vertices of couple B1 touch the hub candidate"),
+    ],
+    ids=["no-closer", "hub-touches-start", "closer-touches-end", "closer-touches-start",
+         "couple-touches-hub"],
+)
+def test_couple_rim_failures_carry_the_case(outside, extra, message):
+    # paths 0..9 and 10..19, then the hub candidate 20 and the closer 21
+    first, second = tuple(range(10)), tuple(range(10, 20))
+    edges = [*zip(first, first[1:]), *zip(second, second[1:]), *extra]
+    host = from_edges(20 + outside, edges)
+    with pytest.raises(MaximalityViolation) as info:
+        _theorem2_oddm_case2(host, first, second, 3, 3)
+    assert str(info.value) == message
+    assert info.value.trace.case == "Thm2-OddM-Case2"
+    assert info.value.trace.paths == (first, second)
+
+
 def test_partial_traces_name_host_vertices():
     # The failing construction runs on what the first path leaves: K3 + K3
     # beside the K23 (round 2 of Thm3), and 4P3 beside the P8 (Case 3 of
@@ -757,6 +822,18 @@ def test_extremal_audit_spots_a_spoiled_graph():
     assert not report
     failed = {name for name, ok in report.checks if not ok}
     assert "path-capacity-by-components" in failed
+
+
+def test_extremal_audit_out_of_budget_raises_rather_than_fails():
+    # 21 nodes leave the path search undecided, 22 and 23 the Jahangir
+    # search; neither may turn into a failed check.
+    case = Thm1(23, 2, 3)
+    with pytest.raises(BudgetExhausted, match="^undecided: P23 in "):
+        verify_extremal(case, budget=21)
+    for budget in (22, 23):
+        with pytest.raises(BudgetExhausted, match="^undecided: J2,3 in "):
+            verify_extremal(case, budget=budget)
+    assert verify_extremal(case, budget=24).ok
 
 
 def test_extremal_orders():
