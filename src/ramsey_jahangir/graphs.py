@@ -7,6 +7,7 @@ couple of integer operations.
 
 from __future__ import annotations
 
+import binascii
 from collections.abc import Iterable, Iterator
 
 
@@ -323,8 +324,12 @@ _G6_MAX_SHORT = 62
 _G6_MAX_LONG = 258047
 # Each body byte spelled out as its six bits, most significant first.
 _G6_BITS = {63 + value: format(value, "06b") for value in range(64)}
-# And back: six bits to their body byte.
-_G6_CHARS = {bits: chr(code) for code, bits in _G6_BITS.items()}
+# base64 spells sextet value i as the i-th byte of its alphabet; graph6 as
+# byte 63 + i.
+_BASE64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)),
+)
 
 
 def to_graph6(g: Graph) -> str:
@@ -336,14 +341,19 @@ def to_graph6(g: Graph) -> str:
     else:
         raise Graph6Error(f"order {n} beyond supported graph6 headers")
     # Column by column, as from_graph6 reads them: column ``col`` is vertex
-    # col's mask of lower neighbours spelled out row 0 first.  The padded
-    # run is then cut into bytes six bits at a time.
+    # col's mask of lower neighbours spelled out row 0 first.  Zero padded
+    # to whole 24-bit quanta, the run converts to bytes that base64 cuts
+    # into sextets with no '=' padding; the table maps those onto graph6
+    # bytes, and the body keeps the sextets holding the run.
     adj = g.adj
     bits = "".join(
         [format(adj[col] & ((1 << col) - 1), f"0{col}b")[::-1] for col in range(1, n)]
     )
-    bits += "0" * (-len(bits) % 6)
-    return head + "".join([_G6_CHARS[bits[i : i + 6]] for i in range(0, len(bits), 6)])
+    nbits = len(bits)
+    bits += "0" * (-nbits % 24)
+    packed = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    body = binascii.b2a_base64(packed, newline=False).translate(_BASE64_TO_G6)
+    return head + body[: (nbits + 5) // 6].decode("ascii")
 
 
 def from_graph6(line: str) -> Graph:

@@ -18,6 +18,8 @@ Host recipes (frozen: changing any detail would silently break replay):
 * ``clique-paths`` -- two complete blocks of order ``n`` plus isolated
   padding, pushed through a Fisher-Yates shuffle of the labels.  These
   always fall on the path side.
+
+Each host is assembled as adjacency rows straight from these draws.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import random
 from typing import TYPE_CHECKING
 
 from .families import TheoremCase, Thm1, Thm2EvenM, Thm2OddM, Thm3
-from .graphs import Frozen, Graph, from_edges, relabel, to_graph6
+from .graphs import Frozen, Graph, to_graph6
 
 if TYPE_CHECKING:
     from .embedding import Budget
@@ -90,30 +92,30 @@ def generate_case(spec: SuiteSpec, seed: int, index: int) -> Graph:
     """Deterministic host number ``index`` of the suite run seeded ``seed``."""
     rng = random.Random(case_seed(seed, index))
     n = spec.case.n
+    rows = [0] * spec.order
     if spec.kind == "er-union":
-        edges: list[tuple[int, int]] = []
         base = 0
         for size in _block_sizes(rng, spec.order, n):
-            for u in range(size):
-                for v in range(u + 1, size):
+            end = base + size
+            for u in range(base, end):
+                for v in range(u + 1, end):
                     if rng.getrandbits(1):
-                        edges.append((base + u, base + v))
-            base += size
-        return from_edges(spec.order, edges)
-    if spec.kind == "clique-paths":
-        edges = []
-        for block in range(spec.case.t):
-            base = block * n
-            edges.extend(
-                (base + u, base + v)
-                for u in range(n)
-                for v in range(u + 1, n)
-            )
-        g = from_edges(spec.order, edges)
+                        rows[u] |= 1 << v
+                        rows[v] |= 1 << u
+            base = end
+    elif spec.kind == "clique-paths":
+        # Block b holds the vertices b*n .. b*n+n-1 before the shuffle, so
+        # after it each image in the block is adjacent to every other image.
         perm = list(range(spec.order))
         rng.shuffle(perm)
-        return relabel(g, perm)
-    raise ValueError(f"unknown suite kind {spec.kind!r}")
+        for block in range(spec.case.t):
+            images = perm[block * n : (block + 1) * n]
+            mask = sum(1 << v for v in images)
+            for v in images:
+                rows[v] = mask ^ 1 << v
+    else:
+        raise ValueError(f"unknown suite kind {spec.kind!r}")
+    return Graph(spec.order, tuple(rows))
 
 
 def run_suite(

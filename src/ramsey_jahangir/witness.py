@@ -160,6 +160,10 @@ def build_path_system(
     dict of earlier searches of ``f`` to reuse theirs.  The reuse is exact:
     a component's search depends only on its vertex set and stop length,
     so a repeat would return the same path.
+
+    A residual of fewer than two vertices before the ``count``-th path
+    raises :class:`PreconditionError`; its ``system`` attribute holds the
+    paths peeled until then.
     """
     if count < 1:
         raise ValueError("count >= 1 required")
@@ -171,9 +175,11 @@ def build_path_system(
     fabricated: list[tuple[int, int]] = []
     for _ in range(count):
         if remaining.bit_count() < 2:
-            raise PreconditionError(
-                f"host exhausted after {len(paths)} of {count} paths"
+            error = PreconditionError(f"host exhausted after {len(paths)} of {count} paths")
+            error.system = PathSystem(
+                tuple(paths), tuple(fabricated), tuple(iter_bits(remaining))
             )
+            raise error
         path = longest_path(f, bud, within=remaining, searched=searched)
         if len(path) < 2:
             # Edgeless residual: promise a two-vertex path on the two least
@@ -299,7 +305,9 @@ def _endpoint_witness(
     try:
         system = build_path_system(g, count, bud, within=alive, searched=searched)
     except PreconditionError as exc:
-        raise MaximalityViolation(str(exc), ExtractionTrace(theorem, case, k, (), ())) from None
+        peeled = exc.system
+        trace = ExtractionTrace(theorem, case, k, peeled.paths, peeled.augmented_edges)
+        raise MaximalityViolation(str(exc), trace) from None
     base = ExtractionTrace(theorem, case, k, system.paths, system.augmented_edges)
     spares = sm - 2 * count + 1
     if len(system.remainder) < spares:

@@ -11,9 +11,10 @@ package code kept as exact references: the longest-path search with its
 bound counted in full at every node (with and without the bipartite
 side-count bound), the graph6 decoder that reads one bit at a time, the
 symmetry check that walks every arc, the induced subgraph with its
-index map, the reference for searches restricted to a vertex mask, and
-the order in which the endpoint rim splits its spare vertices into rim
-spares and a hub.
+index map, the reference for searches restricted to a vertex mask, the
+order in which the endpoint rim splits its spare vertices into rim
+spares and a hub, and the suite host generator that builds an edge list
+(relabelled for ``clique-paths``).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from ramsey_jahangir import (
     to_graph6,
 )
 from ramsey_jahangir.graphs import Graph6Error, iter_bits
+from ramsey_jahangir.suites import SuiteSpec, _block_sizes, case_seed
 
 
 def naive_graph6(order: int, edges) -> str:
@@ -295,6 +297,37 @@ def count_classes_naive(n: int) -> int:
         edges = [pairs[b] for b in range(len(pairs)) if code >> b & 1]
         seen.add(to_graph6(canonical_graph(from_edges(n, edges))))
     return len(seen)
+
+
+def generate_case_reference(spec: SuiteSpec, seed: int, index: int) -> Graph:
+    """The suite host recipes as an edge list through ``from_edges``, the
+    ``clique-paths`` blocks then relabelled by the shuffled permutation."""
+    rng = random.Random(case_seed(seed, index))
+    n = spec.case.n
+    if spec.kind == "er-union":
+        edges: list[tuple[int, int]] = []
+        base = 0
+        for size in _block_sizes(rng, spec.order, n):
+            for u in range(size):
+                for v in range(u + 1, size):
+                    if rng.getrandbits(1):
+                        edges.append((base + u, base + v))
+            base += size
+        return from_edges(spec.order, edges)
+    if spec.kind == "clique-paths":
+        edges = []
+        for block in range(spec.case.t):
+            base = block * n
+            edges.extend(
+                (base + u, base + v)
+                for u in range(n)
+                for v in range(u + 1, n)
+            )
+        g = from_edges(spec.order, edges)
+        perm = list(range(spec.order))
+        rng.shuffle(perm)
+        return relabel(g, perm)
+    raise ValueError(f"unknown suite kind {spec.kind!r}")
 
 
 def grow_reference(level: list[Graph]) -> list[Graph]:

@@ -161,6 +161,11 @@ def test_graph6_matches_independent_encoder():
     for order, p in ((62, 0.5), (63, 0.5), (500, 0.5), (1200, 0.003)):
         g = random_graph(rng, order, p)
         assert to_graph6(g) == naive_graph6(order, g.edges())
+    # every residue of the body's bit count mod 6 and mod 24, sparse to dense
+    for order in range(71):
+        for p in (0.1, 0.5, 0.9):
+            g = random_graph(rng, order, p)
+            assert to_graph6(g) == naive_graph6(order, g.edges())
 
 
 def test_graph6_round_trip():

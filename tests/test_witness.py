@@ -85,8 +85,11 @@ def test_path_system_fabricates_on_edgeless_leftovers():
 
 
 def test_path_system_runs_out():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^host exhausted after 3 of 4 paths$") as info:
         build_path_system(empty(6), 4)
+    assert info.value.system.paths == ((0, 1), (2, 3), (4, 5))
+    assert info.value.system.augmented_edges == ((0, 1), (2, 3), (4, 5))
+    assert info.value.system.remainder == ()
 
 
 def test_path_system_within_a_vertex_mask_keeps_host_labels():
@@ -419,6 +422,8 @@ def test_forced_run_out_of_host_is_a_maximality_violation(case, theorem, case_na
         extract(host, case, force=True)
     trace = info.value.trace
     assert (trace.theorem, trace.case, trace.k) == (theorem, case_name, 3)
+    assert trace.paths == ((0, 1, 2),)
+    assert trace.augmented_edges == ()
 
 
 def test_long_path_rim_needs_vertices_outside_the_path():
