@@ -17,14 +17,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .families import BudgetExhausted, DisjointPaths, PatternSpec, build
-from .graphs import Frozen, Graph, component_masks, iter_bits
+from .graphs import Frozen, Graph, components, iter_bits
 
 DEFAULT_BUDGET = 50_000_000
 
 PathWitness = tuple[int, ...]
-
-
-_EXHAUSTED = "search expansion budget exhausted"
 
 
 class Budget:
@@ -40,7 +37,7 @@ class Budget:
     def spend(self) -> None:
         self.remaining -= 1
         if self.remaining < 0:
-            raise BudgetExhausted(_EXHAUSTED)
+            raise BudgetExhausted("search expansion budget exhausted")
 
     @classmethod
     def coerce(cls, budget: "int | Budget | None") -> "Budget":
@@ -185,8 +182,9 @@ def _place(host: Graph, spec: PatternSpec, bud: Budget) -> list[int] | None:
 # sides, so from an endpoint whose unvisited reachable set holds ``a``
 # vertices on the other side and ``b`` on its own, at most min(2a, 2b + 1)
 # more vertices fit: the side-count bound, which settles K_{10,30} (no P23)
-# in a few dozen nodes where reachability alone cannot.  A dead end, a free
-# vertex with at most one neighbour among the free vertices and the
+# in a few dozen nodes where reachability alone cannot.  The sides come from
+# the BFS that finds the components (``graphs.components``).  A dead end, a
+# free vertex with at most one neighbour among the free vertices and the
 # endpoint, can only be the last vertex of an extension, so at most the
 # reachable set less all but one of its dead ends fits; the bound is the
 # least of the two forms.  A node is pruned when the bound is at most the
@@ -204,9 +202,12 @@ def _place(host: Graph, spec: PatternSpec, bud: Budget) -> list[int] | None:
 # subtree under the lower, and the higher is skipped, as a start vertex and
 # as a next step.  The lower is tried first (vertex order), and the best
 # path is replaced only by a strictly longer one, so the mirror could not
-# have replaced it.  The twin table is built at the first step that is not
-# a least neighbour: a component whose first descent reaches the stop length
-# (the dense random blocks of the suites) never builds it.
+# have replaced it.  The twin table is built in one place, at the first
+# nonempty set of untried neighbours popped.  The first descent is never
+# pruned: it covers its component, which ends the search, or it branches,
+# and no later start comes before the branch is popped.  A first descent
+# that reaches the stop length (the dense random blocks of the suites)
+# never builds it.
 #
 # On components of at most 24 vertices the explored states are memoized,
 # which makes the search the subset/endpoint dynamic program evaluated
@@ -224,32 +225,6 @@ _MEMO_LIMIT = 24
 # Component answers of one graph: (component vertex mask, stop length) to
 # the path its search returned.
 SearchedComponents = dict[tuple[int, int], PathWitness]
-
-
-def _bipartite_side(adj: Sequence[int], comp_mask: int, start: int) -> int | None:
-    """One side of component ``comp_mask``, or None if it has an odd cycle.
-
-    BFS layers from ``start`` alternate sides, and an edge inside a parity
-    class of the layers joins two vertices of one layer, so each layer is
-    checked as it is built; a dense component with a triangle exits in its
-    first layers.  Layers stay in ``comp_mask``, which host edges can leave.
-    """
-    sides = [0, 0]
-    frontier, parity = 1 << start, 0
-    while frontier:
-        sides[parity] |= frontier
-        step = 0
-        layer = frontier
-        while layer:
-            low = layer & -layer
-            row = adj[low.bit_length() - 1]
-            if row & frontier:
-                return None
-            step |= row
-            layer ^= low
-        parity ^= 1
-        frontier = step & comp_mask & ~(sides[0] | sides[1])
-    return sides[0]
 
 
 def _lower_twins(adj: Sequence[int], comp: list[int], comp_mask: int) -> tuple[dict[int, int], int]:
@@ -277,14 +252,15 @@ def _lower_twins(adj: Sequence[int], comp: list[int], comp_mask: int) -> tuple[d
     return lower, twinned
 
 
-def _component_search(g: Graph, comp_mask: int, bud: Budget, stop_len: int) -> PathWitness:
+def _component_search(
+    g: Graph, comp_mask: int, side: int | None, bud: Budget, stop_len: int
+) -> PathWitness:
     """Longest path inside component ``comp_mask``, or its first on ``stop_len`` vertices.
 
+    ``side`` is one side of the component if it is bipartite, else None.
     The search runs on an explicit stack, free of the recursion limit:
     ``path``, its visited set ``mask``, and the ``untried`` neighbours of
-    every path vertex below the top.  Nodes are counted against a local
-    copy of ``bud.remaining``, written back on every exit, so the budget
-    runs out at the same node and is left as :meth:`Budget.spend` leaves it.
+    every path vertex below the top.
     """
     adj = g.adj
     comp = list(iter_bits(comp_mask))
@@ -292,10 +268,9 @@ def _component_search(g: Graph, comp_mask: int, bud: Budget, stop_len: int) -> P
     # A dead state (endpoint v, visited set mask) is keyed mask << shift | v.
     shift = g.order.bit_length()
     dead: set[int] | None = set() if len(comp) <= _MEMO_LIMIT else None
-    side = _bipartite_side(adj, comp_mask, comp[0])
-    # The twin table is built on first use: at the first nonempty untried
-    # set popped, which ``twinned`` selects until then, or the second start.
-    lower: dict[int, int] | None = None
+    # The twin table, built at the first nonempty untried set popped: until
+    # then ``twinned`` is -1, which selects any such set.
+    lower: dict[int, int] = {}
     twinned = -1
 
     def can_gain(endpoint: int, frontier: int, free: int, need: int) -> bool:
@@ -342,68 +317,59 @@ def _component_search(g: Graph, comp_mask: int, bud: Budget, stop_len: int) -> P
             frontier = step & free & ~reach
         return False
 
-    remaining = bud.remaining
-    try:
-        for start in comp:
-            if start != comp[0]:
-                if lower is None:
-                    lower, twinned = _lower_twins(adj, comp, comp_mask)
-                if start in lower:  # its paths mirror those of a lower twin
-                    continue
-            path = [start]
-            mask = 1 << start
-            untried: list[int] = []
-            while path:
-                # Visit the path's new last vertex.
-                v = path[-1]
-                remaining -= 1
-                if remaining < 0:
-                    raise BudgetExhausted(_EXHAUSTED)
-                if len(path) > len(best):
-                    best = tuple(path)
-                    if len(path) >= stop_len:
-                        return best
-                free = comp_mask & ~mask
-                rest = adj[v] & free
-                if rest and dead is not None and (mask << shift | v) in dead:
-                    rest = 0
-                # With no gap to the best path, any free neighbour is a gain.
-                elif rest and len(best) > len(path) and not can_gain(
-                    v, rest, free, len(best) - len(path)
-                ):
-                    rest = 0
-                # Retreat past the vertices with nothing left to try, then
-                # step to the least untried neighbour of the deepest one
-                # that has one.  A neighbour with a free lower twin is
-                # skipped: that twin is a neighbour too, tried before it,
-                # and swapping the two maps one subtree onto the other.  So
-                # a least neighbour is never skipped, and only the popped
-                # sets are filtered.
-                while not rest:
-                    v = path.pop()
-                    if dead is not None:
-                        dead.add(mask << shift | v)
-                    mask ^= 1 << v
-                    if not path:
-                        break
-                    rest = untried.pop()
-                    if rest & twinned:
-                        if lower is None:
-                            lower, twinned = _lower_twins(adj, comp, comp_mask)
-                        skip = rest & twinned
-                        while skip:
-                            low = skip & -skip
-                            if lower[low.bit_length() - 1] & ~mask:
-                                rest ^= low
-                            skip ^= low
-                if rest:
-                    low = rest & -rest
-                    untried.append(rest ^ low)
-                    path.append(low.bit_length() - 1)
-                    mask |= low
-        return best
-    finally:
-        bud.remaining = remaining
+    for start in comp:
+        if start in lower:  # its paths mirror those of a lower twin
+            continue
+        path = [start]
+        mask = 1 << start
+        untried: list[int] = []
+        while path:
+            # Visit the path's new last vertex.
+            v = path[-1]
+            bud.spend()
+            if len(path) > len(best):
+                best = tuple(path)
+                if len(path) >= stop_len:
+                    return best
+            free = comp_mask & ~mask
+            rest = adj[v] & free
+            if rest and dead is not None and (mask << shift | v) in dead:
+                rest = 0
+            # With no gap to the best path, any free neighbour is a gain.
+            elif rest and len(best) > len(path) and not can_gain(
+                v, rest, free, len(best) - len(path)
+            ):
+                rest = 0
+            # Retreat past the vertices with nothing left to try, then
+            # step to the least untried neighbour of the deepest one
+            # that has one.  A neighbour with a free lower twin is
+            # skipped: that twin is a neighbour too, tried before it,
+            # and swapping the two maps one subtree onto the other.  So
+            # a least neighbour is never skipped, and only the popped
+            # sets are filtered.
+            while not rest:
+                v = path.pop()
+                if dead is not None:
+                    dead.add(mask << shift | v)
+                mask ^= 1 << v
+                if not path:
+                    break
+                rest = untried.pop()
+                if rest & twinned:
+                    if twinned < 0:
+                        lower, twinned = _lower_twins(adj, comp, comp_mask)
+                    skip = rest & twinned
+                    while skip:
+                        low = skip & -skip
+                        if lower[low.bit_length() - 1] & ~mask:
+                            rest ^= low
+                        skip ^= low
+            if rest:
+                low = rest & -rest
+                untried.append(rest ^ low)
+                path.append(low.bit_length() - 1)
+                mask |= low
+    return best
 
 
 def _normalize_direction(path: PathWitness) -> PathWitness:
@@ -461,28 +427,28 @@ def longest_path(
     bud = Budget.coerce(budget)
     if searched is None:
         searched = {}
-    comps = component_masks(g, within)
+    comps = components(g, within)
 
-    def search(comp: int) -> PathWitness:
+    def search(comp: int, side: int | None) -> PathWitness:
         size = comp.bit_count()
         key = (comp, size if stop is None else min(stop, size))
         if key not in searched:
-            path = searched[key] = _component_search(g, comp, bud, key[1])
+            path = searched[key] = _component_search(g, comp, side, bud, key[1])
             if len(path) < key[1]:  # every branch explored: the stop-free answer
                 searched[comp, size] = path
         return searched[key]
 
     if stop is not None:
-        for comp in comps:
+        for comp, side in comps:
             if comp.bit_count() >= stop:
-                path = search(comp)
+                path = search(comp, side)
                 if len(path) == stop:
                     return _normalize_direction(path)
     best: PathWitness = ()
-    for comp in comps:
+    for comp, side in comps:
         if comp.bit_count() <= len(best):
             continue
-        cand = search(comp)
+        cand = search(comp, side)
         if len(cand) > len(best):
             best = cand
     return _normalize_direction(best)

@@ -269,28 +269,42 @@ def vertex_mask(g: Graph, within: int | None = None) -> int:
     return within
 
 
-def component_masks(g: Graph, within: int | None = None) -> list[int]:
-    """Connected components as vertex bitmasks, ordered by least vertex.
+def components(g: Graph, within: int | None = None) -> list[tuple[int, int | None]]:
+    """Connected components as (vertex mask, side) pairs, ordered by least vertex.
 
+    Each component grows in BFS layers from its least vertex.  An edge
+    joins two vertices of one layer or of adjacent layers, and one inside
+    a layer closes an odd cycle, so ``side`` is the union of the even
+    layers, one side of a bipartition, or None when a layer holds an edge.
     With ``within``, a vertex bitmask, the components are those of the
     subgraph induced on it.
     """
     unseen = vertex_mask(g, within)
     adj = g.adj
-    out = []
+    out: list[tuple[int, int | None]] = []
     while unseen:
         comp = frontier = unseen & -unseen
+        sides = [0, 0]
+        parity = clash = 0
         while frontier:
-            step = 0
+            sides[parity] |= frontier
+            parity ^= 1
+            layer, step = frontier, 0
             while frontier:
                 low = frontier & -frontier
                 step |= adj[low.bit_length() - 1]
                 frontier ^= low
+            clash |= step & layer
             frontier = step & unseen & ~comp
             comp |= frontier
         unseen ^= comp
-        out.append(comp)
+        out.append((comp, None if clash else sides[0]))
     return out
+
+
+def component_masks(g: Graph, within: int | None = None) -> list[int]:
+    """The vertex bitmasks of :func:`components`, ordered by least vertex."""
+    return [comp for comp, _ in components(g, within)]
 
 
 def clique_union_sizes(g: Graph) -> tuple[int, ...] | None:

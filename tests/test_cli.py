@@ -132,6 +132,16 @@ def test_witness_human(monkeypatch, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "Thm1-Case1" in out and "verified: yes" in out
+    # A path witness lies in the host; a Case 1 rim lists its augmented edges.
+    for host, line in (
+        (complete(30), "P23 in the host"),
+        (disjoint_union(complete(2), empty(23)), "\n  augmented edges: 2-3"),
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(host) + "\n"))
+        rc = run(["witness", "-", "--theorem", "1", "-n", "23", "-s", "2", "-m", "3",
+                  "--format", "human"])
+        assert rc == 0
+        assert line in capsys.readouterr().out
 
 
 def test_witness_usage_errors(tmp_path, monkeypatch, capsys):
@@ -210,6 +220,16 @@ def test_witness_forced_run_out_of_host_exits_3(monkeypatch, capsys):
               "--force"])
     assert rc == 3
     assert capsys.readouterr().err == "error: host exhausted after 1 of 2 paths\n"
+
+
+def test_witness_even_spokes_without_a_wheel_exit_3(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(complete(7)) + "\n"))
+    rc = run(["witness", "-", "--theorem", "2", "-n", "12", "-s", "3", "-m", "2",
+              "--force"])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: complement holds no wheel with rim 6; the hypotheses cannot hold\n"
+    )
 
 
 def test_witness_budget_exit(monkeypatch, capsys):

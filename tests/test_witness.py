@@ -9,6 +9,7 @@ from ramsey_jahangir import (
     BudgetExhausted,
     DisjointPaths,
     Embedding,
+    Graph,
     Jahangir,
     MaximalityViolation,
     Path,
@@ -163,6 +164,15 @@ def test_even_spokes_via_wheel():
     assert w.embedding.pattern == Jahangir(3, 2)
     assert list(w.trace.selections) == ["hub"]
     assert verify_witness(host, w)
+
+
+def test_even_spokes_fail_when_the_complement_holds_no_wheel():
+    # K7's complement is edgeless: no wheel with rim 6, so the forced even
+    # spoke route reports the violation with the maximum path it found.
+    with pytest.raises(MaximalityViolation, match="^complement holds no wheel with rim 6; ") as info:
+        extract(complete(7), Thm2EvenM(12, 3, 2), force=True)
+    assert info.value.trace.case == "Thm2-EvenM"
+    assert info.value.trace.k == 7
 
 
 def test_odd_spokes_short_paths():
@@ -536,9 +546,9 @@ def test_no_graph_is_searched_twice(monkeypatch, make_host, case, case_name):
         graphs.append(g)
         return search(g, *args, **kwargs)
 
-    def counted_component(g, comp_mask, bud, stop_len):
+    def counted_component(g, comp_mask, side, bud, stop_len):
         components.append((comp_mask, stop_len))
-        return component_search(g, comp_mask, bud, stop_len)
+        return component_search(g, comp_mask, side, bud, stop_len)
 
     monkeypatch.setattr(witness_module, "longest_path", counted)
     monkeypatch.setattr(embedding_module, "_component_search", counted_component)
@@ -629,9 +639,9 @@ def test_no_component_is_searched_twice_in_one_extraction(
     searched = []
     search = embedding_module._component_search
 
-    def counted(g, comp_mask, bud, stop_len):
+    def counted(g, comp_mask, side, bud, stop_len):
         searched.append((comp_mask, stop_len))
-        return search(g, comp_mask, bud, stop_len)
+        return search(g, comp_mask, side, bud, stop_len)
 
     monkeypatch.setattr(embedding_module, "_component_search", counted)
     texts = []
@@ -827,6 +837,24 @@ def test_extremal_audit_spots_a_spoiled_graph():
     assert not report
     failed = {name for name, ok in report.checks if not ok}
     assert "path-capacity-by-components" in failed
+
+
+def test_extremal_audit_validates_a_supplied_graph():
+    # K_22 + K_2 with row 23 missing its edge to 22: the audit rejects it
+    # as extract does, instead of auditing a graph that is not one.
+    g = disjoint_union(complete(22), complete(2))
+    rows = list(g.adj)
+    rows[23] = 0
+    with pytest.raises(ValueError, match="^asymmetric edge 22,23$"):
+        verify_extremal(Thm1(23, 2, 3), graph=Graph(24, tuple(rows)))
+
+
+def test_extremal_audit_cannot_argue_a_large_non_clique_union_complement():
+    # K_22 + P_9 has order 31, above the search cap, and is no clique
+    # union: nothing settles its complement side.
+    report = verify_extremal(Thm1(23, 2, 3), graph=disjoint_union(complete(22), build(Path(9))))
+    assert not report.ok
+    assert report.reason == "failed: complement-side-undecided"
 
 
 def test_extremal_audit_out_of_budget_raises_rather_than_fails():
