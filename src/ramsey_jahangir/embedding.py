@@ -70,9 +70,10 @@ def check_embedding(host: Graph, emb: Embedding) -> str | None:
             return f"image {v} out of range"
     if len(set(emb.mapping)) != len(emb.mapping):
         return "mapping is not injective"
+    adj, image = host.adj, emb.mapping
     for u, v in emb.pattern.edges():
-        if not host.has_edge(emb.mapping[u], emb.mapping[v]):
-            return f"missing edge {emb.mapping[u]},{emb.mapping[v]} (pattern {u},{v})"
+        if not adj[image[u]] >> image[v] & 1:
+            return f"missing edge {image[u]},{image[v]} (pattern {u},{v})"
     return None
 
 
@@ -208,6 +209,10 @@ def _place(host: Graph, spec: PatternSpec, bud: Budget) -> list[int] | None:
 # and no later start comes before the branch is popped.  A first descent
 # that reaches the stop length (the dense random blocks of the suites)
 # never builds it.
+#
+# Without a stop the components are visited largest first, and one that can
+# neither beat the best path nor tie it from a lower least vertex is never
+# searched (see :func:`longest_path`).
 #
 # On components of at most 24 vertices the explored states are memoized,
 # which makes the search the subset/endpoint dynamic program evaluated
@@ -383,27 +388,38 @@ def longest_path(
 ) -> PathWitness:
     """A maximum-length path of g, deterministic across runs.
 
-    Components are searched in order of their least vertex; the first
-    maximum found in the canonical exploration order wins and the result is
-    direction-normalized so the lower endpoint comes first.  With ``stop``,
-    the search ends at the first path on ``stop`` vertices, so the answer
-    has ``stop`` vertices exactly when g holds a path that long, and is a
-    maximum path otherwise.  The components with at least ``stop`` vertices
-    are searched first, since no other can hold that path; each component's
-    search is independent of the others, so this changes the work, never
-    the answer.  A branch is bounded by the vertices its endpoint can still
-    reach, less all but one of the dead ends among them (a vertex with at
-    most one neighbour among the free vertices and the endpoint can only
-    come last), and, in a bipartite component, by how many of those lie on
-    each side, since a path alternates sides.  The bound is decided against
+    The answer is the first maximum path, in the canonical exploration
+    order, of the least-vertex component holding one, direction-normalized
+    so the lower endpoint comes first.  Components are visited largest
+    first, ties by least vertex.  One is skipped when it has fewer vertices
+    than the best path so far, or as many and a higher least vertex; a path
+    replaces the best when it is longer, or as long and in a component with
+    a lower least vertex.  Each component's search depends only on its own
+    edges and stop length, so that component still wins with the same
+    path.  A walk by least vertex skips a component no larger than the best
+    path of a lower one, which is visited first here, so the components
+    searched are a subset of that walk's: only the work falls.
+
+    With ``stop``, the search ends at the first path on ``stop`` vertices,
+    so the answer has ``stop`` vertices exactly when g holds a path that
+    long, and is a maximum path otherwise.  The components with at least
+    ``stop`` vertices are searched first, by least vertex, since no other
+    can hold that path.
+
+    A branch is bounded by the vertices its endpoint can still reach, less
+    all but one of the dead ends among them (a vertex with at most one
+    neighbour among the free vertices and the endpoint can only come
+    last), and, in a bipartite component, by how many of those lie on each
+    side, since a path alternates sides.  The bound is decided against
     the gap to the best path as the reachable set grows, and never counted
     in full: a branch continues as soon as the bound exceeds the gap.  Of
     two twins (same open or closed neighbourhood) that are both free, only
     the lower is tried, as a start or a next step: swapping them maps the
     higher's branch onto the lower's, which was searched first.  The bounds
     cut only branches that cannot beat the best path, the twins skip only
-    mirrors of searched branches, and the best path is replaced only by a
-    longer one, so they change the nodes spent, never a path or a tie-break.
+    mirrors of searched branches, and a component's best path is replaced
+    only by a longer one, so they change the nodes spent, never a path or a
+    tie-break.
 
     With ``within``, a vertex bitmask, the search runs in the subgraph
     induced on it and answers in g's labels.  Exploration follows vertex
@@ -445,12 +461,15 @@ def longest_path(
                 if len(path) == stop:
                     return _normalize_direction(path)
     best: PathWitness = ()
-    for comp, side in comps:
-        if comp.bit_count() <= len(best):
+    best_low = 0  # the least vertex of best's component, as a bit
+    # Largest first: the sort is stable, so ties keep least-vertex order.
+    for comp, side in sorted(comps, key=lambda c: -c[0].bit_count()):
+        size, low = comp.bit_count(), comp & -comp
+        if size < len(best) or size == len(best) and low > best_low:
             continue
         cand = search(comp, side)
-        if len(cand) > len(best):
-            best = cand
+        if len(cand) > len(best) or len(cand) == len(best) and low < best_low:
+            best, best_low = cand, low
     return _normalize_direction(best)
 
 

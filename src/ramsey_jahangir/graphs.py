@@ -361,7 +361,7 @@ def to_graph6(g: Graph) -> str:
     # bytes, and the body keeps the sextets holding the run.
     adj = g.adj
     bits = "".join(
-        [format(adj[col] & ((1 << col) - 1), f"0{col}b")[::-1] for col in range(1, n)]
+        [bin(adj[col] & ((1 << col) - 1))[:1:-1].ljust(col, "0") for col in range(1, n)]
     )
     nbits = len(bits)
     bits += "0" * (-nbits % 24)

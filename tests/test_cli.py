@@ -279,7 +279,7 @@ def test_ramsey_scan_bytes_are_pinned(capsys, path, cap, digest):
 
 
 def test_ramsey_undecided_class_exits_4(capsys):
-    assert run(["ramsey", "P6", "J2,2", "--cap", "9", "--budget", "500"]) == 4
+    assert run(["ramsey", "P6", "J2,2", "--cap", "9", "--budget", "489"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: undecided: P6 in class 24 of order 6\n"

@@ -191,6 +191,34 @@ def test_longest_path_prefers_least_component_tie():
     assert set(longest_path(g)) == {0, 1, 2}
 
 
+# A 6-vertex tree whose longest path has 5 vertices: P5 with a leaf on its
+# middle vertex.
+_FORK = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+
+
+def test_a_lower_component_wins_a_tie_with_a_larger_one():
+    # The tree on 5..10 is searched first, being larger, but its longest
+    # path has 5 vertices, as many as the Hamiltonian P5 on 0..4.
+    g = disjoint_union(build(Path(5)), _FORK)
+    assert longest_path(g) == longest_path_reference(g) == (0, 1, 2, 3, 4)
+
+
+def test_components_that_cannot_win_are_not_searched(monkeypatch):
+    # K3, P4 and K12 in that vertex order: K12 is searched first, and its
+    # Hamiltonian path leaves neither smaller component a tie.
+    searched = []
+    search = embedding_module._component_search
+
+    def counted(g, comp_mask, side, bud, stop_len):
+        searched.append(comp_mask)
+        return search(g, comp_mask, side, bud, stop_len)
+
+    monkeypatch.setattr(embedding_module, "_component_search", counted)
+    g = disjoint_union(disjoint_union(complete(3), build(Path(4))), complete(12))
+    assert longest_path(g) == tuple(range(7, 19))
+    assert searched == [((1 << 12) - 1) << 7]
+
+
 def test_longest_path_agrees_with_brute_force():
     rng = random.Random(7)
     for _ in range(60):
@@ -291,14 +319,31 @@ def _er_union_hosts(per_suite):
                 yield generate_case(spec, 5, index)
 
 
+def _multi_component_hosts(rng):
+    """Unions of random blocks of growing size, so the largest component
+    comes last by least vertex, and of equal-size blocks; a tree whose
+    longest path ties the Hamiltonian P5 before it; two P3s either side of
+    a star whose longest path ties theirs."""
+    for sizes in ((3, 5, 8, 12), (2, 4, 6, 6, 9), (5, 5, 5), (6, 6, 7, 7)):
+        g = empty(0)
+        for size in sizes:
+            g = disjoint_union(g, random_graph(rng, size, rng.choice((0.2, 0.35, 0.5))))
+        yield g
+    yield disjoint_union(build(Path(5)), _FORK)
+    star = from_edges(10, [(0, v) for v in range(1, 10)])
+    yield disjoint_union(disjoint_union(build(Path(3)), star), build(Path(3)))
+
+
 def test_deciding_the_bound_keeps_paths_and_node_counts():
-    """Deciding the bound against the gap, twin pruning and the dead-end
-    bound keep every path of the search that counts its bound in full, and
+    """Deciding the bound against the gap, twin pruning, the dead-end bound
+    and visiting components largest first keep every path of the search
+    that counts its bound in full and visits them by least vertex, and
     spend at most its nodes.  The budget boundary is exact: ``spent`` nodes
     finish the search, one fewer exhausts it."""
     rng = random.Random(13)
     hosts = [*_bipartite_hosts(rng), *_odd_cycle_hosts(rng),
-             *_er_union_hosts(4), *_long_path_hosts(rng)]
+             *_er_union_hosts(4), *_long_path_hosts(rng),
+             *_multi_component_hosts(rng)]
     for g in hosts:
         full = len(longest_path(g))
         for stop in {None, 2, max(1, full // 2), full, full + 1}:

@@ -5,6 +5,7 @@ import pytest
 
 from ramsey_jahangir import (
     SUITES,
+    Budget,
     component_masks,
     from_graph6,
     generate_case,
@@ -134,3 +135,23 @@ SUITE_DIGESTS = {
 def test_suite_bytes_are_pinned(name):
     text = json.dumps(run_suite(name, 0, 40), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == SUITE_DIGESTS[name]
+
+
+# Search nodes that run_suite(name, 0, 40) spends in all, through one
+# shared budget.  The stop-free path search visits components largest
+# first and skips any that cannot beat or tie the best path; in least-vertex
+# order it spent 1,434, 1,811, 4,162, 2,492 and 1,840 (11,739 in all).
+SUITE_NODES = {
+    "thm1-s2m3": 1_022,
+    "thm2-s3m2": 1_346,
+    "thm2-s3m3": 2_210,
+    "thm3-t2s2m3": 1_651,
+    "thm3-t2s2m3-paths": 1_840,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_NODES))
+def test_suite_search_work_is_pinned(name):
+    budget = Budget(10**9)
+    run_suite(name, 0, 40, budget=budget)
+    assert 10**9 - budget.remaining == SUITE_NODES[name]

@@ -559,7 +559,7 @@ def test_no_graph_is_searched_twice(monkeypatch, make_host, case, case_name):
     assert graphs and all(g is host for g in graphs)
     assert len(set(components)) == len(components)
     assert 1_000 - bud.remaining == {
-        "Thm1-Case1": 6, "Thm2-OddM-Case1": 29, "Thm2-OddM-Case3": 48,
+        "Thm1-Case1": 6, "Thm2-OddM-Case1": 28, "Thm2-OddM-Case3": 48,
     }[case_name]
 
 
