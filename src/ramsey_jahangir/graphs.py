@@ -3,6 +3,17 @@
 Adjacency is stored as one bitmask per vertex, which keeps neighborhood
 intersections (the inner loop of every search in this package) down to a
 couple of integer operations.
+
+Every :class:`Graph` is simple: its rows hold only vertices in range, no
+vertex is its own neighbour, and ``u`` is in row ``v`` exactly when ``v``
+is in row ``u``.  The constructor checks that, so rows from outside the
+package (a caller's ``Graph(...)``, :meth:`Frozen.replace`, unpickling)
+are checked once.  The builders here, the oracle's one-vertex extension
+and the suite host generator make rows that are valid by construction,
+and build through the unchecked :func:`_graph`: dense complements,
+enumeration levels and canonical relabellings are built on hot paths,
+where a walk over every edge would only repeat what their construction
+guarantees.
 """
 
 from __future__ import annotations
@@ -122,7 +133,10 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph(Frozen):
     """Simple undirected graph on vertices ``0..order-1``.
 
-    ``adj[v]`` is the neighbor bitmask of ``v``.  Instances are immutable:
+    ``adj[v]`` is the neighbor bitmask of ``v``.  The constructor raises
+    ``ValueError`` unless every row is in range and loop-free and the rows
+    are symmetric; an asymmetric pair is named as the first arc ``u,v``
+    without its mirror, by ``u`` and then ``v``.  Instances are immutable:
     every operation returns a new graph, so a host and its edge-augmented
     variant can be kept side by side without defensive copying.  Graphs are
     built in every inner loop of enumeration, so the class keeps its fields
@@ -139,11 +153,14 @@ class Graph(Frozen):
         if len(adj) != order:
             raise ValueError("adjacency row count does not match order")
         outside = -1 << order
-        for v, row in enumerate(adj):
-            if row & outside or row >> v & 1:
-                if row & outside:
-                    raise ValueError(f"row {v} references vertices >= order")
-                raise ValueError(f"self-loop at vertex {v}")
+        for u, row in enumerate(adj):
+            if row & outside:
+                raise ValueError(f"row {u} references vertices >= order")
+            if row >> u & 1:
+                raise ValueError(f"self-loop at vertex {u}")
+            for v in iter_bits(row):
+                if not adj[v] >> u & 1:
+                    raise ValueError(f"asymmetric edge {u},{v}")
         _set_order(self, order)
         _set_adj(self, adj)
 
@@ -176,36 +193,6 @@ class Graph(Frozen):
             for v in iter_bits(self.adj[u] >> (u + 1) << (u + 1)):
                 yield (u, v)
 
-    def validate(self) -> None:
-        """Full consistency check (symmetry included); raises ValueError.
-
-        Each edge above the diagonal is checked for its mirror below it;
-        then the graph is symmetric exactly when the halves hold equally
-        many edges.  On failure every row is walked in order, so the
-        message names the first asymmetric pair (u, v) by u, then v.
-        """
-        adj = self.adj
-        upper = lower = 0
-        for u, row in enumerate(adj):
-            below = row & ((1 << u) - 1)
-            above = row ^ below
-            lower += below.bit_count()
-            upper += above.bit_count()
-            while above:
-                low = above & -above
-                if not adj[low.bit_length() - 1] >> u & 1:
-                    break
-                above ^= low
-            if above:  # an edge above the diagonal has no mirror
-                break
-        else:
-            if upper == lower:
-                return
-        for u in range(self.order):
-            for v in iter_bits(adj[u]):
-                if not adj[v] >> u & 1:
-                    raise ValueError(f"asymmetric edge {u},{v}")
-
 
 # The slots' own setters, which the constructor uses past the frozen
 # ``__setattr__``; faster than ``object.__setattr__``.
@@ -213,13 +200,21 @@ _set_order = Graph.order.__set__
 _set_adj = Graph.adj.__set__
 
 
+def _graph(order: int, adj: tuple[int, ...]) -> Graph:
+    """A Graph from rows valid by construction, without the constructor's check."""
+    g = object.__new__(Graph)
+    _set_order(g, order)
+    _set_adj(g, adj)
+    return g
+
+
 def empty(n: int) -> Graph:
-    return Graph(n, (0,) * n)
+    return _graph(n, (0,) * n)
 
 
 def complete(n: int) -> Graph:
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    return _graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
 def from_edges(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
@@ -231,18 +226,18 @@ def from_edges(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"self-loop at vertex {u}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return _graph(n, tuple(rows))
 
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.order) - 1
-    return Graph(g.order, tuple(full ^ row ^ (1 << v) for v, row in enumerate(g.adj)))
+    return _graph(g.order, tuple(full ^ row ^ (1 << v) for v, row in enumerate(g.adj)))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """g on vertices 0..|g|-1 followed by h shifted to |g|..|g|+|h|-1."""
     shift = g.order
-    return Graph(g.order + h.order, g.adj + tuple(row << shift for row in h.adj))
+    return _graph(g.order + h.order, g.adj + tuple(row << shift for row in h.adj))
 
 
 def relabel(g: Graph, perm: Iterable[int]) -> Graph:
@@ -256,7 +251,7 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
         for w in iter_bits(g.adj[v]):
             row |= 1 << p[w]
         rows[p[v]] = row
-    return Graph(g.order, tuple(rows))
+    return _graph(g.order, tuple(rows))
 
 
 def vertex_mask(g: Graph, within: int | None = None) -> int:
@@ -413,4 +408,4 @@ def from_graph6(line: str) -> Graph:
         for row in iter_bits(lower):
             rows[row] |= 1 << col
         start += col
-    return Graph(n, tuple(rows))
+    return _graph(n, tuple(rows))

@@ -20,6 +20,7 @@ from .families import CliqueUnion, PatternSpec, build, parse_spec
 from .graphs import (
     Frozen,
     Graph,
+    _graph,
     clique_union_sizes,
     complement,
     disjoint_cover_sizes,
@@ -250,7 +251,7 @@ def _extend(parent: Graph, bits: int) -> Graph:
     rows = tuple(
         row | ((bits >> v & 1) << k) for v, row in enumerate(parent.adj)
     )
-    return Graph(k + 1, rows + (bits,))
+    return _graph(k + 1, rows + (bits,))
 
 
 def _grow(level: list[Graph]) -> list[Graph]:

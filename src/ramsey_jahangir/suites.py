@@ -28,7 +28,7 @@ import random
 from typing import TYPE_CHECKING
 
 from .families import TheoremCase, Thm1, Thm2EvenM, Thm2OddM, Thm3
-from .graphs import Frozen, Graph, to_graph6
+from .graphs import Frozen, Graph, _graph, to_graph6
 
 if TYPE_CHECKING:
     from .embedding import Budget
@@ -115,7 +115,7 @@ def generate_case(spec: SuiteSpec, seed: int, index: int) -> Graph:
                 rows[v] = mask ^ 1 << v
     else:
         raise ValueError(f"unknown suite kind {spec.kind!r}")
-    return Graph(spec.order, tuple(rows))
+    return _graph(spec.order, tuple(rows))
 
 
 def run_suite(

@@ -621,7 +621,6 @@ def extract(
     exactly :class:`Thm1`.  The witness is verified against ``f`` before it
     is returned.
     """
-    f.validate()
     if not force:
         require_thresholds(case, f)
     bud = Budget.coerce(budget)
@@ -662,14 +661,12 @@ def verify_extremal(
     clique union's complement is complete multipartite, and containment
     there is exactly a capped colouring of the Jahangir; search
     cross-checks it.  The case is read only through ``n``, ``t``, ``s``,
-    ``m`` and its extremal graph.  The graph is validated first, as
-    :func:`extract` validates its host.  Searches run whenever the order
+    ``m`` and its extremal graph.  Searches run whenever the order
     allows them.  One that runs out of budget fails no check: it raises
     :class:`BudgetExhausted` naming the undecided pattern.
     """
     bud = Budget.coerce(budget)
     g = extremal_graph(case) if graph is None else graph
-    g.validate()
     n, t, jahangir = case.n, case.t, Jahangir(case.s, case.m)
     checks: list[tuple[str, bool]] = []
 

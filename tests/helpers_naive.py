@@ -123,12 +123,12 @@ def induced(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(sub), tuple(rows)), tuple(sub)
 
 
-def validate_every_arc(g: Graph) -> None:
-    """``Graph.validate`` as it was before it walked the upper triangle only:
-    every arc u -> v, by u and then v, checked for its mirror v -> u."""
-    for u in range(g.order):
-        for v in iter_bits(g.adj[u]):
-            if not g.adj[v] >> u & 1:
+def validate_every_arc(order: int, rows) -> None:
+    """The symmetry check on adjacency rows as first written: every arc
+    u -> v, by u and then v, checked for its mirror v -> u."""
+    for u in range(order):
+        for v in iter_bits(rows[u]):
+            if not rows[v] >> u & 1:
                 raise ValueError(f"asymmetric edge {u},{v}")
 
 

@@ -68,6 +68,14 @@ def test_verify_embedding_positive_and_negative():
     assert check_embedding(sparse, emb) is not None
 
 
+def test_check_embedding_names_a_bad_mapping():
+    host = build(Wheel(6))
+    short = Embedding(Jahangir(2, 3), host.order, tuple(range(6)))
+    assert check_embedding(host, short) == "mapping length 6 != pattern order 7"
+    outside = Embedding(Jahangir(2, 3), host.order, (0, 1, 2, 3, 4, 5, 7))
+    assert check_embedding(host, outside) == "image 7 out of range"
+
+
 def test_find_subgraph_frozen_cases():
     c5 = build(Cycle(5))
     assert find_subgraph(c5, Path(5)).status == "present"

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from ramsey_jahangir import (
+    SUITES,
     Cycle,
     ExtractionTrace,
     Graph,
@@ -18,8 +19,10 @@ from ramsey_jahangir import (
     component_masks,
     disjoint_union,
     empty,
+    enumerate_graphs,
     from_edges,
     from_graph6,
+    generate_case,
     relabel,
     to_graph6,
 )
@@ -54,21 +57,20 @@ def test_graph_rejects_self_loops_and_bad_rows():
         Graph(1, (2,))  # bit outside the vertex range
 
 
-def test_validate_catches_asymmetry():
-    g = Graph(2, (2, 0))  # 0 says it has 1, but 1 disagrees
-    with pytest.raises(ValueError):
-        g.validate()
+def test_graph_rejects_asymmetric_rows():
+    with pytest.raises(ValueError, match="^asymmetric edge 0,1$"):
+        Graph(2, (2, 0))  # 0 says it has 1, but 1 disagrees
 
 
-def test_validate_names_the_first_asymmetric_pair():
-    """The upper-triangle check raises exactly where the every-arc walk does,
+def test_graph_names_the_first_asymmetric_pair():
+    """The constructor raises exactly where the every-arc walk does,
     whether the missing mirrors sit above the diagonal, below it, or both."""
     rng = random.Random(31)
     seen = set()
     for order in (2, 3, 7, 20, 64, 130):
         for p in (0.1, 0.5, 0.9):
             g = random_graph(rng, order, p)
-            g.validate()
+            assert Graph(order, g.adj) == g
             edges = list(g.edges())
             for where in ("above", "below", "both") * 3 if edges else ():
                 rows = list(g.adj)
@@ -82,11 +84,10 @@ def test_validate_names_the_first_asymmetric_pair():
                         rows[u] &= ~(1 << v)  # v keeps u below the diagonal
                     else:
                         rows[v] &= ~(1 << u)  # u keeps v above the diagonal
-                bad = Graph(order, tuple(rows))
                 with pytest.raises(ValueError) as want:
-                    validate_every_arc(bad)
+                    validate_every_arc(order, rows)
                 with pytest.raises(ValueError) as got:
-                    bad.validate()
+                    Graph(order, tuple(rows))
                 assert str(got.value) == str(want.value), (order, p, where)
                 a, b = map(int, str(want.value).split()[-1].split(","))
                 unmirrored_above = any(
@@ -95,9 +96,62 @@ def test_validate_names_the_first_asymmetric_pair():
                 )
                 seen.add((where, "below" if a > b else "above", unmirrored_above))
     # Among them: a first pair below the diagonal while an edge above it
-    # lacks its mirror too, so the upper walk alone would name another pair.
+    # lacks its mirror too, so a walk of the upper triangle alone would name
+    # another pair.
     assert ("both", "below", True) in seen
     assert {("above", "below", False), ("below", "above", True)} <= seen
+
+
+def test_graph_rejects_a_negative_order_and_compares_only_with_graphs():
+    with pytest.raises(ValueError, match="^negative order$"):
+        Graph(-1, ())
+    g = complete(3)
+    assert g.__eq__((3, (6, 5, 3))) is NotImplemented
+    assert g != (3, (6, 5, 3))
+
+
+def test_rows_from_outside_are_checked_on_every_way_in():
+    g = complete(3)
+    with pytest.raises(ValueError, match="^asymmetric edge 0,1$"):
+        g.replace(adj=(2, 0, 0))
+    # Protocol 0 spells the rows as text: I6, I5, I3 become I2, I0, I0.
+    data = pickle.dumps(g, protocol=0)
+    assert b"I6\nI5\nI3\n" in data
+    with pytest.raises(ValueError, match="^asymmetric edge 0,1$"):
+        pickle.loads(data.replace(b"I6\nI5\nI3\n", b"I2\nI0\nI0\n"))
+
+
+def test_unchecked_builders_make_rows_the_constructor_accepts():
+    """The builders that skip the constructor's check still make simple graphs."""
+    built = []
+    rng = random.Random(41)
+    for order in (0, 1, 2, 5, 9, 33, 70):
+        for p in (0.1, 0.5, 0.9):
+            g = random_graph(rng, order, p)
+            perm = list(range(order))
+            rng.shuffle(perm)
+            pairs = [(v, u) for u, v in g.edges()] + list(g.edges())
+            built += [
+                g,
+                complement(g),
+                relabel(g, perm),
+                disjoint_union(g, random_graph(rng, 4, p)),
+                from_edges(order, pairs),
+                from_graph6(to_graph6(g)),
+            ]
+    built += [empty(4), complete(6)]
+    built += enumerate_graphs(6)
+    built += [
+        generate_case(spec, seed, index)
+        for spec in SUITES.values() for seed in (0, 1) for index in range(20)
+    ]
+    for h in built:
+        assert Graph(h.order, h.adj) == h
+
+
+def test_relabel_rejects_a_non_permutation():
+    with pytest.raises(ValueError, match="^not a permutation of the vertex set$"):
+        relabel(complete(3), [0, 0, 1])
 
 
 def test_edges_are_sorted_pairs():
@@ -223,6 +277,27 @@ def test_graph6_rejects_garbage():
 
 
 # ---------------------------------------------------------------- values
+
+
+def test_graph6_refuses_an_order_beyond_its_headers():
+    with pytest.raises(Graph6Error, match="^order 258048 beyond supported graph6 headers$"):
+        to_graph6(empty(258_048))
+
+
+def test_values_reject_bad_arguments_like_a_frozen_dataclass():
+    with pytest.raises(TypeError, match=r"^Jahangir\(\) takes 2 arguments but 3 were given$"):
+        Jahangir(2, 3, 4)
+    with pytest.raises(TypeError, match=r"^Jahangir\(\) missing argument 'm'$"):
+        Jahangir(2)
+    with pytest.raises(TypeError, match=r"^Jahangir\(\) got an unexpected or repeated argument 'k'$"):
+        Jahangir(2, m=3, k=1)
+    with pytest.raises(TypeError, match=r"^Jahangir\(\) got an unexpected or repeated argument 's'$"):
+        Jahangir(2, 3, s=2)
+    j = Jahangir(2, 3)
+    with pytest.raises(AttributeError, match="^cannot delete field 'm'$"):
+        del j.m
+    with pytest.raises(TypeError, match="^Jahangir has no field 'k'$"):
+        j.replace(k=1)
 
 
 def test_values_keep_frozen_dataclass_semantics():

@@ -65,6 +65,13 @@ def test_naive_count_is_capped():
         count_classes_naive(7)
 
 
+def test_counts_refuse_a_negative_order():
+    with pytest.raises(ValueError, match="^n >= 0 required$"):
+        enumerate_graphs(-1)
+    with pytest.raises(ValueError, match="^n >= 0 required$"):
+        count_classes_cycle_index(-1)
+
+
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapError):
         enumerate_graphs(10)

@@ -6,6 +6,8 @@ import pytest
 from ramsey_jahangir import (
     SUITES,
     Budget,
+    SuiteSpec,
+    Thm1,
     component_masks,
     from_graph6,
     generate_case,
@@ -38,6 +40,12 @@ def test_suite_catalogue():
     assert SUITES["thm2-s3m2"].order == 23
     assert SUITES["thm2-s3m3"].order == 64
     assert SUITES["thm3-t2s2m3"].order == 48
+
+
+def test_unknown_suite_kind_is_refused():
+    spec = SuiteSpec("odd", "ring", Thm1(23, 2, 3), 25)
+    with pytest.raises(ValueError, match="^unknown suite kind 'ring'$"):
+        generate_case(spec, 0, 0)
 
 
 def test_generated_blocks_respect_the_caps():

@@ -93,6 +93,11 @@ def test_path_system_runs_out():
     assert info.value.system.remainder == ()
 
 
+def test_path_system_needs_a_positive_count():
+    with pytest.raises(ValueError, match="^count >= 1 required$"):
+        build_path_system(empty(6), 0)
+
+
 def test_path_system_within_a_vertex_mask_keeps_host_labels():
     host = _union(complete(3), build(Path(4)), empty(3))
     system = build_path_system(host, 2, within=0b1111111000)
@@ -317,6 +322,13 @@ def test_endpoint_rim_takes_the_first_valid_arrangement(s, m):
     assert outcomes == {"first arrangement", "later hub or arrangement", "no arrangement"}
 
 
+def test_endpoint_rim_needs_exactly_the_rim_in_endpoints_and_spares():
+    # J_{2,3} has a rim of 6: one path's 2 endpoints and 2 spares, one of
+    # them the hub, leave it 3 short.
+    with pytest.raises(ValueError, match="^endpoints plus rim spares must fill the rim exactly$"):
+        _assemble_endpoint_rim(empty(10), ((0, 1),), [2, 3], 2, 3)
+
+
 def test_endpoint_rim_failure_carries_the_peeled_paths(monkeypatch):
     # Maximum paths leave the rim an arrangement, so the failure is reached
     # by handing the construction the hand-made paths of a host that has
@@ -504,14 +516,15 @@ def test_budget_exhaustion():
         extract(triangles_host(), Thm1(23, 2, 3), budget=1)
 
 
-def spider_host():
-    # centre 0 with four legs of 7 vertices: 29 vertices, longest path 15
+def spider_host(legs=4, length=7):
+    # centre 0 with ``legs`` legs of ``length`` vertices; by default 29
+    # vertices, longest path 15
     edges = []
-    for leg in range(4):
-        first = 1 + 7 * leg
+    for leg in range(legs):
+        first = 1 + length * leg
         edges.append((0, first))
-        edges.extend((v, v + 1) for v in range(first, first + 6))
-    return from_edges(29, edges)
+        edges.extend((v, v + 1) for v in range(first, first + length - 1))
+    return from_edges(1 + legs * length, edges)
 
 
 def test_one_path_search_per_host():
@@ -530,14 +543,18 @@ def test_one_path_search_per_host():
          "Thm2-OddM-Case1"),
         (lambda: _union(build(Path(20)), *([build(Path(7))] * 6), empty(2)),
          Thm2OddM(32, 3, 3), "Thm2-OddM-Case3"),
+        # 25 vertices, longest path 9: the P23 search explores every branch
+        # of the one component, so its answer is the stop-free one too.
+        (lambda: spider_host(6, 4), Thm1(23, 2, 3), "Thm1-Case1"),
     ],
 )
 def test_no_graph_is_searched_twice(monkeypatch, make_host, case, case_name):
     # Every search runs on the host itself, restricted by a vertex mask.  The
     # path system finds the maximum path the extractor already holds among
-    # the component answers, so no component search repeats, and each
-    # extraction spends what it spent when that path was handed to the path
-    # system instead.
+    # the component answers, and a stop search that explores every branch
+    # answers the stop-free question too, so no component is searched twice,
+    # and each extraction spends what it spent when that path was handed to
+    # the path system instead.
     graphs, components = [], []
     search = witness_module.longest_path
     component_search = embedding_module._component_search
@@ -557,10 +574,12 @@ def test_no_graph_is_searched_twice(monkeypatch, make_host, case, case_name):
     w = extract(host, case, budget=bud)
     assert w.trace.case == case_name
     assert graphs and all(g is host for g in graphs)
-    assert len(set(components)) == len(components)
+    masks = [mask for mask, _ in components]
+    assert len(set(masks)) == len(masks)
     assert 1_000 - bud.remaining == {
-        "Thm1-Case1": 6, "Thm2-OddM-Case1": 28, "Thm2-OddM-Case3": 48,
-    }[case_name]
+        ("Thm1-Case1", 3): 6, ("Thm2-OddM-Case1", 7): 28, ("Thm2-OddM-Case3", 20): 48,
+        ("Thm1-Case1", 9): 248,
+    }[case_name, w.trace.k]
 
 
 def _tree_blocks(rng, base, end, lo, hi, chords):
