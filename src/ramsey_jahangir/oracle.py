@@ -65,7 +65,7 @@ def _refine(g: Graph, cells: list[int], new: list[int] | None = None) -> list[in
     result is what counting against every cell in every round would give,
     and depends only on the input partition.  A caller that splits one
     cell of an equitable partition into {v} and the rest passes
-    ``new=[1 << v]``; such a round costs one mask operation per cell.
+    ``new=[1 << v]``.
     """
     adj = g.adj
     shift = g.order.bit_length()  # counts stay below 1 << shift
@@ -74,36 +74,26 @@ def _refine(g: Graph, cells: list[int], new: list[int] | None = None) -> list[in
     while new:
         out: list[int] = []
         fresh: list[int] = []
-        if len(new) == 1 and not new[0] & (new[0] - 1):
-            row = adj[new[0].bit_length() - 1]
-            for cell in cells:
-                hit = cell & row
-                if hit and hit != cell:
-                    out += (cell ^ hit, hit)
-                    fresh.append(cell ^ hit)
-                else:
-                    out.append(cell)
-        else:
-            for cell in cells:
-                if not cell & (cell - 1):
-                    out.append(cell)
-                    continue
-                parts: dict[int, int] = {}
-                rest = cell
-                while rest:
-                    low = rest & -rest
-                    row = adj[low.bit_length() - 1]
-                    key = 0
-                    for mask in new:
-                        key = key << shift | (row & mask).bit_count()
-                    parts[key] = parts.get(key, 0) | low
-                    rest ^= low
-                if len(parts) == 1:
-                    out.append(cell)
-                    continue
-                split = [parts[key] for key in sorted(parts)]
-                out += split
-                fresh += split[:-1]
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            parts: dict[int, int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                row = adj[low.bit_length() - 1]
+                key = 0
+                for mask in new:
+                    key = key << shift | (row & mask).bit_count()
+                parts[key] = parts.get(key, 0) | low
+                rest ^= low
+            if len(parts) == 1:
+                out.append(cell)
+                continue
+            split = [parts[key] for key in sorted(parts)]
+            out += split
+            fresh += split[:-1]
         cells, new = out, fresh
     return cells
 
@@ -163,7 +153,6 @@ def _search(g: Graph, bud: Budget) -> tuple[list[int], list[list[int]]]:
     best_path: list[int] = []
     path: list[int] = []  # the individualized vertices, root first
     autos: list[list[int]] = []
-    width = n * (n - 1) // 2
 
     def descend(cells: list[int], new: list[int] | None) -> int:
         """Search below one node; returns the depth to resume at."""
@@ -176,22 +165,15 @@ def _search(g: Graph, bud: Budget) -> tuple[list[int], list[list[int]]]:
                 break
         else:
             leaf = [cell.bit_length() - 1 for cell in cells]
-            # Build the code column by column, leaving as soon as it is
-            # known to be worse than the best code.
             code = 0
-            left = width
-            bound = best_code  # None once this code is known to be less
             for col in range(1, n):
                 row = adj[leaf[col]]
                 for w in leaf[:col]:
                     code = code << 1 | (row >> w & 1)
-                left -= col
-                if bound is not None and code != bound >> left:
-                    if code > bound >> left:
-                        return depth
-                    bound = None
             if best_code is None or code < best_code:
                 best_code, best_leaf, best_path = code, leaf, path[:]
+                return depth
+            if code > best_code:
                 return depth
             # Same graph as the best leaf: best_leaf[i] -> leaf[i] is an
             # automorphism, and it maps the best leaf's subtree below the
@@ -302,27 +284,26 @@ def _grow(level: list[Graph]) -> list[Graph]:
         autos = _search(parent, Budget(_CANONICAL_NODES))[1] if size > 1 else []
         # moves[i][v] is the bit of automorphism i's image of v.
         moves = [[1 << w for w in auto] for auto in autos]
-        met = bytearray(1 << size) if moves else None  # bits in an orbit met already
+        met = bytearray(1 << size)  # bits in an orbit met already
         for bits in range(1 << size):
             d = bits.bit_count()
             if d < top or (d == top and bits & of_degree[top]):
                 continue  # a parent vertex would outrank x by degree
-            if met is not None:
-                if met[bits]:
-                    continue  # a lesser member of its orbit came first
-                met[bits] = 1
-                orbit = [bits]
-                for member in orbit:
-                    for move in moves:
-                        image = 0
-                        rest = member
-                        while rest:
-                            low = rest & -rest
-                            image |= move[low.bit_length() - 1]
-                            rest ^= low
-                        if not met[image]:
-                            met[image] = 1
-                            orbit.append(image)
+            if met[bits]:
+                continue  # a lesser member of its orbit came first
+            met[bits] = 1
+            orbit = [bits]
+            for member in orbit:
+                for move in moves:
+                    image = 0
+                    rest = member
+                    while rest:
+                        low = rest & -rest
+                        image |= move[low.bit_length() - 1]
+                        rest ^= low
+                    if not met[image]:
+                        met[image] = 1
+                        orbit.append(image)
             tied = of_degree[d] & ~bits | of_degree[d - 1] & bits
             if tied:
                 mine = d + sum(degrees[u] for u in iter_bits(bits))
@@ -442,6 +423,7 @@ def _sweep(
     order = classes[0].order
     digest = sha256()
     checked = 0
+    counterexample = None
     for f in classes:
         code = to_graph6(f)
         digest.update(code.encode("ascii"))
@@ -452,16 +434,11 @@ def _sweep(
             continue
         if find_subgraph(complement(f), h_spec, bud).decided(h_spec, f"complement of {where}"):
             continue
-        return ArrowsReport(
-            order,
-            False,
-            checked,
-            len(classes),
-            code,
-            "sha256:" + digest.hexdigest(),
-        )
+        counterexample = code
+        break
     return ArrowsReport(
-        order, True, checked, len(classes), None, "sha256:" + digest.hexdigest()
+        order, counterexample is None, checked, len(classes), counterexample,
+        "sha256:" + digest.hexdigest(),
     )
 
 
@@ -517,7 +494,6 @@ def ramsey(
             f"cap {cap} would sweep orders past {ENUMERATION_CAP}"
         )
     bud = Budget.coerce(budget)
-    last: ArrowsReport | None = None
     previous_counterexample = to_graph6(empty(0))
     level = [empty(0)]
     for order in range(1, cap):
@@ -529,26 +505,21 @@ def ramsey(
             )
         assert report.counterexample is not None
         previous_counterexample = report.counterexample
-        last = report
-    assert last is not None
-    raise RamseyIndeterminate(g_spec, h_spec, cap, last)
+    raise RamseyIndeterminate(g_spec, h_spec, cap, report)
+
+
+# The JSON types each field of a certificate's upper report may take, in
+# ArrowsReport's field order; the field names come from ArrowsReport.
+_UPPER_KINDS = ((int,), (bool,), (int,), (int,), (str, type(None)), (str,))
 
 
 def certificate_to_json(cert: RamseyCertificate) -> str:
-    up = cert.upper
     doc = {
         "g": cert.g_spec.text(),
         "h": cert.h_spec.text(),
         "value": cert.value,
         "lower_witness": cert.lower_witness,
-        "upper": {
-            "order": up.order,
-            "holds": up.holds,
-            "checked": up.checked,
-            "total": up.total,
-            "counterexample": up.counterexample,
-            "checksum": up.checksum,
-        },
+        "upper": {name: getattr(cert.upper, name) for name in ArrowsReport._fields},
     }
     return json.dumps(doc, indent=2)
 
@@ -591,14 +562,10 @@ def certificate_from_json(
     value = _field(doc, "value", (int,))
     lower_code = _field(doc, "lower_witness", (str,))
     up = _field(doc, "upper", (dict,))
-    upper = ArrowsReport(
-        _field(up, "upper.order", (int,)),
-        _field(up, "upper.holds", (bool,)),
-        _field(up, "upper.checked", (int,)),
-        _field(up, "upper.total", (int,)),
-        _field(up, "upper.counterexample", (str, type(None))),
-        _field(up, "upper.checksum", (str,)),
-    )
+    upper = ArrowsReport(*[
+        _field(up, "upper." + name, kinds)
+        for name, kinds in zip(ArrowsReport._fields, _UPPER_KINDS)
+    ])
     try:
         g_spec = parse_spec(g_text)
         h_spec = parse_spec(h_text)

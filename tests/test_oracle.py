@@ -36,6 +36,7 @@ from ramsey_jahangir import (
 )
 
 from helpers_naive import (
+    _refine_naive,
     build_complete_multipartite,
     canonical_graph_naive,
     count_classes_naive,
@@ -137,6 +138,33 @@ def test_canonical_matches_unpruned_search_on_every_order6_class():
         assert to_graph6(canonical_graph(g)) == to_graph6(canonical_graph_naive(g))
 
 
+def _cell_lists(cells):
+    return [[v for v in range(cell.bit_length()) if cell >> v & 1] for cell in cells]
+
+
+def test_refine_matches_counting_against_every_cell():
+    # The root refinement, and every split of its first non-singleton cell
+    # into {v} and the rest, give the cells, in the same order, that
+    # counting against every cell in every round gives.
+    rng = random.Random(23)
+    splits = 0
+    for _ in range(400):
+        order = rng.randrange(2, 17)
+        g = random_graph(rng, order, rng.choice((0.2, 0.5, 0.8)))
+        root = oracle._refine(g, [(1 << order) - 1])
+        assert _cell_lists(root) == _refine_naive(g, [list(range(order))]), g
+        branch = next((cell for cell in root if cell & (cell - 1)), None)
+        if branch is None:
+            continue
+        at = root.index(branch)
+        for v in _cell_lists([branch])[0]:
+            cells = root[:at] + [1 << v, branch ^ 1 << v] + root[at + 1 :]
+            got = oracle._refine(g, cells, [1 << v])
+            assert _cell_lists(got) == _refine_naive(g, _cell_lists(cells)), (g, v)
+            splits += 1
+    assert splits == 629
+
+
 def test_enumeration_order7_codes_are_pinned():
     # sha256 of the newline-joined codes, recorded before automorphism pruning
     codes = "\n".join(to_graph6(g) for g in enumerate_graphs(7))
@@ -223,6 +251,29 @@ def test_parent_search_automorphisms_are_in_the_parents_labels():
                 assert _assert_automorphisms(complement(g)) > 0, (sizes, g)
 
 
+def _cayley_z4_z4(steps):
+    """The Cayley graph on Z4 x Z4, (a, b) as vertex 4a + b, joining each
+    vertex to its sums with ``steps`` and their negatives."""
+    edges = set()
+    for a in range(4):
+        for b in range(4):
+            for da, db in steps:
+                for sign in (1, -1):
+                    u, v = 4 * a + b, 4 * ((a + sign * da) % 4) + (b + sign * db) % 4
+                    edges.add((min(u, v), max(u, v)))
+    return from_edges(16, sorted(edges))
+
+
+# Strongly regular graphs of order 16.  The rook's graph and the Shrikhande
+# graph are both srg(16, 6, 2, 2): refinement leaves every vertex in one
+# cell, so only the leaf comparison tells them apart.
+ROOK_4X4 = _cayley_z4_z4([(1, 0), (2, 0), (0, 1), (0, 2)])
+SHRIKHANDE = _cayley_z4_z4([(1, 0), (0, 1), (1, 1)])
+CLEBSCH = from_edges(
+    16, [(u, v) for u in range(16) for v in range(u + 1, 16) if (u ^ v).bit_count() in (1, 4)]
+)
+
+
 def test_symmetric_stragglers_finish_in_few_nodes():
     # 2K_{4,4} and P_3 + 9K_1 used up a 500,000-node allowance without
     # automorphism pruning; 4C4 needed 192,209 nodes.
@@ -234,13 +285,15 @@ def test_symmetric_stragglers_finish_in_few_nodes():
         disjoint_union(two_c4, two_c4),
         from_graph6("K????o??????"),  # P_3 + 9K_1
         from_graph6("K~V~~~~~~~~~"),
-    ]
+    ] + [g for srg in (ROOK_4X4, SHRIKHANDE, CLEBSCH) for g in (srg, complement(srg))]
     rng = random.Random(16)
     for g in stragglers:
         rep = canonical_graph(g, Budget(2_000))
         assert rep.order == g.order and rep.edge_count() == g.edge_count()
         assert canonical_graph(_shuffled(g, rng), Budget(2_000)) == rep
         assert canonical_graph(rep, Budget(2_000)) == rep
+    assert canonical_graph(ROOK_4X4) != canonical_graph(SHRIKHANDE)
+    assert canonical_graph(complement(ROOK_4X4)) != canonical_graph(complement(SHRIKHANDE))
 
 
 def test_canonical_cap():
@@ -303,6 +356,34 @@ def test_ramsey_cap_validation():
         ramsey(Path(3), Path(3), cap=1)
     with pytest.raises(EnumerationCapError):
         ramsey(Path(3), Path(3), cap=11)
+
+
+# Closed forms from the literature, each reproduced by a full scan below
+# the cap.  Pairs whose value is 9, such as R(P5, K3), need an order-9
+# sweep (274,668 classes) and are left out of tier-1.
+LITERATURE_VALUES = (
+    # Gerencser and Gyarfas (1967): R(P_n, P_m) = n + floor(m/2) - 1, n >= m
+    [
+        (Path(n), Path(m), n + m // 2 - 1)
+        for n, m in [(3, 3), (4, 4), (5, 4), (6, 4), (5, 5), (6, 3), (6, 5), (7, 4), (6, 6)]
+    ]
+    # Chvatal (1977): R(P_n, K_m) = (n - 1)(m - 1) + 1
+    + [(Path(n), Complete(m), (n - 1) * (m - 1) + 1) for n, m in [(3, 3), (3, 4), (4, 3)]]
+    # Chvatal and Harary (1972)
+    + [(Cycle(3), Cycle(3), 6), (Cycle(4), Cycle(4), 6)]
+    # Faudree, Lawrence, Parsons and Schelp (1974)
+    + [(Path(4), Cycle(4), 5)]
+)
+
+
+@pytest.mark.parametrize(
+    "g, h, value", LITERATURE_VALUES,
+    ids=[f"R({g.text()},{h.text()})" for g, h, _ in LITERATURE_VALUES],
+)
+def test_ramsey_matches_the_literature(g, h, value):
+    cert = ramsey(g, h, cap=10)
+    assert cert.value == value
+    assert certificate_from_json(certificate_to_json(cert)) == cert
 
 
 def test_certificate_json_round_trip():
@@ -368,6 +449,9 @@ def test_certificate_rejects_tampering():
         ("upper sweep at order 6, expected 7", dict(doc, upper=dict(up, order=6))),
         ("cannot carry a counterexample", dict(doc, upper=dict(up, counterexample="E???"))),
         ("sha256-prefixed", dict(doc, upper=dict(up, checksum=up["checksum"][7:]))),
+    ] + [
+        (f"no field 'upper.{name}'", dict(doc, upper={k: v for k, v in up.items() if k != name}))
+        for name in ["order", "holds", "checked", "total", "counterexample", "checksum"]
     ]
     for message, tampered in rejected:
         with pytest.raises(CertificateError, match=message):
