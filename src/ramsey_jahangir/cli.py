@@ -11,7 +11,7 @@ Four subcommands::
 stdin); a single input graph prints an indented trace document, several
 print one compact JSON line each.  Exit codes: 0 success, 2 bad usage or
 failed precondition, 3 maximality violation, 4 search budget exhausted,
-5 Ramsey scan hit its cap undecided.
+5 Ramsey scan hit its cap undecided, 141 standard output closed early.
 
 Each subcommand imports the modules it runs when it runs, so a process
 loads only its own: ``build`` no search engine, extractor or oracle,
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -100,7 +101,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
-        print(text)
+        print(text, flush=True)  # a closed pipe raises here, inside run
     else:
         Path(out).write_text(text + "\n", encoding="ascii")
 
@@ -277,6 +278,10 @@ def run(argv: list[str] | None = None) -> int:
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:  # 128 + SIGPIPE; the last flush goes to the null device
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

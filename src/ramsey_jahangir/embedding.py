@@ -214,18 +214,14 @@ def _place(host: Graph, spec: PatternSpec, bud: Budget) -> list[int] | None:
 # neither beat the best path nor tie it from a lower least vertex is never
 # searched (see :func:`longest_path`).
 #
-# On components of at most 24 vertices the explored states are memoized,
-# which makes the search the subset/endpoint dynamic program evaluated
-# lazily; larger components run plain branch-and-bound.  A path covering
-# its whole component stops the search early (nothing longer can exist),
-# which is what makes dense random components cheap; so does a path on
-# ``stop`` vertices when one is asked for.  The bounds prune only branches
-# that cannot beat the best path so far and the twins skip only mirrors of
-# branches already searched, so together they change node counts and never
-# an answer, a tie-break or an early stop.
+# Every component remembers its dead states, (endpoint, visited set) pairs
+# explored to exhaustion, and never expands one again: the search is the
+# subset/endpoint dynamic program (Held-Karp) evaluated lazily, its memory
+# growing with the nodes spent.  The memo skips only dead states, the
+# bounds only branches that cannot beat the best path so far and the twins
+# only mirrors of searched branches, so together they change node counts
+# and never an answer, a tie-break or an early stop.
 # ---------------------------------------------------------------------------
-
-_MEMO_LIMIT = 24
 
 # Component answers of one graph: (component vertex mask, stop length) to
 # the path its search returned.
@@ -272,7 +268,7 @@ def _component_search(
     best: PathWitness = ()
     # A dead state (endpoint v, visited set mask) is keyed mask << shift | v.
     shift = g.order.bit_length()
-    dead: set[int] | None = set() if len(comp) <= _MEMO_LIMIT else None
+    dead: set[int] = set()
     # The twin table, built at the first nonempty untried set popped: until
     # then ``twinned`` is -1, which selects any such set.
     lower: dict[int, int] = {}
@@ -338,12 +334,11 @@ def _component_search(
                     return best
             free = comp_mask & ~mask
             rest = adj[v] & free
-            if rest and dead is not None and (mask << shift | v) in dead:
-                rest = 0
-            # With no gap to the best path, any free neighbour is a gain.
-            elif rest and len(best) > len(path) and not can_gain(
+            # A dead state has nothing left to find; with no gap to the
+            # best path, any free neighbour is a gain.
+            if rest and ((mask << shift | v) in dead or len(best) > len(path) and not can_gain(
                 v, rest, free, len(best) - len(path)
-            ):
+            )):
                 rest = 0
             # Retreat past the vertices with nothing left to try, then
             # step to the least untried neighbour of the deepest one
@@ -354,8 +349,7 @@ def _component_search(
             # sets are filtered.
             while not rest:
                 v = path.pop()
-                if dead is not None:
-                    dead.add(mask << shift | v)
+                dead.add(mask << shift | v)
                 mask ^= 1 << v
                 if not path:
                     break

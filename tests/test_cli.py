@@ -1,7 +1,11 @@
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path as FilePath
 
 import pytest
 
@@ -55,6 +59,32 @@ def test_build_to_file(tmp_path, capsys):
     assert run(["build", "J2,2", "--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_text() == "Dlg\n"
+
+
+def test_build_to_an_unwritable_file_exits_2(tmp_path, capsys):
+    assert run(["build", "J2,2", "--out", str(tmp_path / "missing" / "out.g6")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["build", "J2,3"], ["suite", "thm1-s2m3", "--count", "20"]], ids=["short", "long"]
+)
+def test_a_closed_standard_output_exits_141_silently(argv):
+    # The reader is gone before the child writes, as in ``... | head -c 10``
+    # once head has exited: 128 + SIGPIPE, as a shell reports for a Unix
+    # tool, and nothing on stderr, at the write or at interpreter shutdown.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = FilePath(__file__).resolve().parents[1] / "src"
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "ramsey_jahangir", *argv],
+            stdout=write_end, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (141, b"")
 
 
 def test_build_rejects_bad_pattern(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from ramsey_jahangir import (
     Embedding,
     Jahangir,
     Path,
+    Thm1,
     Wheel,
     build,
     check_embedding,
@@ -20,10 +22,12 @@ from ramsey_jahangir import (
     disjoint_union,
     empty,
     enumerate_graphs,
+    extract,
     find_subgraph,
     fits_complete_multipartite,
     from_edges,
     longest_path,
+    trace_json,
 )
 import ramsey_jahangir.embedding as embedding_module
 from ramsey_jahangir.embedding import _search_order
@@ -307,7 +311,8 @@ def test_bipartite_bound_changes_no_answer():
             assert longest_path(g, stop=stop) == longest_path_reference(g, stop=stop), (g, stop)
         if g.order <= 8:
             assert len(full) == longest_path_brute(g), g
-    # both the memoised search and plain branch-and-bound ran
+    # the reference memoises only up to 24 vertices, so above that the
+    # memo of every component is checked against plain branch-and-bound
     assert min(seen_orders) <= 24 < max(seen_orders)
 
 
@@ -429,7 +434,8 @@ def test_twins_and_dead_ends_change_no_answer():
         full = len(longest_path_reference(g))
         for stop in {None, 2, max(1, full // 2), full, full + 1}:
             _assert_agrees_with(g, stop, side_bound=False)
-    # both the memoised search and plain branch-and-bound ran
+    # the reference memoises only up to 24 vertices, so above that the
+    # memo of every component is checked against plain branch-and-bound
     assert min(g.order for g in hosts) <= 24 < max(g.order for g in hosts)
 
 
@@ -457,6 +463,52 @@ def test_the_dead_state_memo_settles_a_bipartite_host_with_a_matching():
     matching = [(v, v + 1) for v in range(5, 19, 2)]
     host = _complete_bipartite_plus(random.Random(0), 5, 14, matching)
     assert len(longest_path(host, Budget(100_000))) == 17
+
+
+def _blocks_on_a_cut_vertex(seed):
+    """Three random blocks of 8 new vertices each on the shared vertex 0,
+    edge probability 0.8: 25 vertices in one component."""
+    r = random.Random(seed)
+    edges = []
+    for b in range(3):
+        block = [0] + list(range(1 + 8 * b, 9 + 8 * b))
+        edges += [
+            (u, v) for i, u in enumerate(block) for v in block[i + 1:] if r.random() < 0.8
+        ]
+    return from_edges(25, edges)
+
+
+@pytest.mark.parametrize(
+    "seed, spent, digest",
+    [
+        (0, 12_621, "9ad82748a3939d8db29d467f87f52457a1ba28ebde0c4af38b9e898a0a6a5bc3"),
+        (1, 8_987, "e099f540548c336f0ddccab49846a8dc1c0f261a7b3a5fa473d43b70749305a4"),
+        (2, 14_391, "20201eac5a0165e65eba262fe1070d6107ff4ee540c4699c3677e57ea4c5c7c9"),
+    ],
+)
+def test_the_memo_settles_blocks_on_a_cut_vertex_above_24_vertices(seed, spent, digest):
+    # A longest path crosses the cut vertex once, so it covers two blocks
+    # (17 vertices).  Dead states are remembered in every component, so
+    # the search settles in about 10k nodes where plain branch-and-bound
+    # takes 229k-445k.  The digests are those plain branch-and-bound
+    # gave: the memo changes no byte of the trace.
+    host = _blocks_on_a_cut_vertex(seed)
+    bud = Budget(20_000)
+    assert len(longest_path(host, bud)) == 17
+    assert 20_000 - bud.remaining == spent
+    trace = trace_json(host, extract(host, Thm1(23, 2, 3)))
+    assert hashlib.sha256(trace.encode()).hexdigest() == digest
+
+
+def test_the_memo_settles_a_larger_bipartite_host_with_a_matching():
+    # K_{6,19} with a matching inside the 19-side (sides 0-5 and 6-24): as
+    # in the K_{5,14} host above, a matched pair fills each of the 7 places
+    # around the 6 side vertices, 6 + 14.  The memo settles it in about
+    # 468k nodes; plain branch-and-bound exhausts 3M.
+    matching = [(v, v + 1) for v in range(6, 24, 2)]
+    cross = [(u, v) for u in range(6) for v in range(6, 25)]
+    host = from_edges(25, cross + matching)
+    assert len(longest_path(host, Budget(500_000))) == 20
 
 
 @pytest.mark.parametrize("a, b, length", [(10, 30, 21), (8, 24, 17)], ids=["K10,30", "K8,24"])
