@@ -37,7 +37,7 @@ from .families import (
     build,
     parse_spec,
 )
-from .graphs import Graph, from_graph6, to_graph6
+from .graphs import Graph, _indented_json, from_graph6, to_graph6
 
 
 class _SuiteHelp(argparse.HelpFormatter):
@@ -144,7 +144,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
             "graph6": to_graph6(g),
             "edges": [[u, v] for u, v in g.edges()],
         }
-        _emit(json.dumps(doc, indent=2), args.out)
+        _emit(_indented_json(doc), args.out)
     else:
         _emit(_human_graph(g, spec.text()), args.out)
     return 0
@@ -187,7 +187,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         ]
         _emit("\n".join(blocks), args.out)
     elif len(docs) == 1:
-        _emit(json.dumps(docs[0], indent=2), args.out)
+        _emit(_indented_json(docs[0]), args.out)
     else:
         _emit("\n".join(json.dumps(doc) for doc in docs), args.out)
     return 0
@@ -218,7 +218,7 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
                 "last_order": last.order,
                 "last_counterexample": last.counterexample,
             }
-            _emit(json.dumps(report, indent=2), args.out)
+            _emit(_indented_json(report), args.out)
         print(f"error: {exc}", file=sys.stderr)
         return 5
     if args.format == "human":
@@ -250,7 +250,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             )
         _emit("\n".join(lines), args.out)
     else:
-        _emit(json.dumps(doc, indent=2), args.out)
+        _emit(_indented_json(doc), args.out)
     return 0
 
 

@@ -61,6 +61,13 @@ class Embedding(Frozen):
 
 def check_embedding(host: Graph, emb: Embedding) -> str | None:
     """Reason the embedding is invalid, or None if it checks out."""
+    return _embedding_fault(host, emb, True)
+
+
+def _embedding_fault(host: Graph, emb: Embedding, in_host: bool) -> str | None:
+    """Reason ``emb`` is no embedding into ``host`` (``in_host``) or into its
+    complement (not ``in_host``), or None.  Both read the host's rows: each
+    pattern edge must land on a host edge, or on a host non-edge."""
     if emb.host_order != host.order:
         return f"host order mismatch: embedding says {emb.host_order}, graph has {host.order}"
     if len(emb.mapping) != emb.pattern.order:
@@ -72,8 +79,9 @@ def check_embedding(host: Graph, emb: Embedding) -> str | None:
         return "mapping is not injective"
     adj, image = host.adj, emb.mapping
     for u, v in emb.pattern.edges():
-        if not adj[image[u]] >> image[v] & 1:
-            return f"missing edge {image[u]},{image[v]} (pattern {u},{v})"
+        if adj[image[u]] >> image[v] & 1 != in_host:
+            side = "" if in_host else "complement "
+            return f"missing {side}edge {image[u]},{image[v]} (pattern {u},{v})"
     return None
 
 

@@ -1,4 +1,5 @@
-"""Dense immutable graphs on integer vertices, plus graph6 serialization.
+"""Dense immutable graphs on integer vertices, plus graph6 serialization
+and the package's indented JSON writer.
 
 Adjacency is stored as one bitmask per vertex, which keeps neighborhood
 intersections (the inner loop of every search in this package) down to a
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import binascii
 from collections.abc import Iterable, Iterator
+from json.encoder import encode_basestring_ascii as _json_str
 
 
 class Graph6Error(ValueError):
@@ -409,3 +411,58 @@ def from_graph6(line: str) -> Graph:
             rows[row] |= 1 << col
         start += col
     return _graph(n, tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# indented JSON
+#
+# Before Python 3.13, ``json.dumps`` with ``indent`` set runs the
+# pure-Python encoder, one generator step per token (from 3.13 the C
+# encoder serves ``indent`` too, and is faster than this writer).  Every
+# indented document this package prints holds only dicts with str keys,
+# lists, tuples, str, int, bool and None, so one recursive writer covers
+# them, quoting strings through the C encoder's function.
+# ---------------------------------------------------------------------------
+
+
+def _indented_json(obj: object, newline: str = "\n") -> str:
+    """The text ``json.dumps(obj, indent=2)`` returns, for dicts with str
+    keys, lists, tuples, str, int, bool and None; any other type, a
+    subclass of one of those included, raises ``TypeError``.  ``newline``
+    is the line break and indentation that precede ``obj``'s closing
+    bracket."""
+    kind = type(obj)
+    if kind is str:
+        return _json_str(obj)
+    if kind is int:
+        return str(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    inner = newline + "  "
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        if all(type(item) is int for item in obj):
+            items = list(map(str, obj))
+        else:
+            items = [_indented_json(item, inner) for item in obj]
+        brackets = "[]"
+    elif kind is dict:
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise TypeError(f"key {key!r} is not a str")
+            items.append(_json_str(key) + ": " + _indented_json(value, inner))
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    # The brackets go onto the first and last items, so that one join
+    # copies the items' text once: a suite document's cases are held twice
+    # at most, not once more per bracket.
+    items[0] = brackets[0] + inner + items[0]
+    items[-1] += newline + brackets[1]
+    return ("," + inner).join(items)

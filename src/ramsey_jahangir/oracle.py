@@ -21,6 +21,7 @@ from .graphs import (
     Frozen,
     Graph,
     _graph,
+    _indented_json,
     clique_union_sizes,
     complement,
     disjoint_cover_sizes,
@@ -521,7 +522,7 @@ def certificate_to_json(cert: RamseyCertificate) -> str:
         "lower_witness": cert.lower_witness,
         "upper": {name: getattr(cert.upper, name) for name in ArrowsReport._fields},
     }
-    return json.dumps(doc, indent=2)
+    return _indented_json(doc)
 
 
 def _field(doc: object, name: str, kinds: tuple[type, ...]):

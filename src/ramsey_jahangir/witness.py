@@ -20,7 +20,6 @@ selection the construction is entitled to make but cannot raises
 
 from __future__ import annotations
 
-import json
 from itertools import combinations, islice
 
 from .embedding import (
@@ -28,7 +27,7 @@ from .embedding import (
     Embedding,
     PathWitness,
     SearchedComponents,
-    check_embedding,
+    _embedding_fault,
     find_subgraph,
     fits_complete_multipartite,
     longest_path,
@@ -53,6 +52,7 @@ from .families import (
 from .graphs import (
     Frozen,
     Graph,
+    _indented_json,
     clique_union_sizes,
     complement,
     component_masks,
@@ -119,10 +119,11 @@ class DichotomyWitness(Frozen):
 
 
 def verify_witness(host: Graph, witness: DichotomyWitness) -> bool:
-    """Re-check a witness from scratch against the host it came from."""
-    if witness.kind == "jahangir":
-        host = complement(host)
-    return check_embedding(host, witness.embedding) is None
+    """Re-check a witness from scratch against the host it came from: the
+    map's order, length, range and injectivity, then each pattern edge on
+    the host's rows, as a host edge for a path witness and as a host
+    non-edge for a Jahangir witness (an edge of the complement)."""
+    return _embedding_fault(host, witness.embedding, witness.kind == "paths") is None
 
 
 def _ensure(host: Graph, witness: DichotomyWitness) -> DichotomyWitness:
@@ -702,7 +703,13 @@ def verify_extremal(
 
 
 def trace_document(host: Graph, witness: DichotomyWitness) -> dict:
-    """Plain-dict form of a witness with its trace, stable key order."""
+    """Plain-dict form of a witness with its trace, stable key order.
+
+    ``"verified"`` is :func:`verify_witness` run here on the pair given.
+    ``extract`` has already verified every witness it returns against its
+    own host, but this function may be handed any host and witness, so the
+    document checks its own claim rather than repeating one made elsewhere.
+    """
     tr = witness.trace
     return {
         "theorem": tr.theorem,
@@ -721,4 +728,4 @@ def trace_document(host: Graph, witness: DichotomyWitness) -> dict:
 
 def trace_json(host: Graph, witness: DichotomyWitness) -> str:
     """Deterministic JSON for a witness: same extraction, same bytes."""
-    return json.dumps(trace_document(host, witness), indent=2)
+    return _indented_json(trace_document(host, witness))

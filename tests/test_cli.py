@@ -10,6 +10,7 @@ from pathlib import Path as FilePath
 import pytest
 
 from ramsey_jahangir import (
+    SUITES,
     Path,
     Thm2EvenM,
     Thm2OddM,
@@ -384,6 +385,43 @@ def test_suite_seed_outside_64_bits(capsys):
         assert f"error: seed {seed} outside" in captured.err
     assert run(["suite", "thm1-s2m3", "--seed", str((1 << 64) - 1), "--count", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == (1 << 64) - 1
+
+
+# Every indented document the CLI prints, each of which must be the bytes
+# json.dumps(doc, indent=2) gives: a pattern, a certificate, the
+# indeterminate report (with its null value), a path trace, a Jahangir trace
+# with augmented edges and selections, and the five suites.
+INDENTED_OUTPUTS = [
+    ("build", ["build", "J2,3", "--format", "json"], None, 0),
+    ("certificate", ["ramsey", "P4", "J2,2", "--cap", "8"], None, 0),
+    ("indeterminate", ["ramsey", "P6", "J2,3", "--cap", "4"], None, 5),
+    ("path-trace", ["witness", "-", "--theorem", "1", "-n", "23", "-s", "2", "-m", "3"],
+     lambda: build(Path(25)), 0),
+    ("jahangir-trace", ["witness", "-", "--theorem", "3", "-t", "2", "-n", "23", "-s", "2",
+                        "-m", "3"],
+     lambda: disjoint_union(disjoint_union(complete(23), complete(3)), empty(22)), 0),
+] + [
+    (f"suite-{name}", ["suite", name, "--seed", "0", "--count", "40"], None, 0)
+    for name in sorted(SUITES)
+]
+
+
+@pytest.mark.parametrize(
+    "argv, make_host, code",
+    [row[1:] for row in INDENTED_OUTPUTS],
+    ids=[row[0] for row in INDENTED_OUTPUTS],
+)
+def test_indented_output_is_json_dumps_bytes(monkeypatch, capsys, argv, make_host, code):
+    if make_host is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(make_host()) + "\n"))
+    assert run(argv) == code
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    if argv[0] == "witness":
+        assert doc["paths"] and doc["verified"] is True
+        if doc["witness"]["pattern"].startswith("J"):
+            assert doc["augmented_edges"] and doc["selections"]
 
 
 def test_no_arguments(capsys):

@@ -1,3 +1,4 @@
+import json
 import pickle
 import random
 
@@ -26,7 +27,7 @@ from ramsey_jahangir import (
     relabel,
     to_graph6,
 )
-from ramsey_jahangir.graphs import clique_union_sizes, iter_bits
+from ramsey_jahangir.graphs import _indented_json, clique_union_sizes, iter_bits
 
 from helpers_naive import from_graph6_per_bit, naive_graph6, random_graph, validate_every_arc
 
@@ -274,6 +275,30 @@ def test_graph6_rejects_garbage():
             with pytest.raises(Graph6Error) as err:
                 decode(junk)
             assert str(err.value) == message, (junk, decode)
+
+
+# ------------------------------------------------------------ indented JSON
+
+
+def test_indented_json_is_json_dumps_on_the_edge_cases():
+    backslash = to_graph6(from_edges(5, [(0, 2), (0, 3), (1, 2), (2, 3)]))
+    wide = to_graph6(empty(63))
+    assert "\\" in backslash and wide.startswith("~")
+    values = [
+        [], {}, [[]], [[], [[]], {}], {"a": [], "b": {}},
+        True, False, None, 0, -7, [True, False, None], [1, True], [-1, 0, 1 << 70],
+        (1, (2, -3), ()), {"graph6": [backslash, wide, to_graph6(complete(5))]},
+        {"k": 1, "nested": {"deep": [{"x": None}, [1, [2, [3]]]]}},
+        "quote \" and \\ and tab\t and \u00e9 and \u2028", "",
+    ]
+    for value in values:
+        assert _indented_json(value) == json.dumps(value, indent=2), value
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, [0.0], {"x": {3}}, {1: "int key"}, frozenset()])
+def test_indented_json_refuses_types_the_package_never_emits(value):
+    with pytest.raises(TypeError):
+        _indented_json(value)
 
 
 # ---------------------------------------------------------------- values

@@ -714,6 +714,82 @@ def test_verify_witness_catches_corruption():
     assert not verify_witness(host, bad)
 
 
+def _remapped(w, mapping, host_order=None):
+    """``w`` with its embedding's map (and host order) replaced."""
+    emb = w.embedding
+    order = emb.host_order if host_order is None else host_order
+    return w.replace(embedding=Embedding(emb.pattern, order, tuple(mapping)))
+
+
+def _row_check_witnesses():
+    """A Jahangir witness (Thm1-Case1 on eight triangles) and a path witness
+    (path-found on P25), each with its host."""
+    jahangir_host = triangles_host()
+    path_host = build(Path(25))
+    return [
+        (jahangir_host, extract(jahangir_host, Thm1(23, 2, 3))),
+        (path_host, extract(path_host, Thm1(23, 2, 3))),
+    ]
+
+
+def test_verify_witness_rejects_a_jahangir_edge_on_a_host_edge():
+    host, w = _row_check_witnesses()[0]
+    assert w.kind == "jahangir" and verify_witness(host, w)
+    image = list(w.embedding.mapping)
+    # Move one end of a pattern edge onto an unused host neighbour of the
+    # other end: the map stays injective and in range.
+    u, v, b = next(
+        (u, v, b)
+        for u, v in w.embedding.pattern.edges()
+        for b in host.neighbors(image[u])
+        if b not in image
+    )
+    image[v] = b
+    assert len(set(image)) == len(image)
+    assert not verify_witness(host, _remapped(w, image))
+
+
+def test_verify_witness_rejects_a_path_edge_missing_from_the_host():
+    host, w = _row_check_witnesses()[1]
+    assert w.kind == "paths" and verify_witness(host, w)
+    image = list(w.embedding.mapping)
+    last = image[-2]
+    image[-1] = next(x for x in range(host.order) if x not in image and not host.has_edge(last, x))
+    assert not verify_witness(host, _remapped(w, image))
+
+
+@pytest.mark.parametrize("kind", ["jahangir", "paths"])
+def test_verify_witness_rejects_a_bad_map_or_host_order(kind):
+    host, w = next(pair for pair in _row_check_witnesses() if pair[1].kind == kind)
+    assert verify_witness(host, w)
+    image = list(w.embedding.mapping)
+    assert not verify_witness(host, _remapped(w, [image[1]] + image[1:]))  # not injective
+    assert not verify_witness(host, _remapped(w, [host.order] + image[1:]))  # out of range
+    assert not verify_witness(host, _remapped(w, image, host.order + 1))
+    assert not verify_witness(disjoint_union(host, empty(1)), w)
+
+
+def test_verify_witness_agrees_with_the_embedding_check_on_the_complement():
+    # Every one-vertex remap of witnesses on random hosts: the row check
+    # answers as check_embedding does on the host, or on its complement
+    # for a Jahangir witness.
+    kinds = set()
+    for i in range(12):
+        rng = random.Random(3000 + i)
+        host = random_graph(rng, 25, rng.choice((0.08, 0.3, 0.6)))
+        w = extract(host, Thm1(23, 2, 3))
+        side = complement(host) if w.kind == "jahangir" else host
+        for at in range(len(w.embedding.mapping)):
+            for x in range(host.order):
+                image = list(w.embedding.mapping)
+                image[at] = x
+                bad = _remapped(w, image)
+                expected = check_embedding(side, bad.embedding) is None
+                assert verify_witness(host, bad) == expected
+        kinds.add(w.kind)
+    assert kinds == {"jahangir", "paths"}
+
+
 # ------------------------------------------------------------- traces
 
 
@@ -744,6 +820,19 @@ def test_trace_json_is_deterministic():
     a = trace_json(host, extract(host, Thm1(23, 2, 3)))
     b = trace_json(host, extract(host, Thm1(23, 2, 3)))
     assert a == b
+
+
+def test_trace_json_is_json_dumps_of_the_trace_document():
+    # A path witness whose trace fills every serialized field, and a
+    # Jahangir witness with augmented edges and selections.
+    host = build(Path(25))
+    w = extract(host, Thm1(23, 2, 3))
+    filled = w.replace(trace=w.trace.replace(augmented_edges=((23, 24),), selections={"x": 0}))
+    lifted_host = _union(complete(23), complete(3), empty(22))
+    lifted = extract(lifted_host, Thm3(2, 23, 2, 3))
+    assert lifted.trace.augmented_edges and lifted.trace.selections
+    for g, witness in ((host, filled), (lifted_host, lifted)):
+        assert trace_json(g, witness) == json.dumps(trace_document(g, witness), indent=2)
 
 
 # Pinned trace_json digests for hosts whose Jahangir is found in what is
