@@ -99,11 +99,28 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+_SLICE = 1 << 16  # characters encoded at a time
+
+
 def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` and a newline to stdout, or to the file ``out``.
+
+    A text stream encodes each write whole, so the document goes out in
+    slices: the bytes of one slice, not of the whole text, are alive beside
+    it.
+    """
     if out is None or out == "-":
-        print(text, flush=True)  # a closed pipe raises here, inside run
+        _write_slices(sys.stdout, text)
+        sys.stdout.flush()  # a closed pipe raises in a write or here, inside run
     else:
-        Path(out).write_text(text + "\n", encoding="ascii")
+        with open(out, "w", encoding="ascii") as stream:
+            _write_slices(stream, text)
+
+
+def _write_slices(stream, text: str) -> None:
+    for start in range(0, len(text), _SLICE):
+        stream.write(text[start:start + _SLICE])
+    stream.write("\n")
 
 
 def _human_graph(g: Graph, title: str) -> str:

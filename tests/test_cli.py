@@ -23,7 +23,7 @@ from ramsey_jahangir import (
     to_graph6,
     trace_document,
 )
-from ramsey_jahangir.cli import run
+from ramsey_jahangir.cli import _SLICE, run
 
 from helpers_naive import shuffled_complete_bipartite
 
@@ -68,7 +68,13 @@ def test_build_to_an_unwritable_file_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["build", "J2,3"], ["suite", "thm1-s2m3", "--count", "20"]], ids=["short", "long"]
+    "argv",
+    [
+        ["build", "J2,3"],
+        ["suite", "thm1-s2m3", "--count", "20"],
+        ["build", "P1000", "--format", "json"],  # two slices of _emit
+    ],
+    ids=["short", "long", "sliced"],
 )
 def test_a_closed_standard_output_exits_141_silently(argv):
     # The reader is gone before the child writes, as in ``... | head -c 10``
@@ -86,6 +92,30 @@ def test_a_closed_standard_output_exits_141_silently(argv):
     finally:
         os.close(write_end)
     assert (child.returncode, child.stderr) == (141, b"")
+
+
+def test_a_document_longer_than_one_slice_keeps_its_bytes(tmp_path):
+    # The CLI writes a document in slices of _SLICE characters; P1000's
+    # pattern document runs to about 117,000, so it goes out in two.
+    g = build(Path(1000))
+    doc = {
+        "pattern": "P1000",
+        "order": 1000,
+        "graph6": to_graph6(g),
+        "edges": [[u, v] for u, v in g.edges()],
+    }
+    expected = (json.dumps(doc, indent=2) + "\n").encode("ascii")
+    assert len(expected) > _SLICE
+    argv = ["build", "P1000", "--format", "json"]
+    src = FilePath(__file__).resolve().parents[1] / "src"
+    child = subprocess.run(
+        [sys.executable, "-m", "ramsey_jahangir", *argv],
+        capture_output=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert (child.stdout, child.stderr) == (expected, b"")
+    target = tmp_path / "p1000.json"
+    assert run([*argv, "--out", str(target)]) == 0
+    assert target.read_bytes() == expected
 
 
 def test_build_rejects_bad_pattern(capsys):

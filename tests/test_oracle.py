@@ -312,6 +312,21 @@ def test_arrows_r_p3_p3():
     assert at.checksum.startswith("sha256:")
 
 
+def test_arrows_checksum_is_the_sha256_of_the_swept_codes():
+    # The sweep hashes with the interpreter's built-in SHA-256; hashlib's is
+    # the reference.  Orders below R(P4, J2,2) = 6 stop at a counterexample.
+    stopped = 0
+    for order in range(1, 8):
+        report = arrows(order, Path(4), Jahangir(2, 2))
+        codes = [to_graph6(g) for g in enumerate_graphs(order)][: report.checked]
+        assert report.holds == (order >= 6)
+        assert report.checksum == "sha256:" + hashlib.sha256(
+            b"".join(code.encode("ascii") + b"\n" for code in codes)
+        ).hexdigest()
+        stopped += report.checked < report.total
+    assert stopped
+
+
 def test_arrows_monotone_in_order():
     p4, j = Path(4), Jahangir(2, 2)
     held = False

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from ramsey_jahangir import to_graph6
+from ramsey_jahangir.cli import run
 
 from helpers_naive import shuffled_complete_bipartite
 
@@ -40,6 +41,8 @@ ORACLE = "ramsey_jahangir.oracle"
 WITNESS = "ramsey_jahangir.witness"
 EMBEDDING = "ramsey_jahangir.embedding"
 SUITES = "ramsey_jahangir.suites"
+# OpenSSL's bindings: a sweep's checksum uses the interpreter's own SHA-256
+OPENSSL = {"hashlib", "_hashlib"}
 EDGELESS_25 = "X" + "?" * 50  # graph6 of the edgeless graph on 25 vertices
 # graph6 of K_{10,30}, labels shuffled: the path search needs more than 5 nodes
 K10_30 = to_graph6(shuffled_complete_bipartite(random.Random(5), 10, 30))
@@ -60,8 +63,8 @@ def test_importing_the_cli_loads_no_engine_and_build_loads_none_either():
     code, imported, ran = _probe(["build", "J2,3"])
     assert code == 0
     assert "ramsey_jahangir.cli" in imported
-    assert not imported & {"dataclasses", "hashlib", ORACLE, WITNESS, EMBEDDING}
-    assert not ran & {ORACLE, WITNESS, EMBEDDING}
+    assert not imported & ({"dataclasses", ORACLE, WITNESS, EMBEDDING} | OPENSSL)
+    assert not ran & ({ORACLE, WITNESS, EMBEDDING} | OPENSSL)
 
 
 @pytest.mark.parametrize(
@@ -72,13 +75,39 @@ def test_importing_the_cli_loads_no_engine_and_build_loads_none_either():
         (["ramsey", "P4", "J2,2", "--cap", "5"], "", 5, ORACLE, {WITNESS}),
         (["witness", "-", "--theorem", "1", "-n", "23", "-s", "2", "-m", "3",
           "--budget", "5"], K10_30, 4, WITNESS, {ORACLE}),
+        (["suite", "thm1-s2m3", "--count", "3"], "", 0, SUITES, {ORACLE}),
         # the help lists the suites, and running none needs no engine
         (["suite", "--help"], "", 0, SUITES, {ORACLE, WITNESS, EMBEDDING}),
     ],
-    ids=["witness", "ramsey", "witness-budget", "suite-help"],
+    ids=["witness", "ramsey", "witness-budget", "suite", "suite-help"],
 )
 def test_each_command_loads_only_its_own_engine(argv, stdin, code, loaded, unloaded):
     got, imported, ran = _probe(argv, stdin)
     assert got == code
     assert loaded in ran
-    assert not unloaded & (imported | ran)
+    assert not (unloaded | OPENSSL) & (imported | ran)
+
+
+# A build without the built-in hash modules, as seen by an import that finds
+# None in sys.modules: the sweep falls back to hashlib, with the same bytes.
+_NO_BUILTIN_SHA = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from ramsey_jahangir.cli import run
+code = run(sys.argv[1:])
+sys.stdout.flush()
+sys.stderr.write(" ".join(sorted({"hashlib", "_hashlib"} & set(sys.modules))))
+sys.exit(code)
+"""
+
+
+def test_a_scan_without_the_built_in_sha256_falls_back_to_hashlib(capsys):
+    argv = ["ramsey", "P4", "J2,2", "--cap", "8"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out.encode("ascii")
+    child = subprocess.run(
+        [sys.executable, "-c", _NO_BUILTIN_SHA, *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, check=True,
+    )
+    assert child.stdout == expected
+    assert child.stderr == b"_hashlib hashlib"
