@@ -205,22 +205,24 @@ def _place(host: Graph, spec: PatternSpec, bud: Budget) -> list[int] | None:
 # set a new best is not bounded at all, so the descent of a long path costs
 # a few bit operations per node.
 #
+# The starts are the untried set of the empty path: the walk steps to the
+# least of them and pops the rest like any other set of alternatives.
 # Twins, two vertices with the same open or the same closed neighbourhood
 # in the component, are swapped by an automorphism that fixes every other
 # vertex.  So while both are free, the subtree under the higher mirrors the
-# subtree under the lower, and the higher is skipped, as a start vertex and
-# as a next step.  The lower is tried first (vertex order), and the best
-# path is replaced only by a strictly longer one, so the mirror could not
-# have replaced it.  The twin table is built in one place, at the first
-# nonempty set of untried neighbours popped.  The first descent is never
-# pruned: it covers its component, which ends the search, or it branches,
-# and no later start comes before the branch is popped.  A first descent
-# that reaches the stop length (the dense random blocks of the suites)
-# never builds it.
+# subtree under the lower, and the higher is skipped wherever a popped set
+# holds it, starts included.  The lower is tried first (vertex order), and
+# the best path is replaced only by a strictly longer one, so the mirror
+# could not have replaced it.  The twin table is built in one place, at the
+# first nonempty set popped.  The first descent is never pruned: it covers
+# its component, which ends the search, or it branches, and the branch is
+# popped before the starts are.  A first descent that reaches the stop
+# length (the dense random blocks of the suites) never builds it.
 #
-# Without a stop the components are visited largest first, and one that can
-# neither beat the best path nor tie it from a lower least vertex is never
-# searched (see :func:`longest_path`).
+# The components are visited in one order: those that can hold a path on
+# ``stop`` vertices first, by least vertex, then the rest largest first;
+# one that can neither beat the best path nor tie it from a lower least
+# vertex is never searched (see :func:`longest_path`).
 #
 # Every component remembers its dead states, (endpoint, visited set) pairs
 # explored to exhaustion, and never expands one again: the search is the
@@ -236,7 +238,7 @@ def _place(host: Graph, spec: PatternSpec, bud: Budget) -> list[int] | None:
 SearchedComponents = dict[tuple[int, int], PathWitness]
 
 
-def _lower_twins(adj: Sequence[int], comp: list[int], comp_mask: int) -> tuple[dict[int, int], int]:
+def _lower_twins(adj: Sequence[int], comp_mask: int) -> tuple[dict[int, int], int]:
     """Each vertex of the component that has a lower twin, mapped to the mask
     of its lower twins, and the mask of those vertices.
 
@@ -246,7 +248,7 @@ def _lower_twins(adj: Sequence[int], comp: list[int], comp_mask: int) -> tuple[d
     a closed one ``N[x]``, since ``x`` in ``N(u)`` puts ``u`` in ``N(x)``.
     """
     classes: dict[int, int] = {}
-    for v in comp:
+    for v in iter_bits(comp_mask):
         bit = 1 << v
         row = adj[v] & comp_mask
         classes[row] = classes.get(row, 0) | bit
@@ -268,11 +270,10 @@ def _component_search(
 
     ``side`` is one side of the component if it is bipartite, else None.
     The search runs on an explicit stack, free of the recursion limit:
-    ``path``, its visited set ``mask``, and the ``untried`` neighbours of
-    every path vertex below the top.
+    ``path``, its visited set ``mask``, and the ``untried`` alternatives to
+    every path vertex, the first being the starts not yet tried.
     """
     adj = g.adj
-    comp = list(iter_bits(comp_mask))
     best: PathWitness = ()
     # A dead state (endpoint v, visited set mask) is keyed mask << shift | v.
     shift = g.order.bit_length()
@@ -326,62 +327,52 @@ def _component_search(
             frontier = step & free & ~reach
         return False
 
-    for start in comp:
-        if start in lower:  # its paths mirror those of a lower twin
-            continue
-        path = [start]
-        mask = 1 << start
-        untried: list[int] = []
-        while path:
-            # Visit the path's new last vertex.
-            v = path[-1]
-            bud.spend()
-            if len(path) > len(best):
-                best = tuple(path)
-                if len(path) >= stop_len:
-                    return best
-            free = comp_mask & ~mask
-            rest = adj[v] & free
-            # A dead state has nothing left to find; with no gap to the
-            # best path, any free neighbour is a gain.
-            if rest and ((mask << shift | v) in dead or len(best) > len(path) and not can_gain(
-                v, rest, free, len(best) - len(path)
-            )):
-                rest = 0
-            # Retreat past the vertices with nothing left to try, then
-            # step to the least untried neighbour of the deepest one
-            # that has one.  A neighbour with a free lower twin is
-            # skipped: that twin is a neighbour too, tried before it,
-            # and swapping the two maps one subtree onto the other.  So
-            # a least neighbour is never skipped, and only the popped
-            # sets are filtered.
-            while not rest:
-                v = path.pop()
-                dead.add(mask << shift | v)
-                mask ^= 1 << v
-                if not path:
-                    break
-                rest = untried.pop()
-                if rest & twinned:
-                    if twinned < 0:
-                        lower, twinned = _lower_twins(adj, comp, comp_mask)
-                    skip = rest & twinned
-                    while skip:
-                        low = skip & -skip
-                        if lower[low.bit_length() - 1] & ~mask:
-                            rest ^= low
-                        skip ^= low
-            if rest:
-                low = rest & -rest
-                untried.append(rest ^ low)
-                path.append(low.bit_length() - 1)
-                mask |= low
-    return best
-
-
-def _normalize_direction(path: PathWitness) -> PathWitness:
-    rev = path[::-1]
-    return path if path <= rev else rev
+    path: list[int] = []
+    mask = 0
+    untried: list[int] = []
+    rest = comp_mask  # the empty path's untried set: every start
+    while True:
+        # Step to the least vertex of ``rest`` and visit it.
+        low = rest & -rest
+        untried.append(rest ^ low)
+        v = low.bit_length() - 1
+        path.append(v)
+        mask |= low
+        bud.spend()
+        if len(path) > len(best):
+            best = tuple(path)
+            if len(path) >= stop_len:
+                return best
+        free = comp_mask & ~mask
+        rest = adj[v] & free
+        # A dead state has nothing left to find; with no gap to the best
+        # path, any free neighbour is a gain.
+        if rest and ((mask << shift | v) in dead or len(best) > len(path) and not can_gain(
+            v, rest, free, len(best) - len(path)
+        )):
+            rest = 0
+        # Retreat past the vertices with nothing left to try, down to the
+        # deepest one with an untried alternative, or to the untried starts.
+        # A vertex with a free lower twin is skipped: that twin belongs to
+        # the same set of alternatives, is tried before it, and swapping
+        # the two maps one subtree onto the other.  So a set's least vertex
+        # is never skipped, and only the popped sets are filtered.
+        while not rest:
+            if not path:
+                return best
+            v = path.pop()
+            dead.add(mask << shift | v)
+            mask ^= 1 << v
+            rest = untried.pop()
+            if rest & twinned:
+                if twinned < 0:
+                    lower, twinned = _lower_twins(adj, comp_mask)
+                skip = rest & twinned
+                while skip:
+                    low = skip & -skip
+                    if lower[low.bit_length() - 1] & ~mask:
+                        rest ^= low
+                    skip ^= low
 
 
 def longest_path(
@@ -392,8 +383,10 @@ def longest_path(
 
     The answer is the first maximum path, in the canonical exploration
     order, of the least-vertex component holding one, direction-normalized
-    so the lower endpoint comes first.  Components are visited largest
-    first, ties by least vertex.  One is skipped when it has fewer vertices
+    so the lower endpoint comes first.  The components are visited in one
+    order: those with at least ``stop`` vertices first, by least vertex,
+    then the rest largest first, ties by least vertex (without ``stop``,
+    all of them largest first).  One is skipped when it has fewer vertices
     than the best path so far, or as many and a higher least vertex; a path
     replaces the best when it is longer, or as long and in a component with
     a lower least vertex.  Each component's search depends only on its own
@@ -404,9 +397,10 @@ def longest_path(
 
     With ``stop``, the search ends at the first path on ``stop`` vertices,
     so the answer has ``stop`` vertices exactly when g holds a path that
-    long, and is a maximum path otherwise.  The components with at least
-    ``stop`` vertices are searched first, by least vertex, since no other
-    can hold that path.
+    long, and is a maximum path otherwise.  Only the components visited
+    first can hold that path, and none of them is skipped, since the best
+    path before it is shorter than ``stop``: the first, by least vertex,
+    that holds one gives the answer.
 
     A branch is bounded by the vertices its endpoint can still reach, less
     all but one of the dead ends among them (a vertex with at most one
@@ -416,12 +410,12 @@ def longest_path(
     the gap to the best path as the reachable set grows, and never counted
     in full: a branch continues as soon as the bound exceeds the gap.  Of
     two twins (same open or closed neighbourhood) that are both free, only
-    the lower is tried, as a start or a next step: swapping them maps the
-    higher's branch onto the lower's, which was searched first.  The bounds
-    cut only branches that cannot beat the best path, the twins skip only
-    mirrors of searched branches, and a component's best path is replaced
-    only by a longer one, so they change the nodes spent, never a path or a
-    tie-break.
+    the lower is tried, as a start or as a next step alike: swapping them
+    maps the higher's branch onto the lower's, which was searched first.
+    The bounds cut only branches that cannot beat the best path, the twins
+    skip only mirrors of searched branches, and a component's best path is
+    replaced only by a longer one, so they change the nodes spent, never a
+    path or a tie-break.
 
     With ``within``, a vertex bitmask, the search runs in the subgraph
     induced on it and answers in g's labels.  Exploration follows vertex
@@ -445,34 +439,26 @@ def longest_path(
     bud = Budget.coerce(budget)
     if searched is None:
         searched = {}
-    comps = components(g, within)
-
-    def search(comp: int, side: int | None) -> PathWitness:
-        size = comp.bit_count()
-        key = (comp, size if stop is None else min(stop, size))
-        if key not in searched:
-            path = searched[key] = _component_search(g, comp, side, bud, key[1])
-            if len(path) < key[1]:  # every branch explored: the stop-free answer
-                searched[comp, size] = path
-        return searched[key]
-
-    if stop is not None:
-        for comp, side in comps:
-            if comp.bit_count() >= stop:
-                path = search(comp, side)
-                if len(path) == stop:
-                    return _normalize_direction(path)
+    cap = g.order if stop is None else stop
     best: PathWitness = ()
     best_low = 0  # the least vertex of best's component, as a bit
-    # Largest first: the sort is stable, so ties keep least-vertex order.
-    for comp, side in sorted(comps, key=lambda c: -c[0].bit_count()):
+    # By stop length, longest first: the sort is stable, so the components
+    # that can hold a P_stop keep least-vertex order, and so do ties.
+    for comp, side in sorted(components(g, within), key=lambda c: -min(c[0].bit_count(), cap)):
         size, low = comp.bit_count(), comp & -comp
         if size < len(best) or size == len(best) and low > best_low:
             continue
-        cand = search(comp, side)
+        key = (comp, min(size, cap))
+        cand = searched.get(key)
+        if cand is None:
+            cand = searched[key] = _component_search(g, comp, side, bud, key[1])
+            if len(cand) < key[1]:  # every branch explored: the stop-free answer
+                searched[comp, size] = cand
         if len(cand) > len(best) or len(cand) == len(best) and low < best_low:
             best, best_low = cand, low
-    return _normalize_direction(best)
+            if len(best) == stop:
+                break
+    return min(best, best[::-1])
 
 
 def fits_complete_multipartite(pattern: Graph, part_sizes: Sequence[int]) -> bool:

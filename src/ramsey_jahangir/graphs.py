@@ -138,7 +138,8 @@ class Graph(Frozen):
     ``adj[v]`` is the neighbor bitmask of ``v``.  The constructor raises
     ``ValueError`` unless every row is in range and loop-free and the rows
     are symmetric; an asymmetric pair is named as the first arc ``u,v``
-    without its mirror, by ``u`` and then ``v``.  Instances are immutable:
+    without its mirror, by ``u`` and then ``v``.  The rows are kept as a
+    tuple, copied from any other iterable.  Instances are immutable:
     every operation returns a new graph, so a host and its edge-augmented
     variant can be kept side by side without defensive copying.  Graphs are
     built in every inner loop of enumeration, so the class keeps its fields
@@ -149,7 +150,8 @@ class Graph(Frozen):
     order: int
     adj: tuple[int, ...]
 
-    def __init__(self, order: int, adj: tuple[int, ...]) -> None:
+    def __init__(self, order: int, adj: Iterable[int]) -> None:
+        adj = tuple(adj)  # a caller's list stays the caller's
         if order < 0:
             raise ValueError("negative order")
         if len(adj) != order:

@@ -32,6 +32,16 @@ from .graphs import (
     to_graph6,
 )
 
+# The interpreter's built-in SHA-256, as random.py takes sha512: hashlib
+# would load all of OpenSSL (3.6 MB of peak RSS) for one function.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256  # a build without the built-in hashes
+
 CANONICAL_CAP = 16
 ENUMERATION_CAP = 9
 
@@ -419,16 +429,6 @@ def _sweep(
     classes: list[Graph], g_spec: PatternSpec, h_spec: PatternSpec, bud: Budget
 ) -> ArrowsReport:
     """The arrows sweep over ``classes``, every class of one order."""
-    # The interpreter's built-in SHA-256, as random.py takes sha512: hashlib
-    # would load all of OpenSSL (3.6 MB of peak RSS) for one function.
-    try:
-        from _sha2 import sha256  # Python 3.12 and later
-    except ImportError:
-        try:
-            from _sha256 import sha256  # Python 3.10 and 3.11
-        except ImportError:
-            from hashlib import sha256  # a build without the built-in hashes
-
     order = classes[0].order
     digest = sha256()
     checked = 0

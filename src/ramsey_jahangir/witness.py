@@ -210,18 +210,21 @@ def _fill_rim(
     must never sit side by side), and -- on spoke positions, the residue
     class 0 mod ``s`` -- it shares no host edge with the hub.  Every rim
     edge is checked exactly once, when the later of its two occupants
-    arrives.  On success ``rim`` holds the first arrangement found.
+    arrives.  On success ``rim`` holds the first arrangement found.  The
+    backtracking runs on an explicit stack, free of the recursion limit:
+    ``tried[i]`` counts the candidates of slot ``i`` tried so far.
     """
     sm = len(rim)
     used: set[int] = set()
-
-    def attempt(i: int) -> bool:
-        if i == len(slots):
-            return True
+    tried = [0] * len(slots)
+    i = 0
+    while i < len(slots):
         pos, candidates = slots[i]
         before = rim[(pos - 1) % sm]
         after = rim[(pos + 1) % sm]
-        for v in candidates:
+        while tried[i] < len(candidates):
+            v = candidates[tried[i]]
+            tried[i] += 1
             if v in used:
                 continue
             if before >= 0 and (f.has_edge(v, before) or partner.get(v) == before):
@@ -232,13 +235,18 @@ def _fill_rim(
                 continue
             rim[pos] = v
             used.add(v)
-            if attempt(i + 1):
-                return True
+            i += 1
+            break
+        else:
+            # Every candidate failed: take back the previous slot's vertex.
+            tried[i] = 0
+            i -= 1
+            if i < 0:
+                return False
+            pos = slots[i][0]
+            used.discard(rim[pos])
             rim[pos] = -1
-            used.discard(v)
-        return False
-
-    return attempt(0)
+    return True
 
 
 def _assemble_endpoint_rim(

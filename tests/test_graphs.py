@@ -111,6 +111,18 @@ def test_graph_rejects_a_negative_order_and_compares_only_with_graphs():
     assert g != (3, (6, 5, 3))
 
 
+def test_rows_given_as_a_list_are_kept_as_a_tuple():
+    rows = [2, 5, 2]
+    g = Graph(3, rows)
+    assert g.adj == (2, 5, 2)
+    assert g == Graph(3, (2, 5, 2))
+    assert hash(g) == hash(Graph(3, (2, 5, 2)))
+    # the caller's list is not the graph's rows
+    rows[0] = 0
+    assert g.adj == (2, 5, 2)
+    assert g.edge_count() == 2
+
+
 def test_rows_from_outside_are_checked_on_every_way_in():
     g = complete(3)
     with pytest.raises(ValueError, match="^asymmetric edge 0,1$"):

@@ -111,3 +111,16 @@ def test_a_scan_without_the_built_in_sha256_falls_back_to_hashlib(capsys):
     )
     assert child.stdout == expected
     assert child.stderr == b"_hashlib hashlib"
+
+
+def test_a_scan_resolves_the_sha256_constructor_once():
+    # A failed import is not cached, so a lookup per sweep would try the
+    # missing _sha2 again for every order swept (six times here on 3.10
+    # and 3.11); -X importtime lists each attempt.
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ramsey_jahangir",
+         "ramsey", "P4", "J2,2", "--cap", "8"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, check=True,
+    )
+    attempts = [line for line in child.stderr.splitlines() if line.split("|")[-1].strip() == "_sha2"]
+    assert len(attempts) <= 1

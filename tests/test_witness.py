@@ -329,6 +329,18 @@ def test_endpoint_rim_needs_exactly_the_rim_in_endpoints_and_spares():
         _assemble_endpoint_rim(empty(10), ((0, 1),), [2, 3], 2, 3)
 
 
+def test_a_rim_with_more_slots_than_the_recursion_limit_is_filled():
+    # Every path of 520 disjoint edges is an edge, so the rim of J_{2,500}
+    # takes 499 of them: 998 endpoint slots, more than the default limit
+    # of 1,000 frames leaves a backtracker that recurses once per slot.
+    host = from_edges(1100, [(2 * i, 2 * i + 1) for i in range(520)])
+    w = extract(host, Thm1(30, 2, 500), force=True)
+    assert w.kind == "jahangir"
+    assert w.trace.case == "Thm1-Case1"
+    assert w.embedding.pattern == Jahangir(2, 500)
+    assert verify_witness(host, w)
+
+
 def test_endpoint_rim_failure_carries_the_peeled_paths(monkeypatch):
     # Maximum paths leave the rim an arrangement, so the failure is reached
     # by handing the construction the hand-made paths of a host that has
