@@ -24,6 +24,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 
 from .families import (
@@ -102,25 +104,35 @@ def _parser() -> argparse.ArgumentParser:
 _SLICE = 1 << 16  # characters encoded at a time
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write ``text`` and a newline to stdout, or to the file ``out``.
+def _emit(pieces: Iterable[str], out: str | None) -> None:
+    """Write the concatenated ``pieces`` and a newline to stdout, or to the
+    file ``out``.
 
-    A text stream encodes each write whole, so the document goes out in
-    slices: the bytes of one slice, not of the whole text, are alive beside
-    it.
+    A text stream encodes each write whole, so every piece goes out in
+    slices, and the pieces are never joined: the bytes of one slice, not of
+    the whole document, are alive beside the pieces.
     """
     if out is None or out == "-":
-        _write_slices(sys.stdout, text)
+        _write_slices(sys.stdout, pieces)
         sys.stdout.flush()  # a closed pipe raises in a write or here, inside run
     else:
         with open(out, "w", encoding="ascii") as stream:
-            _write_slices(stream, text)
+            _write_slices(stream, pieces)
 
 
-def _write_slices(stream, text: str) -> None:
-    for start in range(0, len(text), _SLICE):
-        stream.write(text[start:start + _SLICE])
+def _write_slices(stream, pieces: Iterable[str]) -> None:
+    for text in pieces:
+        for start in range(0, len(text), _SLICE):
+            stream.write(text[start:start + _SLICE])
     stream.write("\n")
+
+
+def _joined(items: Iterable[str], sep: str) -> Iterator[str]:
+    """The pieces of ``sep.join(items)``, without the join."""
+    for i, item in enumerate(items):
+        if i:
+            yield sep
+        yield item
 
 
 def _human_graph(g: Graph, title: str) -> str:
@@ -153,7 +165,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     spec = parse_spec(args.pattern)
     g = build(spec)
     if args.format == "graph6":
-        _emit(to_graph6(g), args.out)
+        _emit([to_graph6(g)], args.out)
     elif args.format == "json":
         doc = {
             "pattern": spec.text(),
@@ -161,9 +173,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
             "graph6": to_graph6(g),
             "edges": [[u, v] for u, v in g.edges()],
         }
-        _emit(_indented_json(doc), args.out)
+        _emit([_indented_json(doc)], args.out)
     else:
-        _emit(_human_graph(g, spec.text()), args.out)
+        _emit([_human_graph(g, spec.text())], args.out)
     return 0
 
 
@@ -192,21 +204,20 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     codes = _read_codes(args.input)
     if not codes:
         raise ValueError(f"no graph6 codes in {args.input!r}")
-    docs = []
-    for code in codes:
+    # Each host's text is made as soon as its extraction finishes, so that
+    # no trace document outlives its host.
+    texts = []
+    for i, code in enumerate(codes):
         host = from_graph6(code)
         witness = extract(host, case, budget=args.budget, force=args.force)
-        docs.append(trace_document(host, witness))
-    if args.format == "human":
-        blocks = [
-            _human_trace(doc, index=None if len(docs) == 1 else i)
-            for i, doc in enumerate(docs)
-        ]
-        _emit("\n".join(blocks), args.out)
-    elif len(docs) == 1:
-        _emit(_indented_json(docs[0]), args.out)
-    else:
-        _emit("\n".join(json.dumps(doc) for doc in docs), args.out)
+        doc = trace_document(host, witness)
+        if args.format == "human":
+            texts.append(_human_trace(doc, index=None if len(codes) == 1 else i))
+        elif len(codes) == 1:
+            texts.append(_indented_json(doc))
+        else:
+            texts.append(json.dumps(doc))
+    _emit(_joined(texts, "\n"), args.out)
     return 0
 
 
@@ -221,9 +232,9 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
         last = exc.last
         if args.format == "human":
             _emit(
-                f"R({g_spec.text()}, {h_spec.text()}) >= {exc.cap}"
-                f" (cap {exc.cap} reached; order {last.order}"
-                f" counterexample {last.counterexample})",
+                [f"R({g_spec.text()}, {h_spec.text()}) >= {exc.cap}"
+                 f" (cap {exc.cap} reached; order {last.order}"
+                 f" counterexample {last.counterexample})"],
                 args.out,
             )
         else:
@@ -235,39 +246,63 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
                 "last_order": last.order,
                 "last_counterexample": last.counterexample,
             }
-            _emit(_indented_json(report), args.out)
+            _emit([_indented_json(report)], args.out)
         print(f"error: {exc}", file=sys.stderr)
         return 5
     if args.format == "human":
         _emit(
-            f"R({g_spec.text()}, {h_spec.text()}) = {cert.value}"
-            f" (checked {cert.upper.checked} classes at order {cert.upper.order};"
-            f" lower witness {cert.lower_witness})",
+            [f"R({g_spec.text()}, {h_spec.text()}) = {cert.value}"
+             f" (checked {cert.upper.checked} classes at order {cert.upper.order};"
+             f" lower witness {cert.lower_witness})"],
             args.out,
         )
     else:
-        _emit(certificate_to_json(cert), args.out)
+        _emit([certificate_to_json(cert)], args.out)
     return 0
 
 
-def _cmd_suite(args: argparse.Namespace) -> int:
-    from .suites import run_suite
+# A string no suite document holds: it stands in for the cases when the
+# writer lays out the document's head, case separator and tail.
+_MARK = "\0"
 
-    doc = run_suite(args.name, args.seed, args.count, budget=args.budget)
-    if args.format == "human":
-        lines = [
-            f"suite {doc['suite']} seed {doc['seed']} count {doc['count']}:"
-            f" {'all verified' if doc['ok'] else 'FAILURES'}"
-        ]
-        for case in doc["cases"]:
-            lines.append(
+
+def _cmd_suite(args: argparse.Namespace) -> int:
+    """Print the document ``run_suite`` returns, encoding each case as it
+    finishes and keeping its text, never its record.  Nothing is written
+    until every case has succeeded."""
+    from .suites import _case_records
+
+    human = args.format == "human"
+    texts = []
+    ok = True
+    for case in _case_records(args.name, args.seed, args.count, args.budget):
+        if not case["verified"]:
+            ok = False
+        if human:
+            texts.append(
                 f"  {case['index']}: {case['case']}"
                 f" {case['witness']['pattern']}"
                 f" {'ok' if case['verified'] else 'FAILED'}"
             )
-        _emit("\n".join(lines), args.out)
+        else:
+            # the indentation a case has as an item of "cases"
+            texts.append(_indented_json(case, "\n    "))
+    if human:
+        title = (
+            f"suite {args.name} seed {args.seed} count {args.count}:"
+            f" {'all verified' if ok else 'FAILURES'}"
+        )
+        _emit(_joined(chain([title], texts), "\n"), args.out)
     else:
-        _emit(_indented_json(doc), args.out)
+        frame = {
+            "suite": args.name,
+            "seed": args.seed,
+            "count": args.count,
+            "ok": ok,
+            "cases": [_MARK, _MARK],
+        }
+        head, sep, tail = _indented_json(frame).split(_indented_json(_MARK))
+        _emit(chain([head], _joined(texts, sep), [tail]), args.out)
     return 0
 
 

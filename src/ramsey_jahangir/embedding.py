@@ -147,40 +147,56 @@ def find_subgraph(host: Graph, spec: PatternSpec, budget: int | Budget | None = 
 
 
 def _place(host: Graph, spec: PatternSpec, bud: Budget) -> list[int] | None:
-    """Host image of each vertex of ``spec``'s pattern, or None when none fits."""
+    """Host image of each vertex of ``spec``'s pattern, or None when none fits.
+
+    Depth-first over the pattern vertices in :func:`_search_order`, on an
+    explicit stack: ``untried[i]`` is the mask of host vertices still to be
+    tried for the ``i``-th of them, least first.  A candidate is an unused
+    host vertex adjacent to the images of the pattern vertex's neighbours
+    placed before it, of at least its degree; each one tried spends a node.
+    """
     p = spec.order
     pattern = build(spec)
     order = _search_order(spec)
+    adj = host.adj
     # neighbors of each pattern vertex that are placed before it
     placed_before: list[list[int]] = []
     seen: set[int] = set()
     for pv in order:
         placed_before.append([w for w in iter_bits(pattern.adj[pv]) if w in seen])
         seen.add(pv)
-    pat_deg = [pattern.degree(v) for v in range(p)]
     host_deg = [host.degree(v) for v in range(host.order)]
-    full = (1 << host.order) - 1
+    # host vertices of at least each pattern degree
+    of_degree: dict[int, int] = {}
+    for need in {pattern.degree(v) for v in range(p)}:
+        of_degree[need] = sum(1 << v for v, d in enumerate(host_deg) if d >= need)
+    eligible = [of_degree[pattern.degree(pv)] for pv in order]
     image = [-1] * p
-
-    def place(idx: int, used: int) -> bool:
-        if idx == p:
-            return True
-        pv = order[idx]
-        cand = full & ~used
-        for w in placed_before[idx]:
-            cand &= host.adj[image[w]]
-        need = pat_deg[pv]
-        for hv in iter_bits(cand):
-            if host_deg[hv] < need:
-                continue
+    if not p:
+        return image
+    untried = [0] * p
+    untried[0] = eligible[0]
+    idx = used = 0
+    while True:
+        cand = untried[idx]
+        if cand:
+            low = cand & -cand
+            untried[idx] = cand ^ low
             bud.spend()
-            image[pv] = hv
-            if place(idx + 1, used | (1 << hv)):
-                return True
-        image[pv] = -1
-        return False
-
-    return image if place(0, 0) else None
+            image[order[idx]] = low.bit_length() - 1
+            if idx + 1 == p:
+                return image
+            used |= low
+            idx += 1
+            cand = eligible[idx] & ~used
+            for w in placed_before[idx]:
+                cand &= adj[image[w]]
+            untried[idx] = cand
+        elif idx:
+            idx -= 1
+            used ^= 1 << image[order[idx]]
+        else:
+            return None
 
 
 # ---------------------------------------------------------------------------
@@ -476,32 +492,41 @@ def fits_complete_multipartite(pattern: Graph, part_sizes: Sequence[int]) -> boo
         raise ValueError("part sizes must be nonnegative")
     n = pattern.order
     by_degree = sorted(range(n), key=lambda v: (-pattern.degree(v), v))
+    # Depth-first over by_degree on an explicit stack: the class of each
+    # coloured vertex, the members of each class as a mask, and at each
+    # depth the next class to try and the caps of the empty classes tried.
     color = [-1] * n
-    counts = [0] * len(caps)
-
-    def assign(i: int) -> bool:
-        if i == n:
-            return True
+    members = [0] * len(caps)
+    next_class = [0] * (n + 1)
+    tried_empty: list[set[int]] = [set() for _ in range(n + 1)]
+    i = 0
+    while i < n:
         v = by_degree[i]
-        # Empty classes with equal caps are interchangeable; occupied ones
-        # are not (their contents constrain v differently), so dedup only
-        # the empties.
-        tried_empty: set[int] = set()
-        for ci in range(len(caps)):
-            if counts[ci] >= caps[ci]:
-                continue
-            if counts[ci] == 0:
-                if caps[ci] in tried_empty:
-                    continue
-                tried_empty.add(caps[ci])
-            if any(color[w] == ci for w in iter_bits(pattern.adj[v])):
-                continue
+        ci = next_class[i]
+        while ci < len(caps):
+            cls = members[ci]
+            if cls.bit_count() < caps[ci]:
+                # Empty classes with equal caps are interchangeable; occupied
+                # ones are not (their contents constrain v differently), so
+                # dedup only the empties.
+                if not cls:
+                    if caps[ci] not in tried_empty[i]:
+                        tried_empty[i].add(caps[ci])
+                        break
+                elif not cls & pattern.adj[v]:
+                    break
+            ci += 1
+        if ci < len(caps):
+            next_class[i] = ci + 1
             color[v] = ci
-            counts[ci] += 1
-            if assign(i + 1):
-                return True
-            color[v] = -1
-            counts[ci] -= 1
-        return False
-
-    return assign(0)
+            members[ci] |= 1 << v
+            i += 1
+            next_class[i] = 0
+            tried_empty[i].clear()
+        elif i:
+            i -= 1
+            v = by_degree[i]
+            members[color[v]] ^= 1 << v
+        else:
+            return False
+    return True

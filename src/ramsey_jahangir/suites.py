@@ -25,6 +25,7 @@ Each host is assembled as adjacency rows straight from these draws.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from .families import TheoremCase, Thm1, Thm2EvenM, Thm2OddM, Thm3
@@ -131,6 +132,24 @@ def run_suite(
     ``verified`` flag.  Construction failures (MaximalityViolation, budget
     exhaustion) propagate immediately rather than being recorded.
     """
+    cases = list(_case_records(name, seed, count, budget))
+    return {
+        "suite": name,
+        "seed": seed,
+        "count": count,
+        "ok": all(case["verified"] for case in cases),
+        "cases": cases,
+    }
+
+
+def _case_records(
+    name: str, seed: int, count: int, budget: int | Budget | None
+) -> Iterator[dict]:
+    """The case records of :func:`run_suite`, one at a time, in index order.
+
+    The arguments are checked before the first case is generated.  The
+    command line encodes each record as it arrives and keeps only its text.
+    """
     if name not in SUITES:
         raise ValueError(
             f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
@@ -144,17 +163,9 @@ def run_suite(
     from .witness import extract, trace_document
 
     spec = SUITES[name]
-    cases = []
     for index in range(count):
         g = generate_case(spec, seed, index)
         witness = extract(g, spec.case, budget=budget)
         record = {"index": index, "graph6": to_graph6(g)}
         record.update(trace_document(g, witness))
-        cases.append(record)
-    return {
-        "suite": name,
-        "seed": seed,
-        "count": count,
-        "ok": all(case["verified"] for case in cases),
-        "cases": cases,
-    }
+        yield record

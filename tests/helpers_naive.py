@@ -462,6 +462,45 @@ def build_complete_multipartite(part_sizes) -> Graph:
     return from_edges(n, edge_list)
 
 
+def place_recursive(host: Graph, pattern: Graph, order: list[int], bud: Budget):
+    """Vertex-by-vertex placement by plain recursion, one call per pattern
+    vertex: host images by pattern vertex, or None.  Candidates are unused
+    host vertices adjacent to the placed neighbours' images, of at least the
+    pattern vertex's degree, least first; each one tried spends a node."""
+    p = pattern.order
+    image = [-1] * p
+
+    def place(idx: int, used: set[int]) -> bool:
+        if idx == p:
+            return True
+        pv = order[idx]
+        for hv in range(host.order):
+            if hv in used or host.degree(hv) < pattern.degree(pv):
+                continue
+            if any(image[w] >= 0 and not host.has_edge(hv, image[w])
+                   for w in pattern.neighbors(pv)):
+                continue
+            bud.spend()
+            image[pv] = hv
+            if place(idx + 1, used | {hv}):
+                return True
+            image[pv] = -1
+        return False
+
+    return image if place(0, set()) else None
+
+
+def fits_by_colourings(pattern: Graph, part_sizes) -> bool:
+    """Some proper colouring of ``pattern`` whose classes fit the parts."""
+    n, k = pattern.order, len(part_sizes)
+    for colour in product(range(k), repeat=n):
+        if any(colour[u] == colour[v] for u, v in pattern.edges()):
+            continue
+        if all(colour.count(c) <= part_sizes[c] for c in range(k)):
+            return True
+    return False
+
+
 def _clique_union_sizes_naive(g: Graph):
     sizes = []
     for comp in component_masks(g):

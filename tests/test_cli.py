@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path as FilePath
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from ramsey_jahangir import (
     SUITES,
     Path,
+    Thm1,
     Thm2EvenM,
     Thm2OddM,
     build,
@@ -20,6 +22,7 @@ from ramsey_jahangir import (
     empty,
     extract,
     from_edges,
+    run_suite,
     to_graph6,
     trace_document,
 )
@@ -73,8 +76,9 @@ def test_build_to_an_unwritable_file_exits_2(tmp_path, capsys):
         ["build", "J2,3"],
         ["suite", "thm1-s2m3", "--count", "20"],
         ["build", "P1000", "--format", "json"],  # two slices of _emit
+        ["suite", "thm2-s3m2", "--count", "20", "--format", "human"],
     ],
-    ids=["short", "long", "sliced"],
+    ids=["short", "long", "sliced", "suite-human"],
 )
 def test_a_closed_standard_output_exits_141_silently(argv):
     # The reader is gone before the child writes, as in ``... | head -c 10``
@@ -415,6 +419,101 @@ def test_suite_seed_outside_64_bits(capsys):
         assert f"error: seed {seed} outside" in captured.err
     assert run(["suite", "thm1-s2m3", "--seed", str((1 << 64) - 1), "--count", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == (1 << 64) - 1
+
+
+def _stdout_and_file(capsys, tmp_path, argv):
+    """What ``argv`` prints, and what it writes with ``--out``, as bytes."""
+    assert run(argv) == 0
+    printed = capsys.readouterr().out.encode("ascii")
+    target = tmp_path / "out.txt"
+    assert run([*argv, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    return printed, target.read_bytes()
+
+
+def _witness_hosts():
+    """Four hosts, each settled on a different side or case."""
+    return [
+        complete(30),
+        disjoint_union(complete(2), empty(23)),
+        build(Path(25)),
+        disjoint_union(complete(20), complete(5)),
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["json", "human"])
+def test_suite_out_file_holds_the_printed_bytes(capsys, tmp_path, fmt):
+    argv = ["suite", "thm2-s3m2", "--count", "40", "--format", fmt]
+    printed, written = _stdout_and_file(capsys, tmp_path, argv)
+    assert written == printed
+    if fmt == "json":
+        expected = json.dumps(run_suite("thm2-s3m2", 0, 40), indent=2) + "\n"
+        assert printed == expected.encode("ascii")
+    else:
+        lines = printed.decode("ascii").splitlines()
+        assert lines[0] == "suite thm2-s3m2 seed 0 count 40: all verified"
+        assert len(lines) == 41 and lines[40].startswith("  39: Thm2-EvenM J3,2 ")
+
+
+@pytest.mark.parametrize("fmt", ["json", "human"])
+def test_many_host_witness_out_file_holds_the_printed_bytes(capsys, tmp_path, fmt):
+    hosts = _witness_hosts()
+    source = tmp_path / "hosts.g6"
+    source.write_text("".join(to_graph6(g) + "\n" for g in hosts))
+    argv = ["witness", str(source), "--theorem", "1", "-n", "23", "-s", "2", "-m", "3",
+            "--format", fmt]
+    printed, written = _stdout_and_file(capsys, tmp_path, argv)
+    assert written == printed
+    docs = [trace_document(g, extract(g, Thm1(23, 2, 3))) for g in hosts]
+    if fmt == "json":
+        expected = "".join(json.dumps(doc) + "\n" for doc in docs)
+        assert printed == expected.encode("ascii")
+    else:
+        heads = [line for line in printed.decode("ascii").splitlines()
+                 if not line.startswith("  ")]
+        assert heads == [
+            f"graph {i}: Thm1 {doc['case']} (longest path found: {doc['k']})"
+            for i, doc in enumerate(docs)
+        ]
+
+
+def test_a_suite_that_fails_a_later_case_prints_nothing(capsys, tmp_path):
+    # Case 0 of thm2-s3m2 at seed 0 spends 16 nodes and case 1 spends 17:
+    # a per-case budget of 16 settles the first and runs out on the second.
+    target = tmp_path / "suite.json"
+    for fmt in ("json", "human"):
+        first = ["suite", "thm2-s3m2", "--count", "1", "--budget", "16", "--format", fmt]
+        assert run(first) == 0
+        capsys.readouterr()
+        argv = ["suite", "thm2-s3m2", "--count", "3", "--budget", "16", "--format", fmt]
+        assert run(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert run([*argv, "--out", str(target)]) == 4
+        assert capsys.readouterr().out == ""
+        assert not target.exists()
+
+
+def test_suite_memory_grows_with_its_text_not_its_records(tmp_path):
+    # The command keeps each case's encoded text, never its record: doubling
+    # the cases raises the traced peak by little more than the document
+    # grows.  Holding every record until the end raises it about 4.2 times
+    # as much.
+    assert run(["suite", "thm1-s2m3", "--count", "1", "--out", str(tmp_path / "w")]) == 0
+    peaks, sizes = [], []
+    for count in (600, 1200):
+        target = tmp_path / f"suite-{count}.json"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            argv = ["suite", "thm1-s2m3", "--count", str(count), "--out", str(target)]
+            assert run(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        sizes.append(target.stat().st_size)
+    assert peaks[1] - peaks[0] <= 1.5 * (sizes[1] - sizes[0]), (peaks, sizes)
 
 
 # Every indented document the CLI prints, each of which must be the bytes

@@ -37,10 +37,12 @@ from ramsey_jahangir.suites import SUITES, generate_case
 from helpers_naive import (
     build_complete_multipartite,
     contains_by_injections,
+    fits_by_colourings,
     induced,
     longest_path_brute,
     longest_path_full_bound,
     longest_path_reference,
+    place_recursive,
     random_graph,
     shuffled_complete_bipartite,
 )
@@ -587,6 +589,54 @@ def test_fits_complete_multipartite():
     assert not fits_complete_multipartite(complete(3), (1, 1))
     with pytest.raises(ValueError):
         fits_complete_multipartite(empty(2), (2, -1))
+
+
+def test_placement_spends_and_answers_as_the_recursive_search():
+    """The placement search on its explicit stack against plain recursion:
+    the same image and the same nodes spent on random hosts, and "unknown"
+    one node short of a found embedding."""
+    rng = random.Random(7)
+    specs = [Cycle(4), Cycle(6), Wheel(4), Wheel(5), Jahangir(2, 2), Jahangir(2, 3),
+             DisjointPaths(2, 3), CliqueUnion((3, 2))]
+    for _ in range(30):
+        host = random_graph(rng, rng.randint(6, 9), rng.choice((0.3, 0.5, 0.7)))
+        for spec in specs:
+            if spec.order > host.order:
+                continue
+            ref_bud, bud = Budget(1 << 30), Budget(1 << 30)
+            want = place_recursive(host, build(spec), _search_order(spec), ref_bud)
+            res = find_subgraph(host, spec, bud)
+            assert bud.remaining == ref_bud.remaining, (host, spec)
+            if want is None:
+                assert res.status == "absent", (host, spec)
+                continue
+            assert res.status == "present" and list(res.embedding.mapping) == want
+            spent = (1 << 30) - bud.remaining
+            assert find_subgraph(host, spec, spent - 1).status == "unknown"
+
+
+def test_placement_walks_a_pattern_deeper_than_the_recursion_limit():
+    # One stack level per pattern vertex: 1,050 of them raised RecursionError
+    # when each level was a call.
+    host = complete(1100)
+    res = find_subgraph(host, Cycle(1050))
+    assert res.status == "present"
+    assert check_embedding(host, res.embedding) is None
+
+
+def test_multipartite_fit_walks_a_pattern_deeper_than_the_recursion_limit():
+    assert fits_complete_multipartite(build(Path(1050)), (525, 525))
+    assert not fits_complete_multipartite(build(Path(1050)), (524, 526))
+
+
+def test_fits_multipartite_agrees_with_every_colouring():
+    rng = random.Random(11)
+    for _ in range(60):
+        pattern = random_graph(rng, rng.randint(1, 6), rng.choice((0.2, 0.4, 0.6)))
+        parts = tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 4)))
+        assert fits_complete_multipartite(pattern, parts) == fits_by_colourings(
+            pattern, parts
+        ), (pattern, parts)
 
 
 def test_fits_multipartite_agrees_with_search():
