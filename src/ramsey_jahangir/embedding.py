@@ -172,8 +172,6 @@ def _place(host: Graph, spec: PatternSpec, bud: Budget) -> list[int] | None:
         of_degree[need] = sum(1 << v for v, d in enumerate(host_deg) if d >= need)
     eligible = [of_degree[pattern.degree(pv)] for pv in order]
     image = [-1] * p
-    if not p:
-        return image
     untried = [0] * p
     untried[0] = eligible[0]
     idx = used = 0

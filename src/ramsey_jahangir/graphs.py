@@ -310,16 +310,12 @@ def clique_union_sizes(g: Graph) -> tuple[int, ...] | None:
     """Component sizes, largest first, if g is a disjoint union of cliques.
 
     g is one exactly when its distinct closed neighbourhoods N[v] are
-    pairwise disjoint.
+    pairwise disjoint, which for sets covering every vertex means their
+    sizes sum to the order.
     """
-    return disjoint_cover_sizes({row | 1 << v for v, row in enumerate(g.adj)}, g.order)
-
-
-def disjoint_cover_sizes(masks: set[int], order: int) -> tuple[int, ...] | None:
-    """Sizes, largest first, of distinct masks covering ``0..order-1`` if they
-    are pairwise disjoint, which for a cover means their sizes sum to the order."""
-    sizes = sorted((mask.bit_count() for mask in masks), reverse=True)
-    if sum(sizes) != order:
+    closed = {row | 1 << v for v, row in enumerate(g.adj)}
+    sizes = sorted((mask.bit_count() for mask in closed), reverse=True)
+    if sum(sizes) != g.order:
         return None
     return tuple(sizes)
 

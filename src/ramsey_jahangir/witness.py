@@ -6,8 +6,9 @@ in ``families``): the promised path structure inside the host, or a
 Jahangir embedding inside the host's complement.  The single-path regimes
 (:class:`Thm1`, :class:`Thm2EvenM`, :class:`Thm2OddM`) share one front: a
 path on ``n`` vertices when the host has one, otherwise a maximum path,
-whose length picks the regime's Jahangir-side case.  :class:`Thm3` runs
-rounds of the :class:`Thm1` dichotomy, one per path.
+whose length picks the regime's Jahangir-side case.  ``extract`` runs
+that front once per path; only :class:`Thm3` asks for more than one, and
+its rounds are the :class:`Thm1` dichotomy.
 
 The constructions lean on maximality: a maximum-length path's endpoint
 cannot be adjacent to anything that could extend it, and those forced
@@ -558,59 +559,17 @@ def _theorem2_oddm_case2(
 
 # Each single-path regime's Jahangir-side construction, run on a maximum
 # path when the vertices ``alive`` hold no P_n, and the theorem name its
-# traces carry.  Every round of Thm3 is the Thm1 dichotomy; the Thm2
-# regimes have t = 1, so their ``alive`` is always the whole host.  Every
-# path search of one extraction shares one ``searched`` dict of component
-# answers (see ``longest_path``): what is left of the host after a path
-# keeps every component the path missed, so each is searched once.
+# traces carry.  Thm3's rounds are Thm1's dichotomy; the other regimes have
+# t = 1, so they run one round on the whole host.  Every path search of
+# one extraction shares one ``searched`` dict of component answers (see
+# ``longest_path``): what is left of the host after a path keeps every
+# component the path missed, so each is searched once.
 _REGIMES = {
     Thm1: ("Thm1", _theorem1),
     Thm2EvenM: ("Thm2", _theorem2_even),
     Thm2OddM: ("Thm2", _theorem2_oddm),
     Thm3: ("Thm1", _theorem1),
 }
-
-
-def _single_path(
-    f: Graph, case: TheoremCase, bud: Budget, alive: int, searched: SearchedComponents
-) -> DichotomyWitness:
-    """``P_n`` in the subgraph of ``f`` induced on the vertex bitmask
-    ``alive``, or the regime's Jahangir side on a maximum path of it."""
-    theorem, jahangir_side = _REGIMES[type(case)]
-    first = longest_path(f, bud, stop=case.n, within=alive, searched=searched)
-    if len(first) == case.n:
-        emb = Embedding(Path(case.n), f.order, first)
-        trace = ExtractionTrace(theorem, "path-found", case.n, (first,), ())
-        return DichotomyWitness(emb, trace)
-    if len(first) <= 1:
-        return _edgeless_witness(f, theorem, case.s, case.m, alive)
-    return jahangir_side(f, first, case.s, case.m, bud, alive, searched)
-
-
-def _path_rounds(
-    f: Graph, case: Thm3, bud: Budget, alive: int, searched: SearchedComponents
-) -> DichotomyWitness:
-    """``t . P_n`` in ``f`` or ``J_{s,m}`` in its complement.
-
-    Runs the single-path dichotomy ``t`` times, clearing each found copy
-    from the ``alive`` vertex mask before the next round.  A Jahangir found
-    in any round already names host vertices, and it is one in the host's
-    complement because deleting host vertices only shrinks the complement.
-    """
-    collected: list[PathWitness] = []
-    for step in range(1, case.t + 1):
-        found = _single_path(f, case, bud, alive, searched)
-        if found.kind == "jahangir":
-            trace = found.trace.replace(theorem="Thm3", case=f"Thm3-step{step}")
-            return found.replace(trace=trace)
-        path = found.trace.paths[0]
-        collected.append(path)
-        alive &= ~sum(1 << v for v in path)
-    emb = Embedding(
-        DisjointPaths(case.t, case.n), f.order, tuple(v for p in collected for v in p)
-    )
-    trace = ExtractionTrace("Thm3", f"Thm3-step{case.t}", case.n, tuple(collected), ())
-    return DichotomyWitness(emb, trace)
 
 
 def extract(
@@ -623,18 +582,50 @@ def extract(
     """The dichotomy of ``case`` on ``f``: ``t . P_n`` in ``f`` (a single
     ``P_n`` when ``case.t == 1``) or ``J_{s,m}`` in the complement of ``f``.
 
+    Runs ``t`` rounds of the single-path dichotomy, each clearing its
+    ``P_n`` from the host before the next.  A round with no ``P_n`` ends
+    with the edgeless witness or the regime's Jahangir-side construction
+    on a maximum path, which lies in the host's complement because
+    deleting host vertices only shrinks the complement.  With ``t > 1``
+    the trace is renamed ``Thm3``, case ``Thm3-step{k}`` for the round
+    ``k`` it ended in; one round keeps the regime's own names, so
+    :class:`Thm3` with ``t == 1`` is exactly :class:`Thm1`.
+
     The regime's shape was checked when ``case`` was built; ``force=True``
     skips the n-threshold and host-order checks (:func:`require_thresholds`)
     and runs the construction anyway, which outside its guarantees may then
-    raise :class:`MaximalityViolation`.  With ``t == 1``, :class:`Thm3` is
-    exactly :class:`Thm1`.  The witness is verified against ``f`` before it
-    is returned.
+    raise :class:`MaximalityViolation`.  The witness is verified against
+    ``f`` before it is returned.
     """
     if not force:
         require_thresholds(case, f)
     bud = Budget.coerce(budget)
-    construct = _single_path if case.t == 1 else _path_rounds
-    return _ensure(f, construct(f, case, bud, vertex_mask(f), {}))
+    theorem, jahangir_side = _REGIMES[type(case)]
+    alive = vertex_mask(f)
+    searched: SearchedComponents = {}
+    paths: list[PathWitness] = []
+    for step in range(1, case.t + 1):
+        path = longest_path(f, bud, stop=case.n, within=alive, searched=searched)
+        if len(path) < case.n:
+            if len(path) <= 1:
+                found = _edgeless_witness(f, theorem, case.s, case.m, alive)
+            else:
+                found = jahangir_side(f, path, case.s, case.m, bud, alive, searched)
+            break
+        paths.append(path)
+        alive &= ~sum(1 << v for v in path)
+    else:
+        emb = Embedding(
+            DisjointPaths(case.t, case.n), f.order, tuple(v for p in paths for v in p)
+        )
+        found = DichotomyWitness(
+            emb, ExtractionTrace(theorem, "path-found", case.n, tuple(paths), ())
+        )
+    if case.t > 1:
+        found = found.replace(
+            trace=found.trace.replace(theorem="Thm3", case=f"Thm3-step{step}")
+        )
+    return _ensure(f, found)
 
 
 # --------------------------------------------------------------------------

@@ -542,7 +542,10 @@ def _refine_naive(g: Graph, cells: list[list[int]]) -> list[list[int]]:
 def canonical_graph_naive(g: Graph, budget: int = 500_000) -> Graph:
     """The canonical form by the unpruned search: every leaf is relabeled
     and its graph6 code compared; clique unions and their complements are
-    recognized first, as in the package."""
+    recognized first.  The package recognizes only clique unions, and its
+    search gives a complete multipartite graph the same code as the
+    shortcut here, which stays because this unpruned search cannot finish
+    K_{8,8}."""
     if g.order <= 1:
         return g
     sizes = _clique_union_sizes_naive(g)

@@ -117,6 +117,18 @@ def test_canonical_handles_symmetric_unions():
     assert canonical_graph(complement(g)) == canonical_graph(complement(h))
 
 
+def test_complete_multipartite_classes_search_to_the_co_clique_code():
+    # Only clique unions are recognized directly, so every complete
+    # multipartite graph of order 2 to 16 but K_n and its complement goes
+    # through the search, within 200 nodes, and its least leaf is the
+    # complement of the clique union on its parts.
+    rng = random.Random(31)
+    for n in range(2, 17):
+        for parts in oracle._partitions(n):
+            g = complement(build(CliqueUnion(parts)))
+            assert canonical_graph(_shuffled(g, rng), Budget(200)) == g, parts
+
+
 def _shuffled(g, rng):
     perm = list(range(g.order))
     rng.shuffle(perm)

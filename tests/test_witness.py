@@ -14,6 +14,7 @@ from ramsey_jahangir import (
     MaximalityViolation,
     Path,
     PreconditionError,
+    SUITES,
     Thm1,
     Thm2EvenM,
     Thm2OddM,
@@ -27,6 +28,7 @@ from ramsey_jahangir import (
     extract,
     extremal_graph,
     from_edges,
+    generate_case,
     trace_document,
     trace_json,
     verify_extremal,
@@ -390,7 +392,13 @@ def test_t_paths_jahangir_in_later_round():
 
 
 def test_t_equal_one_is_the_plain_extractor():
-    for host in (triangles_host(), empty(25), build(Path(25))):
+    # One round keeps the regime's own trace names and embeds Path(n), so
+    # Thm3 with t = 1 gives Thm1's witness, here also on every seed-0
+    # thm1-s2m3 host.
+    spec = SUITES["thm1-s2m3"]
+    hosts = [generate_case(spec, 0, index) for index in range(40)]
+    hosts += [triangles_host(), empty(25), build(Path(25)), _union(complete(23), empty(2))]
+    for host in hosts:
         assert extract(host, Thm3(1, 23, 2, 3)) == extract(host, Thm1(23, 2, 3))
 
 
