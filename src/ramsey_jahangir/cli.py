@@ -21,7 +21,6 @@ loads only its own: ``build`` no search engine, extractor or oracle,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -216,6 +215,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         elif len(codes) == 1:
             texts.append(_indented_json(doc))
         else:
+            import json  # only here: the other outputs need no json package
+
             texts.append(json.dumps(doc))
     _emit(_joined(texts, "\n"), args.out)
     return 0

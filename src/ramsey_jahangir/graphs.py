@@ -20,8 +20,14 @@ guarantees.
 from __future__ import annotations
 
 import binascii
-from collections.abc import Iterable, Iterator
-from json.encoder import encode_basestring_ascii as _json_str
+from collections.abc import Iterable, Iterator, Sequence
+
+# The C encoder's string quoting, as oracle takes the built-in SHA-256:
+# json.encoder would load json, json.decoder and json.scanner for it.
+try:
+    from _json import encode_basestring_ascii as _json_str
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii as _json_str
 
 
 class Graph6Error(ValueError):
@@ -250,10 +256,12 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
     if sorted(p) != list(range(g.order)):
         raise ValueError("not a permutation of the vertex set")
     rows = [0] * g.order
-    for v in range(g.order):
+    for v, rest in enumerate(g.adj):
         row = 0
-        for w in iter_bits(g.adj[v]):
-            row |= 1 << p[w]
+        while rest:
+            low = rest & -rest
+            row |= 1 << p[low.bit_length() - 1]
+            rest ^= low
         rows[p[v]] = row
     return _graph(g.order, tuple(rows))
 
@@ -320,6 +328,39 @@ def clique_union_sizes(g: Graph) -> tuple[int, ...] | None:
     return tuple(sizes)
 
 
+def _lower_twins(adj: Sequence[int], comp_mask: int) -> tuple[dict[int, int], int]:
+    """Each vertex of ``comp_mask`` that has a lower twin, mapped to the mask
+    of its lower twins, and the mask of those vertices.
+
+    Twins share their open or their closed neighbourhood in ``comp_mask``,
+    so swapping two of them, and fixing every other vertex, is an
+    automorphism of the subgraph induced on it.  Both relations are
+    equivalences, and one dict keyed by neighbourhood holds the classes of
+    both: an open neighbourhood ``N(u)`` never equals a closed one
+    ``N[x]``, since ``x`` in ``N(u)`` puts ``u`` in ``N(x)``.  For the same
+    reason no vertex has both an open and a closed twin.
+    """
+    classes: dict[int, int] = {}
+    rest = comp_mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        row = adj[bit.bit_length() - 1] & comp_mask
+        classes[row] = classes.get(row, 0) | bit
+        row |= bit
+        classes[row] = classes.get(row, 0) | bit
+    lower: dict[int, int] = {}
+    twinned = 0
+    for members in classes.values():
+        above = members & (members - 1)  # all but the least member
+        twinned |= above
+        while above:
+            bit = above & -above
+            above ^= bit
+            lower[bit.bit_length() - 1] = members & (bit - 1)
+    return lower, twinned
+
+
 # ---------------------------------------------------------------------------
 # graph6
 #
@@ -349,18 +390,21 @@ def to_graph6(g: Graph) -> str:
         head = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
     else:
         raise Graph6Error(f"order {n} beyond supported graph6 headers")
-    # Column by column, as from_graph6 reads them: column ``col`` is vertex
-    # col's mask of lower neighbours spelled out row 0 first.  Zero padded
-    # to whole 24-bit quanta, the run converts to bytes that base64 cuts
-    # into sextets with no '=' padding; the table maps those onto graph6
-    # bytes, and the body keeps the sextets holding the run.
+    # The body's bit run holds the columns in order, as from_graph6 reads
+    # them: column ``col`` is vertex col's mask of lower neighbours, row 0
+    # first, at bits col(col-1)/2 onward.  So the run is ``rev``, every
+    # column's mask folded in at its offset, read from its least bit up:
+    # one reversal of its binary digits, zero padded to whole 24-bit
+    # quanta.  Those convert to bytes that base64 cuts into sextets with no
+    # '=' padding; the table maps them onto graph6 bytes, and the body
+    # keeps the sextets holding the run.
     adj = g.adj
-    bits = "".join(
-        [bin(adj[col] & ((1 << col) - 1))[:1:-1].ljust(col, "0") for col in range(1, n)]
-    )
-    nbits = len(bits)
-    bits += "0" * (-nbits % 24)
-    packed = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    rev = 0
+    for col in range(n - 1, 0, -1):
+        rev = rev << col | adj[col] & ((1 << col) - 1)
+    nbits = n * (n - 1) // 2
+    width = nbits + -nbits % 24
+    packed = int(bin(rev)[:1:-1].ljust(width, "0"), 2).to_bytes(width // 8, "big")
     body = binascii.b2a_base64(packed, newline=False).translate(_BASE64_TO_G6)
     return head + body[: (nbits + 5) // 6].decode("ascii")
 

@@ -11,7 +11,6 @@ the enumerator and certificates.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from math import factorial, gcd
 
@@ -22,6 +21,7 @@ from .graphs import (
     Graph,
     _graph,
     _indented_json,
+    _lower_twins,
     clique_union_sizes,
     complement,
     empty,
@@ -146,11 +146,19 @@ def _search(g: Graph, bud: Budget) -> tuple[list[int], list[list[int]]]:
     McKay and Piperno 2014): the search then leaves the subtree it has just
     matched, and each node skips a branch vertex in the orbit of an
     explored sibling under the automorphisms found so far that fix the
-    node's individualized vertices.  Neither changes the least code.  Each
-    node spends one unit of ``bud``.
+    node's individualized vertices.  Twins (:func:`graphs._lower_twins`)
+    are known before the search starts: swapping two of them is an
+    automorphism, so every node starts its orbits with the twin classes
+    merged, and a branch vertex that is a twin of an explored sibling is
+    skipped.  Both lie in the branch cell, which holds no individualized
+    vertex, so the swap fixes the node's path and maps the skipped subtree
+    onto the explored one.  None of this changes the least code or the
+    first leaf to reach it.  Each node spends one unit of ``bud``.
 
     The leaf lists the vertex put at each position; each automorphism maps
-    v to ``auto[v]``, in g's own labels.  They generate a subgroup of
+    v to ``auto[v]``, in g's own labels.  The automorphisms are one
+    transposition per twin with a lower twin, swapping it with the least of
+    its class, then those the leaves found.  They generate a subgroup of
     Aut(g), possibly trivial.  g has at least two vertices.
     """
     n = g.order
@@ -160,6 +168,17 @@ def _search(g: Graph, bud: Budget) -> tuple[list[int], list[list[int]]]:
     best_path: list[int] = []
     path: list[int] = []  # the individualized vertices, root first
     autos: list[list[int]] = []
+    # merged[v] is the least twin of v: the union-find every node's orbits
+    # start from, with one transposition per twin class member above it.
+    merged = list(range(n))
+    lower, twinned = _lower_twins(adj, (1 << n) - 1)
+    for w in iter_bits(twinned):
+        least = (lower[w] & -lower[w]).bit_length() - 1
+        merged[w] = least
+        swap = list(range(n))
+        swap[least], swap[w] = w, least
+        autos.append(swap)
+    swaps = len(autos)
 
     def descend(cells: list[int], new: list[int] | None) -> int:
         """Search below one node; returns the depth to resume at."""
@@ -194,8 +213,8 @@ def _search(g: Graph, bud: Budget) -> tuple[list[int], list[list[int]]]:
                 shared += 1
             return shared
         head, tail = cells[:at], cells[at + 1 :]
-        orbit = list(range(n))  # union-find over the usable automorphisms
-        used = 0
+        orbit = merged[:]  # union-find over the usable automorphisms
+        used = swaps
         explored: list[int] = []
         rest = branch
         while rest:
@@ -558,6 +577,8 @@ def certificate_from_json(
     raises :class:`BudgetExhausted` naming the undecided side; it never
     counts as a rejection.
     """
+    import json  # only here: a scan writes its certificate without it
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -502,6 +502,29 @@ def test_the_memo_settles_blocks_on_a_cut_vertex_above_24_vertices(seed, spent, 
     assert hashlib.sha256(trace.encode()).hexdigest() == digest
 
 
+def test_a_bounded_memo_returns_the_same_paths(monkeypatch):
+    # The memo is emptied once it holds _DEAD_STATES states.  A forgotten
+    # state is only expanded again, so at a bound of 4,096 the memo hosts
+    # above spend more nodes and return the same paths.
+    hosts = [_blocks_on_a_cut_vertex(seed) for seed in range(3)]
+    matching = [(v, v + 1) for v in range(5, 19, 2)]
+    hosts.append(_complete_bipartite_plus(random.Random(0), 5, 14, matching))
+
+    def searched():
+        out = []
+        for host in hosts:
+            bud = Budget(1_000_000)
+            out.append((longest_path(host, bud), 1_000_000 - bud.remaining))
+        return out
+
+    unbounded = searched()
+    assert [spent for _, spent in unbounded] == [12_621, 8_987, 14_391, 28_392]
+    monkeypatch.setattr(embedding_module, "_DEAD_STATES", 4_096)
+    for (path, spent), (kept, more) in zip(unbounded, searched()):
+        assert kept == path
+        assert more > spent
+
+
 def test_the_memo_settles_a_larger_bipartite_host_with_a_matching():
     # K_{6,19} with a matching inside the 19-side (sides 0-5 and 6-24): as
     # in the K_{5,14} host above, a matched pair fills each of the 7 places

@@ -124,3 +124,47 @@ def test_a_scan_resolves_the_sha256_constructor_once():
     )
     attempts = [line for line in child.stderr.splitlines() if line.split("|")[-1].strip() == "_sha2"]
     assert len(attempts) <= 1
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["ramsey", "P4", "J2,2", "--cap", "8"], ""),
+        (["suite", "thm1-s2m3", "--count", "3"], ""),
+        (["witness", "-", "--theorem", "1", "-n", "23", "-s", "2", "-m", "3"], EDGELESS_25),
+    ],
+    ids=["ramsey", "suite", "witness"],
+)
+def test_commands_load_no_json_package(argv, stdin):
+    # Documents quote their strings through _json, the C module behind
+    # json.encoder; only a multi-host witness and a certificate check load
+    # the json package.  -X importtime lists every module a run imports.
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ramsey_jahangir", *argv],
+        input=stdin, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, check=True,
+    )
+    loaded = {line.split("|")[-1].strip() for line in child.stderr.splitlines()}
+    assert "_json" in loaded
+    assert not {name for name in loaded if name.split(".")[0] == "json"}
+
+
+# An interpreter without the C accelerator, as seen by an import that finds
+# None in sys.modules: strings are quoted by json.encoder, with the same bytes.
+_NO_C_JSON = """
+import sys
+sys.modules["_json"] = None
+from ramsey_jahangir.cli import run
+sys.exit(run(sys.argv[1:]))
+"""
+
+
+def test_a_suite_without_the_c_json_module_prints_the_same_bytes(capsys):
+    argv = ["suite", "thm1-s2m3", "--count", "3"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out.encode("ascii")
+    child = subprocess.run(
+        [sys.executable, "-c", _NO_C_JSON, *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, check=True,
+    )
+    assert child.stdout == expected
