@@ -100,30 +100,20 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SLICE = 1 << 16  # characters encoded at a time
-
-
 def _emit(pieces: Iterable[str], out: str | None) -> None:
     """Write the concatenated ``pieces`` and a newline to stdout, or to the
     file ``out``.
 
-    A text stream encodes each write whole, so every piece goes out in
-    slices, and the pieces are never joined: the bytes of one slice, not of
-    the whole document, are alive beside the pieces.
+    Each piece is one write, never joined into the whole document; a piece
+    is one case, host or small document, a few tens of KB at most.
     """
+    pieces = chain(pieces, ["\n"])
     if out is None or out == "-":
-        _write_slices(sys.stdout, pieces)
+        sys.stdout.writelines(pieces)
         sys.stdout.flush()  # a closed pipe raises in a write or here, inside run
     else:
         with open(out, "w", encoding="ascii") as stream:
-            _write_slices(stream, pieces)
-
-
-def _write_slices(stream, pieces: Iterable[str]) -> None:
-    for text in pieces:
-        for start in range(0, len(text), _SLICE):
-            stream.write(text[start:start + _SLICE])
-    stream.write("\n")
+            stream.writelines(pieces)
 
 
 def _joined(items: Iterable[str], sep: str) -> Iterator[str]:

@@ -477,11 +477,10 @@ def fits_complete_multipartite(pattern: Graph, part_sizes: Sequence[int]) -> boo
     by_degree = sorted(range(n), key=lambda v: (-pattern.degree(v), v))
     # Depth-first over by_degree on an explicit stack: the class of each
     # coloured vertex, the members of each class as a mask, and at each
-    # depth the next class to try and the caps of the empty classes tried.
+    # depth the next class to try.
     color = [-1] * n
     members = [0] * len(caps)
     next_class = [0] * (n + 1)
-    tried_empty: list[set[int]] = [set() for _ in range(n + 1)]
     i = 0
     while i < n:
         v = by_degree[i]
@@ -490,11 +489,11 @@ def fits_complete_multipartite(pattern: Graph, part_sizes: Sequence[int]) -> boo
             cls = members[ci]
             if cls.bit_count() < caps[ci]:
                 # Empty classes with equal caps are interchangeable; occupied
-                # ones are not (their contents constrain v differently), so
-                # dedup only the empties.
+                # ones are not (their contents constrain v differently).  Only
+                # the first empty class of a run of equal caps is opened, so a
+                # run fills from its front: open one whose predecessor differs.
                 if not cls:
-                    if caps[ci] not in tried_empty[i]:
-                        tried_empty[i].add(caps[ci])
+                    if not ci or caps[ci - 1] != caps[ci] or members[ci - 1]:
                         break
                 elif not cls & pattern.adj[v]:
                     break
@@ -505,7 +504,6 @@ def fits_complete_multipartite(pattern: Graph, part_sizes: Sequence[int]) -> boo
             members[ci] |= 1 << v
             i += 1
             next_class[i] = 0
-            tried_empty[i].clear()
         elif i:
             i -= 1
             v = by_degree[i]

@@ -502,9 +502,4 @@ def _indented_json(obj: object, newline: str = "\n") -> str:
         brackets = "{}"
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    # The brackets go onto the first and last items, so that one join
-    # copies the items' text once: a suite document's cases are held twice
-    # at most, not once more per bracket.
-    items[0] = brackets[0] + inner + items[0]
-    items[-1] += newline + brackets[1]
-    return ("," + inner).join(items)
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]

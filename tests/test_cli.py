@@ -26,7 +26,7 @@ from ramsey_jahangir import (
     to_graph6,
     trace_document,
 )
-from ramsey_jahangir.cli import _SLICE, run
+from ramsey_jahangir.cli import run
 
 from helpers_naive import shuffled_complete_bipartite
 
@@ -75,7 +75,7 @@ def test_build_to_an_unwritable_file_exits_2(tmp_path, capsys):
     [
         ["build", "J2,3"],
         ["suite", "thm1-s2m3", "--count", "20"],
-        ["build", "P1000", "--format", "json"],  # two slices of _emit
+        ["build", "P1000", "--format", "json"],  # one piece over 64 KiB
         ["suite", "thm2-s3m2", "--count", "20", "--format", "human"],
     ],
     ids=["short", "long", "sliced", "suite-human"],
@@ -98,9 +98,9 @@ def test_a_closed_standard_output_exits_141_silently(argv):
     assert (child.returncode, child.stderr) == (141, b"")
 
 
-def test_a_document_longer_than_one_slice_keeps_its_bytes(tmp_path):
-    # The CLI writes a document in slices of _SLICE characters; P1000's
-    # pattern document runs to about 117,000, so it goes out in two.
+def test_a_one_piece_document_over_64_kib_keeps_its_bytes(tmp_path):
+    # P1000's pattern document is one piece of about 117,000 characters,
+    # written whole to a pipe and to a file.
     g = build(Path(1000))
     doc = {
         "pattern": "P1000",
@@ -109,7 +109,7 @@ def test_a_document_longer_than_one_slice_keeps_its_bytes(tmp_path):
         "edges": [[u, v] for u, v in g.edges()],
     }
     expected = (json.dumps(doc, indent=2) + "\n").encode("ascii")
-    assert len(expected) > _SLICE
+    assert len(expected) > 65_536
     argv = ["build", "P1000", "--format", "json"]
     src = FilePath(__file__).resolve().parents[1] / "src"
     child = subprocess.run(

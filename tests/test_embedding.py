@@ -660,6 +660,14 @@ def test_fits_multipartite_agrees_with_every_colouring():
         assert fits_complete_multipartite(pattern, parts) == fits_by_colourings(
             pattern, parts
         ), (pattern, parts)
+    # Long runs of equal caps, zeros among them: the search opens only the
+    # first empty class of a run.
+    for parts in ((3, 3, 3, 0, 0), (2,) * 6, (3, 3, 1, 1, 0), (4, 2, 2, 0, 0)):
+        for _ in range(6):
+            pattern = random_graph(rng, rng.randint(5, 7), rng.choice((0.3, 0.5, 0.7)))
+            assert fits_complete_multipartite(pattern, parts) == fits_by_colourings(
+                pattern, parts
+            ), (pattern, parts)
 
 
 def test_fits_multipartite_agrees_with_search():
