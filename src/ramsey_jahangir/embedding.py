@@ -216,8 +216,10 @@ def _place(host: Graph, spec: PatternSpec, bud: Budget) -> list[int] | None:
 # decided, not counted: the reachable set is grown layer by layer from the
 # endpoint and the walk stops as soon as the bound exceeds the gap, or
 # prunes when the set is complete without doing so.  A node that has just
-# set a new best is not bounded at all, so the descent of a long path costs
-# a few bit operations per node.
+# set a new best is not bounded at all, and the best path is kept as a
+# length until the descent that set it stops: only then, or at the stop
+# length, is it copied, once.  So the descent of a long path costs a few
+# bit operations per node.
 #
 # The starts are the untried set of the empty path: the walk steps to the
 # least of them and pops the rest like any other set of alternatives.
@@ -271,6 +273,8 @@ def _component_search(
     every path vertex, the first being the starts not yet tried.
     """
     adj = g.adj
+    # The best path's length, and the path, copied when its descent stops.
+    best_len = 0
     best: PathWitness = ()
     # A dead state (endpoint v, visited set mask) is keyed mask << shift | v.
     shift = g.order.bit_length()
@@ -336,18 +340,22 @@ def _component_search(
         path.append(v)
         mask |= low
         bud.spend()
-        if len(path) > len(best):
-            best = tuple(path)
-            if len(path) >= stop_len:
-                return best
+        if len(path) > best_len:
+            best_len = len(path)
+            if best_len >= stop_len:
+                return tuple(path)
         free = comp_mask & ~mask
         rest = adj[v] & free
         # A dead state has nothing left to find; with no gap to the best
         # path, any free neighbour is a gain.
-        if rest and ((mask << shift | v) in dead or len(best) > len(path) and not can_gain(
-            v, rest, free, len(best) - len(path)
+        if rest and ((mask << shift | v) in dead or best_len > len(path) and not can_gain(
+            v, rest, free, best_len - len(path)
         )):
             rest = 0
+        # The descent stops here.  If it lengthened the best path, it is
+        # still ``path``, not yet popped: copy it now, once.
+        if not rest and best_len > len(best):
+            best = tuple(path)
         # Retreat past the vertices with nothing left to try, down to the
         # deepest one with an untried alternative, or to the untried starts.
         # A vertex with a free lower twin is skipped: that twin belongs to

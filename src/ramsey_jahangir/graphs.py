@@ -368,18 +368,37 @@ def _lower_twins(adj: Sequence[int], comp_mask: int) -> tuple[dict[int, int], in
 # carrying an 18-bit order.  Body: the upper triangle in column-major order
 # x(0,1), x(0,2), x(1,2), x(0,3), ... packed big-endian six bits per byte,
 # zero padded, each byte offset by 63.
+#
+# Both directions pass the body a window of _G6_WINDOW bytes at a time, in
+# time linear in the body: the encoder folds columns into one integer until
+# it holds a window and emits that, the decoder spells out one window as a
+# bit string and slices columns from it.  A column that straddles two
+# windows is carried into the next.  Folding the whole body into one
+# integer would shift it once per column, time cubic in the order.
 # ---------------------------------------------------------------------------
 
 _G6_MAX_SHORT = 62
 _G6_MAX_LONG = 258047
-# Each body byte spelled out as its six bits, most significant first.
-_G6_BITS = {63 + value: format(value, "06b") for value in range(64)}
+# Body bytes per window: a multiple of 4, so that a window is whole base64
+# quanta of 24 bits.
+_G6_WINDOW = 4096
 # base64 spells sextet value i as the i-th byte of its alphabet; graph6 as
 # byte 63 + i.
-_BASE64_TO_G6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
-    bytes(range(63, 127)),
-)
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_BASE64_TO_G6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_G6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+
+
+def _sextets(run: int, nbits: int) -> str:
+    """The graph6 bytes of the first ``nbits`` bits of ``run``, read from its
+    least bit up, zero padded to a whole byte."""
+    # One reversal of the run's binary digits, zero padded to whole 24-bit
+    # quanta, converts to bytes that base64 cuts into sextets with no '='
+    # padding; the table maps them onto graph6 bytes.
+    width = nbits + -nbits % 24
+    packed = int(bin(run)[:1:-1].ljust(width, "0"), 2).to_bytes(width // 8, "big")
+    body = binascii.b2a_base64(packed, newline=False).translate(_BASE64_TO_G6)
+    return body[: (nbits + 5) // 6].decode("ascii")
 
 
 def to_graph6(g: Graph) -> str:
@@ -392,21 +411,35 @@ def to_graph6(g: Graph) -> str:
         raise Graph6Error(f"order {n} beyond supported graph6 headers")
     # The body's bit run holds the columns in order, as from_graph6 reads
     # them: column ``col`` is vertex col's mask of lower neighbours, row 0
-    # first, at bits col(col-1)/2 onward.  So the run is ``rev``, every
-    # column's mask folded in at its offset, read from its least bit up:
-    # one reversal of its binary digits, zero padded to whole 24-bit
-    # quanta.  Those convert to bytes that base64 cuts into sextets with no
-    # '=' padding; the table maps them onto graph6 bytes, and the body
-    # keeps the sextets holding the run.
+    # first.  While more than a window of it is left (``left`` bits), the
+    # columns are folded in order into ``run``, whose ``held`` bits are not
+    # yet emitted, and its whole windows are emitted as they fill.  The
+    # rest, at most a window, is folded last column first after them and
+    # emitted at once: all a body of one window does.
     adj = g.adj
+    left = n * (n - 1) // 2
+    run = held = 0
+    first = 1  # the first column not yet folded
+    window_bits = 6 * _G6_WINDOW
+    if left > window_bits:
+        out = [head]
+        while left > window_bits:
+            run |= (adj[first] & ((1 << first) - 1)) << held
+            held += first
+            first += 1
+            if held >= window_bits:
+                whole = held - held % window_bits
+                out.append(_sextets(run & ((1 << whole) - 1), whole))
+                run >>= whole
+                held -= whole
+                left -= whole
+        head = "".join(out)
     rev = 0
-    for col in range(n - 1, 0, -1):
+    for col in range(n - 1, first - 1, -1):
         rev = rev << col | adj[col] & ((1 << col) - 1)
-    nbits = n * (n - 1) // 2
-    width = nbits + -nbits % 24
-    packed = int(bin(rev)[:1:-1].ljust(width, "0"), 2).to_bytes(width // 8, "big")
-    body = binascii.b2a_base64(packed, newline=False).translate(_BASE64_TO_G6)
-    return head + body[: (nbits + 5) // 6].decode("ascii")
+    if held:
+        rev = rev << held | run
+    return head + _sextets(rev, left)
 
 
 def from_graph6(line: str) -> Graph:
@@ -437,21 +470,35 @@ def from_graph6(line: str) -> Graph:
     pad = 6 * expected - nbits
     if pad and (ord(body[-1]) - 63) & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits")
-    # Column by column: column ``col`` is the bit run start .. start+col-1
-    # with start = col(col-1)/2, bit ``row`` of it the pair (row, col).  Only
-    # the bytes holding that run are spelled out as a bit string, so memory
-    # stays at one column; reversed, the run is vertex col's mask of lower
-    # neighbours, which is then mirrored into their rows edge by edge.
+    # Column by column: column ``col`` is the next ``col`` bits of the run,
+    # bit ``row`` of it the pair (row, col).  ``bits`` holds the run spelled
+    # out from the window bytes read so far (``at`` of them), unread from
+    # ``pos`` on; a column that runs past it reads the next windows, each
+    # taken back to base64 (the last one padded with zero sextets to whole
+    # quanta) and spelled out at once.  Reversed, a column is vertex col's
+    # mask of lower neighbours, which is then mirrored into their rows edge
+    # by edge.
     rows = [0] * n
-    start = 0
+    bits = ""
+    pos = at = 0
     for col in range(1, n):
-        first, skip = divmod(start, 6)
-        seg = body[first : (start + col + 5) // 6].translate(_G6_BITS)[skip : skip + col]
-        lower = int(seg[::-1], 2)
+        if pos + col > len(bits):
+            pieces = [bits[pos:]]
+            have = len(bits) - pos
+            while have < col:
+                window = body[at : at + _G6_WINDOW].encode("ascii").translate(_G6_TO_BASE64)
+                window += b"A" * (-len(window) % 4)
+                at += _G6_WINDOW
+                have += 6 * len(window)
+                value = int.from_bytes(binascii.a2b_base64(window), "big")
+                pieces.append(format(value, f"0{6 * len(window)}b"))
+            bits = "".join(pieces)
+            pos = 0
+        lower = int(bits[pos : pos + col][::-1], 2)
+        pos += col
         rows[col] = lower
         for row in iter_bits(lower):
             rows[row] |= 1 << col
-        start += col
     return _graph(n, tuple(rows))
 
 

@@ -592,6 +592,34 @@ def test_a_long_path_costs_one_node_per_vertex():
         longest_path(host, Budget(1099), stop=1100)
 
 
+def test_a_later_path_as_long_never_replaces_the_best():
+    # A 4-cycle 1-4-2-5 with a pendant vertex on each of 4 and 5.  The
+    # search from 0 first stops at the dead end 0,4,1,5,2, then backtracks
+    # to 5 and stops at 0,4,1,5,3, as long: the first path is the answer.
+    host = from_edges(6, [(0, 4), (1, 4), (1, 5), (2, 4), (2, 5), (3, 5)])
+    assert longest_path(host) == longest_path_reference(host) == (0, 4, 1, 5, 2)
+
+
+def test_long_shuffled_paths_and_caterpillars_match_the_reference():
+    """Paths and caterpillars (a spine with a leaf on every spine vertex) of
+    order 3,000, labels shuffled, searched up to P_200: the search copies
+    the path where each descent stops, the reference at every new best."""
+    rng = random.Random(13)
+    order, stop = 3000, 200
+    spine = order // 2
+    caterpillar = [(v, v + 1) for v in range(spine - 1)] + [(v, spine + v) for v in range(spine)]
+    backtracked = 0
+    for _ in range(2):
+        for edges in ([(v, v + 1) for v in range(order - 1)], caterpillar):
+            host = _relabelled(rng, order, edges)
+            bud = Budget(1 << 30)
+            path = longest_path(host, bud, stop=stop)
+            assert len(path) == stop
+            assert path == longest_path_reference(host, stop)
+            backtracked += (1 << 30) - bud.remaining > stop
+    assert backtracked  # some search stopped short of P_200 before it found one
+
+
 def test_search_order_puts_the_hub_first():
     assert _search_order(Wheel(5)) == [5, 0, 1, 2, 3, 4]
     assert _search_order(Jahangir(2, 3)) == [6, 0, 1, 2, 3, 4, 5]

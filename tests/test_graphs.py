@@ -15,6 +15,7 @@ from ramsey_jahangir import (
     PreconditionError,
     SubgraphSearch,
     Thm1,
+    build,
     complement,
     complete,
     component_masks,
@@ -27,6 +28,7 @@ from ramsey_jahangir import (
     relabel,
     to_graph6,
 )
+from ramsey_jahangir import graphs
 from ramsey_jahangir.graphs import _indented_json, clique_union_sizes, iter_bits
 
 from helpers_naive import from_graph6_per_bit, naive_graph6, random_graph, validate_every_arc
@@ -217,7 +219,7 @@ def test_graph6_known_codes():
     assert to_graph6(from_edges(5, [(0, 2), (0, 4), (1, 3), (3, 4)])) == "DQc"
 
 
-def test_graph6_matches_independent_encoder():
+def test_graph6_matches_independent_encoder(monkeypatch):
     rng = random.Random(99)
     for order in (0, 1, 2, 5, 13, 62, 63, 100):
         for _ in range(5):
@@ -233,6 +235,13 @@ def test_graph6_matches_independent_encoder():
         for p in (0.1, 0.5, 0.9):
             g = random_graph(rng, order, p)
             assert to_graph6(g) == naive_graph6(order, g.edges())
+    # just under one window, just over it, and several windows
+    assert len(to_graph6(empty(222))) - 1 <= graphs._G6_WINDOW < len(to_graph6(empty(223))) - 1
+    for order, p in ((222, 0.5), (223, 0.5), (223, 0.01), (600, 0.5), (600, 0.01)):
+        g = random_graph(rng, order, p)
+        assert to_graph6(g) == naive_graph6(order, g.edges())
+    for window, order, g in _across_windows(rng, monkeypatch):
+        assert to_graph6(g) == naive_graph6(order, g.edges()), (window, order)
 
 
 def test_graph6_round_trip():
@@ -244,9 +253,16 @@ def test_graph6_round_trip():
     for order in (62, 63, 100, 500):  # both sides of the long header
         g = random_graph(rng, order)
         assert from_graph6(to_graph6(g)) == g
+    # a few thousand vertices: a long path, and one with random chords
+    path = build(Path(3000))
+    chords = from_edges(3000, [*path.edges(), *(rng.sample(range(3000), 2) for _ in range(9000))])
+    for g in (path, chords):
+        code = to_graph6(g)
+        assert len(code) == 4 + (3000 * 2999 // 2 + 5) // 6
+        assert from_graph6(code) == g
 
 
-def test_column_decoder_matches_the_per_bit_decoder():
+def test_column_decoder_matches_the_per_bit_decoder(monkeypatch):
     rng = random.Random(23)
     codes = [to_graph6(random_graph(rng, order, rng.choice((0.1, 0.5, 0.9))))
              for order in [*range(71), 62, 63]]
@@ -256,6 +272,42 @@ def test_column_decoder_matches_the_per_bit_decoder():
         g = from_graph6(code)
         assert g == from_graph6_per_bit(code)
         assert to_graph6(g) == code
+    for window, order, g in _across_windows(rng, monkeypatch):
+        code = naive_graph6(order, g.edges())
+        assert from_graph6(code) == from_graph6_per_bit(code) == g, (window, order)
+
+
+def _across_windows(rng, monkeypatch):
+    """(window, order, graph) for sparse and dense graphs of order up to 80,
+    with the codec's window shrunk to a few bytes, so that bodies cross it
+    in every way: one that fills exactly one window, one that fills one
+    window and one sextet, several windows with a column straddling two,
+    and a column longer than a window.  The window is set while a case is
+    yielded."""
+    seen = set()
+    for window in (4, 8, 12, 40):
+        monkeypatch.setattr(graphs, "_G6_WINDOW", window)
+        size = 6 * window
+        for order in range(81):
+            nbits = order * (order - 1) // 2
+            length = (nbits + 5) // 6
+            if length == window:
+                seen.add("one window")
+            elif length == window + 1:
+                seen.add("one window and a sextet")
+            for col in range(1, order):
+                start = col * (col - 1) // 2
+                if start // size != (start + col - 1) // size:
+                    seen.add("a column straddling two windows")
+                if col > size:
+                    seen.add("a column longer than a window")
+            for p in (0.05, 0.9):
+                yield window, order, random_graph(rng, order, p)
+    monkeypatch.undo()
+    assert seen == {
+        "one window", "one window and a sextet",
+        "a column straddling two windows", "a column longer than a window",
+    }
 
 
 def test_graph6_rejects_garbage():
