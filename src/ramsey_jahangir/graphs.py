@@ -411,35 +411,23 @@ def to_graph6(g: Graph) -> str:
         raise Graph6Error(f"order {n} beyond supported graph6 headers")
     # The body's bit run holds the columns in order, as from_graph6 reads
     # them: column ``col`` is vertex col's mask of lower neighbours, row 0
-    # first.  While more than a window of it is left (``left`` bits), the
-    # columns are folded in order into ``run``, whose ``held`` bits are not
-    # yet emitted, and its whole windows are emitted as they fill.  The
-    # rest, at most a window, is folded last column first after them and
-    # emitted at once: all a body of one window does.
+    # first.  The columns are folded in order into ``run``, whose ``held``
+    # bits are not yet emitted; its whole windows are emitted as they fill,
+    # and the rest, less than a window, at the end.
     adj = g.adj
-    left = n * (n - 1) // 2
+    out = [head]
     run = held = 0
-    first = 1  # the first column not yet folded
     window_bits = 6 * _G6_WINDOW
-    if left > window_bits:
-        out = [head]
-        while left > window_bits:
-            run |= (adj[first] & ((1 << first) - 1)) << held
-            held += first
-            first += 1
-            if held >= window_bits:
-                whole = held - held % window_bits
-                out.append(_sextets(run & ((1 << whole) - 1), whole))
-                run >>= whole
-                held -= whole
-                left -= whole
-        head = "".join(out)
-    rev = 0
-    for col in range(n - 1, first - 1, -1):
-        rev = rev << col | adj[col] & ((1 << col) - 1)
-    if held:
-        rev = rev << held | run
-    return head + _sextets(rev, left)
+    for col in range(1, n):
+        run |= (adj[col] & ((1 << col) - 1)) << held
+        held += col
+        if held >= window_bits:
+            whole = held - held % window_bits
+            out.append(_sextets(run & ((1 << whole) - 1), whole))
+            run >>= whole
+            held -= whole
+    out.append(_sextets(run, held))
+    return "".join(out)
 
 
 def from_graph6(line: str) -> Graph:
