@@ -38,7 +38,7 @@ from .families import (
     build,
     parse_spec,
 )
-from .graphs import Graph, _indented_json, from_graph6, to_graph6
+from .graphs import Graph, _graph6_pieces, _indented_json, from_graph6, to_graph6
 
 
 class _SuiteHelp(argparse.HelpFormatter):
@@ -105,7 +105,8 @@ def _emit(pieces: Iterable[str], out: str | None) -> None:
     file ``out``.
 
     Each piece is one write, never joined into the whole document; a piece
-    is one case, host or small document, a few tens of KB at most.
+    is one case, host, graph6 window or small document, a few tens of
+    KB at most.
     """
     pieces = chain(pieces, ["\n"])
     if out is None or out == "-":
@@ -154,7 +155,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
     spec = parse_spec(args.pattern)
     g = build(spec)
     if args.format == "graph6":
-        _emit([to_graph6(g)], args.out)
+        # Taking the header first raises for an order past the headers
+        # before --out is opened.
+        pieces = _graph6_pieces(g)
+        _emit(chain([next(pieces)], pieces), args.out)
     elif args.format == "json":
         doc = {
             "pattern": spec.text(),

@@ -370,10 +370,11 @@ def _lower_twins(adj: Sequence[int], comp_mask: int) -> tuple[dict[int, int], in
 # zero padded, each byte offset by 63.
 #
 # Both directions pass the body a window of _G6_WINDOW bytes at a time, in
-# time linear in the body: the encoder folds columns into one integer until
-# it holds a window and emits that, the decoder spells out one window as a
-# bit string and slices columns from it.  A column that straddles two
-# windows is carried into the next.  Folding the whole body into one
+# time linear in the body, by one rule: the body's bits, read in order, are
+# one integer ``run`` read from its least bit up, and column ``col`` is its
+# next ``col`` bits.  The encoder folds columns into the run until it holds
+# a window and emits that; the decoder folds each window back into the run
+# and cuts columns off its low end.  Folding the whole body into one
 # integer would shift it once per column, time cubic in the order.
 # ---------------------------------------------------------------------------
 
@@ -385,8 +386,9 @@ _G6_WINDOW = 4096
 # base64 spells sextet value i as the i-th byte of its alphabet; graph6 as
 # byte 63 + i.
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-_BASE64_TO_G6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
-_G6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+_G6_BYTES = bytes(range(63, 127))
+_BASE64_TO_G6 = bytes.maketrans(_BASE64, _G6_BYTES)
+_G6_TO_BASE64 = bytes.maketrans(_G6_BYTES, _BASE64)
 
 
 def _sextets(run: int, nbits: int) -> str:
@@ -401,21 +403,19 @@ def _sextets(run: int, nbits: int) -> str:
     return body[: (nbits + 5) // 6].decode("ascii")
 
 
-def to_graph6(g: Graph) -> str:
+def _graph6_pieces(g: Graph) -> Iterator[str]:
+    """The graph6 code of ``g`` as its header and then one piece per window."""
     n = g.order
     if n <= _G6_MAX_SHORT:
-        head = chr(63 + n)
+        yield chr(63 + n)
     elif n <= _G6_MAX_LONG:
-        head = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+        yield "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
     else:
         raise Graph6Error(f"order {n} beyond supported graph6 headers")
-    # The body's bit run holds the columns in order, as from_graph6 reads
-    # them: column ``col`` is vertex col's mask of lower neighbours, row 0
-    # first.  The columns are folded in order into ``run``, whose ``held``
-    # bits are not yet emitted; its whole windows are emitted as they fill,
-    # and the rest, less than a window, at the end.
+    # Column ``col`` is vertex col's mask of lower neighbours, row 0 first.
+    # ``run`` holds the ``held`` bits not yet emitted; its whole windows are
+    # emitted as they fill, and the rest, less than a window, at the end.
     adj = g.adj
-    out = [head]
     run = held = 0
     window_bits = 6 * _G6_WINDOW
     for col in range(1, n):
@@ -423,18 +423,21 @@ def to_graph6(g: Graph) -> str:
         held += col
         if held >= window_bits:
             whole = held - held % window_bits
-            out.append(_sextets(run & ((1 << whole) - 1), whole))
+            yield _sextets(run & ((1 << whole) - 1), whole)
             run >>= whole
             held -= whole
-    out.append(_sextets(run, held))
-    return "".join(out)
+    yield _sextets(run, held)
+
+
+def to_graph6(g: Graph) -> str:
+    return "".join(_graph6_pieces(g))
 
 
 def from_graph6(line: str) -> Graph:
     text = line.rstrip("\n")
     if not text:
         raise Graph6Error("empty graph6 line")
-    if min(text) < "?" or max(text) > "~":
+    if not text.isascii() or text.encode("ascii").translate(None, _G6_BYTES):
         bad = next(ch for ch in text if not "?" <= ch <= "~")
         raise Graph6Error(f"byte {ord(bad)} outside graph6 range")
     if text[0] == "~":
@@ -447,46 +450,37 @@ def from_graph6(line: str) -> Graph:
             n = n << 6 | (ord(ch) - 63)
         if n <= _G6_MAX_SHORT:
             raise Graph6Error("extended header used for a small order")
-        body = text[4:]
+        at = 4
     else:
         n = ord(text[0]) - 63
-        body = text[1:]
-    nbits = n * (n - 1) // 2
-    expected = (nbits + 5) // 6
-    if len(body) != expected:
-        raise Graph6Error(f"body length {len(body)}, expected {expected} for order {n}")
-    pad = 6 * expected - nbits
-    if pad and (ord(body[-1]) - 63) & ((1 << pad) - 1):
-        raise Graph6Error("nonzero padding bits")
-    # Column by column: column ``col`` is the next ``col`` bits of the run,
-    # bit ``row`` of it the pair (row, col).  ``bits`` holds the run spelled
-    # out from the window bytes read so far (``at`` of them), unread from
-    # ``pos`` on; a column that runs past it reads the next windows, each
-    # taken back to base64 (the last one padded with zero sextets to whole
-    # quanta) and spelled out at once.  Reversed, a column is vertex col's
-    # mask of lower neighbours, which is then mirrored into their rows edge
-    # by edge.
+        at = 1
+    expected = (n * (n - 1) // 2 + 5) // 6
+    if len(text) - at != expected:
+        raise Graph6Error(f"body length {len(text) - at}, expected {expected} for order {n}")
+    # The inverse of the encoder's fold: each window, taken back to base64
+    # (the last one padded with zero sextets to whole quanta), is spelled
+    # out once, reversed and folded into ``run`` above its ``held`` unread
+    # bits, and each column is cut off the run's low end; then it is mirrored
+    # into the rows of its lower neighbours edge by edge.  What the last
+    # column leaves in the run is the last byte's padding.
     rows = [0] * n
-    bits = ""
-    pos = at = 0
+    run = held = 0
     for col in range(1, n):
-        if pos + col > len(bits):
-            pieces = [bits[pos:]]
-            have = len(bits) - pos
-            while have < col:
-                window = body[at : at + _G6_WINDOW].encode("ascii").translate(_G6_TO_BASE64)
-                window += b"A" * (-len(window) % 4)
-                at += _G6_WINDOW
-                have += 6 * len(window)
-                value = int.from_bytes(binascii.a2b_base64(window), "big")
-                pieces.append(format(value, f"0{6 * len(window)}b"))
-            bits = "".join(pieces)
-            pos = 0
-        lower = int(bits[pos : pos + col][::-1], 2)
-        pos += col
+        while held < col:
+            window = text[at : at + _G6_WINDOW].encode("ascii").translate(_G6_TO_BASE64)
+            window += b"A" * (-len(window) % 4)
+            at += _G6_WINDOW
+            value = int.from_bytes(binascii.a2b_base64(window), "big")
+            run |= int(format(value, f"0{6 * len(window)}b")[::-1], 2) << held
+            held += 6 * len(window)
+        lower = run & ((1 << col) - 1)
+        run >>= col
+        held -= col
         rows[col] = lower
         for row in iter_bits(lower):
             rows[row] |= 1 << col
+    if run:
+        raise Graph6Error("nonzero padding bits")
     return _graph(n, tuple(rows))
 
 

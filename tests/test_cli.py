@@ -22,6 +22,7 @@ from ramsey_jahangir import (
     empty,
     extract,
     from_edges,
+    parse_spec,
     run_suite,
     to_graph6,
     trace_document,
@@ -63,6 +64,28 @@ def test_build_to_file(tmp_path, capsys):
     assert run(["build", "J2,2", "--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_text() == "Dlg\n"
+
+
+def test_build_writes_graph6_a_window_at_a_time(monkeypatch, tmp_path, capsys):
+    # A window of 4 bytes, so that each body spans more than two windows.
+    monkeypatch.setattr("ramsey_jahangir.graphs._G6_WINDOW", 4)
+    target = tmp_path / "out.g6"
+    for pattern in ("P40", "K12+K9+K3", "J5,4", "C30"):
+        code = to_graph6(build(parse_spec(pattern)))
+        assert len(code) - 1 > 8
+        assert run(["build", pattern]) == 0
+        assert capsys.readouterr().out == code + "\n"
+        assert run(["build", pattern, "--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_text() == code + "\n"
+
+
+def test_build_past_the_graph6_headers_writes_no_file(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr("ramsey_jahangir.graphs._G6_MAX_LONG", 100)
+    target = tmp_path / "out.g6"
+    assert run(["build", "P101", "--out", str(target)]) == 2
+    assert "beyond supported graph6 headers" in capsys.readouterr().err
+    assert not target.exists()
 
 
 def test_build_to_an_unwritable_file_exits_2(tmp_path, capsys):

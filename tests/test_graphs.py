@@ -277,6 +277,23 @@ def test_column_decoder_matches_the_per_bit_decoder(monkeypatch):
         assert from_graph6(code) == from_graph6_per_bit(code) == g, (window, order)
 
 
+def test_graph6_rejects_padding_bits_across_windows(monkeypatch):
+    # The padding is what the decoder's run holds after the last column, so
+    # a set padding bit is found however many windows the body spans.
+    rng = random.Random(31)
+    longest = 0
+    for window, order, g in _across_windows(rng, monkeypatch):
+        code = to_graph6(g)
+        pad = -(order * (order - 1) // 2) % 6
+        for bit in range(pad):
+            junk = code[:-1] + chr(63 + ((ord(code[-1]) - 63) | 1 << bit))
+            for decode in (from_graph6, from_graph6_per_bit):
+                with pytest.raises(Graph6Error, match="^nonzero padding bits$"):
+                    decode(junk)
+            longest = max(longest, len(code) - 1 - window)
+    assert longest > 0  # a padded body longer than one window
+
+
 def _across_windows(rng, monkeypatch):
     """(window, order, graph) for sparse and dense graphs of order up to 80,
     with the codec's window shrunk to a few bytes, so that bodies cross it
