@@ -25,7 +25,6 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain
-from pathlib import Path
 
 from .families import (
     BudgetExhausted,
@@ -34,7 +33,6 @@ from .families import (
     Thm1,
     Thm2EvenM,
     Thm2OddM,
-    Thm3,
     build,
     parse_spec,
 )
@@ -173,20 +171,22 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _read_codes(source: str) -> list[str]:
-    text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="ascii")
+    if source == "-":
+        text = sys.stdin.read()
+    else:
+        with open(source, encoding="ascii") as stream:
+            text = stream.read()
     codes = [line.strip() for line in text.splitlines()]
     return [code for code in codes if code]
 
 
 def _regime(args: argparse.Namespace) -> TheoremCase:
-    """The regime ``--theorem`` names: 1 is Thm1, 2 is Thm2EvenM or Thm2OddM
-    by the parity of ``m``, 3 is Thm3 (the only one that reads ``-t``)."""
-    if args.theorem == 3:
-        return Thm3(args.t, args.n, args.s, args.m)
-    if args.t != 1:
+    """The regime ``--theorem`` names: 1 and 3 are Thm1, with ``-t`` paths
+    (read by 3 only), and 2 is Thm2EvenM or Thm2OddM by the parity of ``m``."""
+    if args.theorem != 3 and args.t != 1:
         raise ValueError("-t applies to --theorem 3 only")
-    if args.theorem == 1:
-        return Thm1(args.n, args.s, args.m)
+    if args.theorem != 2:
+        return Thm1(args.n, args.s, args.m, args.t)
     return (Thm2OddM if args.m % 2 else Thm2EvenM)(args.n, args.s, args.m)
 
 

@@ -254,14 +254,15 @@ def _need(condition: bool, message: str) -> None:
 
 
 class Thm1(Frozen):
-    """Even rim step: K_{n-1} + K_{sm/2-1}."""
+    """Even rim step, t disjoint paths: K_{tn-1} + K_{sm/2-1}."""
 
     n: int
     s: int
     m: int
-    t: ClassVar[int] = 1
+    t: int = 1
 
     def __post_init__(self) -> None:
+        _need(self.t >= 1, "t >= 1 required")
         _need(self.s >= 2 and self.s % 2 == 0, "this regime needs even s >= 2")
         _need(self.m >= 3, "this regime needs m >= 3")
         _need(self.n >= 2, "n >= 2 required")
@@ -273,7 +274,7 @@ class Thm1(Frozen):
 
     @property
     def clique_sizes(self) -> tuple[int, ...]:
-        return (self.n - 1, self.s * self.m // 2 - 1)
+        return (self.t * self.n - 1, self.s * self.m // 2 - 1)
 
 
 class Thm2EvenM(Frozen):
@@ -322,28 +323,12 @@ class Thm2OddM(Frozen):
         return (1, self.n - 1, self.n - 1)
 
 
-class Thm3(Frozen):
-    """t disjoint paths, even rim step: K_{sm/2-1} + K_{tn-1}; shape and min_n of Thm1."""
-
-    t: int
-    n: int
-    s: int
-    m: int
-
-    def __post_init__(self) -> None:
-        _need(self.t >= 1, "t >= 1 required")
-        Thm1(self.n, self.s, self.m)  # the even-rim-step shape
-
-    @property
-    def min_n(self) -> int:
-        return Thm1(self.n, self.s, self.m).min_n
-
-    @property
-    def clique_sizes(self) -> tuple[int, ...]:
-        return (self.s * self.m // 2 - 1, self.t * self.n - 1)
+def Thm3(t: int, n: int, s: int, m: int) -> Thm1:
+    """The paper's Theorem 3, t disjoint paths with even s: Thm1 with t paths."""
+    return Thm1(n, s, m, t)
 
 
-TheoremCase = Thm1 | Thm2EvenM | Thm2OddM | Thm3
+TheoremCase = Thm1 | Thm2EvenM | Thm2OddM
 
 
 def extremal_graph(case: TheoremCase) -> Graph:
@@ -358,5 +343,5 @@ def require_thresholds(case: TheoremCase, host: Graph) -> None:
         case.n >= case.min_n,
         f"n >= {case.min_n} required for s={case.s}, m={case.m}",
     )
-    need = CliqueUnion(case.clique_sizes).order + 1
+    need = sum(case.clique_sizes) + 1
     _need(host.order >= need, f"host order >= {need} required")

@@ -3,12 +3,12 @@
 ``extract(f, case)`` inspects a host graph ``f`` and produces one of two
 verified outcomes for the theorem regime ``case`` (one of the case classes
 in ``families``): the promised path structure inside the host, or a
-Jahangir embedding inside the host's complement.  The single-path regimes
+Jahangir embedding inside the host's complement.  The regimes
 (:class:`Thm1`, :class:`Thm2EvenM`, :class:`Thm2OddM`) share one front: a
 path on ``n`` vertices when the host has one, otherwise a maximum path,
 whose length picks the regime's Jahangir-side case.  ``extract`` runs
-that front once per path; only :class:`Thm3` asks for more than one, and
-its rounds are the :class:`Thm1` dichotomy.
+that front once per path; only :class:`Thm1` asks for more than one
+(``Thm3(t, n, s, m)`` is ``Thm1(n, s, m, t)``).
 
 The constructions lean on maximality: a maximum-length path's endpoint
 cannot be adjacent to anything that could extend it, and those forced
@@ -44,7 +44,6 @@ from .families import (
     Thm1,
     Thm2EvenM,
     Thm2OddM,
-    Thm3,
     Wheel,
     build,
     extremal_graph,
@@ -557,9 +556,9 @@ def _theorem2_oddm_case2(
 # --------------------------------------------------------------------------
 # the extractor
 
-# Each single-path regime's Jahangir-side construction, run on a maximum
+# Each regime's Jahangir-side construction, run on a maximum
 # path when the vertices ``alive`` hold no P_n, and the theorem name its
-# traces carry.  Thm3's rounds are Thm1's dichotomy; the other regimes have
+# traces carry.  Thm1 runs one round per path; the other regimes have
 # t = 1, so they run one round on the whole host.  Every path search of
 # one extraction shares one ``searched`` dict of component answers (see
 # ``longest_path``): what is left of the host after a path keeps every
@@ -568,7 +567,6 @@ _REGIMES = {
     Thm1: ("Thm1", _theorem1),
     Thm2EvenM: ("Thm2", _theorem2_even),
     Thm2OddM: ("Thm2", _theorem2_oddm),
-    Thm3: ("Thm1", _theorem1),
 }
 
 
@@ -587,9 +585,9 @@ def extract(
     with the edgeless witness or the regime's Jahangir-side construction
     on a maximum path, which lies in the host's complement because
     deleting host vertices only shrinks the complement.  With ``t > 1``
-    the trace is renamed ``Thm3``, case ``Thm3-step{k}`` for the round
-    ``k`` it ended in; one round keeps the regime's own names, so
-    :class:`Thm3` with ``t == 1`` is exactly :class:`Thm1`.
+    the trace is named ``Thm3``, case ``Thm3-step{k}`` for the round
+    ``k`` it ended in; one round keeps the regime's own names, as
+    ``Thm3(1, n, s, m)`` is the value ``Thm1(n, s, m)``.
 
     The regime's shape was checked when ``case`` was built; ``force=True``
     skips the n-threshold and host-order checks (:func:`require_thresholds`)

@@ -168,6 +168,9 @@ def test_extremal_shapes():
     g = extremal_graph(Thm3(2, 23, 2, 3))
     assert g.order == 47
     assert clique_union_sizes(g) == (45, 2)
+    # K_45 on vertices 0..44 and K_2 on 45, 46: Thm1's order, as it is Thm1
+    assert g == build(CliqueUnion((45, 2)))
+    assert Thm3(t=2, n=23, s=2, m=3) == Thm1(23, 2, 3, 2)
 
 
 def test_ramsey_values_match_the_closed_forms():

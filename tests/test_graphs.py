@@ -410,7 +410,7 @@ def test_values_keep_frozen_dataclass_semantics():
     # Each expectation below was read off the dataclass implementation.
     assert Path(5) != Cycle(5)
     assert Path(5) == Path(5) and hash(Path(5)) == hash(Path(5))
-    assert hash(Thm1(23, 2, 3)) == hash((23, 2, 3))
+    assert hash(Thm1(23, 2, 3)) == hash((23, 2, 3, 1))
     assert hash(complete(3)) == hash((3, (6, 5, 3)))
     assert repr(Jahangir(2, 3)) == "Jahangir(s=2, m=3)"
     assert repr(complete(3)) == "Graph(order=3, adj=(6, 5, 3))"

@@ -49,10 +49,14 @@ K10_30 = to_graph6(shuffled_complete_bipartite(random.Random(5), 10, 30))
 
 
 def _probe(argv: list[str], stdin: str = "") -> tuple[int, set[str], set[str]]:
-    """Exit code, modules the import added, modules the run added."""
+    """Exit code, modules the import added, modules the run added.
+
+    The child runs with ``-S``: no ``site``, so no ``.pth`` file of the
+    host's site-packages preloads a module the package would import.
+    """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps([argv, stdin])],
+        [sys.executable, "-S", "-c", _PROBE, json.dumps([argv, stdin])],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     report = json.loads(out.splitlines()[-1])
@@ -63,7 +67,7 @@ def test_importing_the_cli_loads_no_engine_and_build_loads_none_either():
     code, imported, ran = _probe(["build", "J2,3"])
     assert code == 0
     assert "ramsey_jahangir.cli" in imported
-    assert not imported & ({"dataclasses", ORACLE, WITNESS, EMBEDDING} | OPENSSL)
+    assert not imported & ({"dataclasses", "pathlib", ORACLE, WITNESS, EMBEDDING} | OPENSSL)
     assert not ran & ({ORACLE, WITNESS, EMBEDDING} | OPENSSL)
 
 

@@ -29,6 +29,7 @@ from ramsey_jahangir import (
     extremal_graph,
     from_edges,
     generate_case,
+    to_graph6,
     trace_document,
     trace_json,
     verify_extremal,
@@ -392,6 +393,12 @@ def test_t_paths_jahangir_in_later_round():
 
 
 def test_t_equal_one_is_the_plain_extractor():
+    # Thm3 with t = 1 is the value Thm1, extremal graph included.
+    assert Thm3(1, 23, 2, 3) == Thm1(23, 2, 3)
+    assert hash(Thm3(1, 23, 2, 3)) == hash(Thm1(23, 2, 3))
+    assert to_graph6(extremal_graph(Thm3(1, 23, 2, 3))) == to_graph6(
+        extremal_graph(Thm1(23, 2, 3))
+    )
     # One round keeps the regime's own trace names and embeds Path(n), so
     # Thm3 with t = 1 gives Thm1's witness, here also on every seed-0
     # thm1-s2m3 host.
