@@ -496,12 +496,13 @@ def from_graph6(line: str) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _indented_json(obj: object, newline: str = "\n") -> str:
+def _indented_json(obj: object, newline: str | None = "\n") -> str:
     """The text ``json.dumps(obj, indent=2)`` returns, for dicts with str
     keys, lists, tuples, str, int, bool and None; any other type, a
     subclass of one of those included, raises ``TypeError``.  ``newline``
     is the line break and indentation that precede ``obj``'s closing
-    bracket."""
+    bracket; with ``None`` the text is one line, items joined by ``", "``,
+    which is what ``json.dumps(obj)`` returns."""
     kind = type(obj)
     if kind is str:
         return _json_str(obj)
@@ -511,7 +512,7 @@ def _indented_json(obj: object, newline: str = "\n") -> str:
         return "null"
     if kind is bool:
         return "true" if obj else "false"
-    inner = newline + "  "
+    inner = None if newline is None else newline + "  "
     if kind is list or kind is tuple:
         if not obj:
             return "[]"
@@ -531,4 +532,6 @@ def _indented_json(obj: object, newline: str = "\n") -> str:
         brackets = "{}"
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if newline is None:
+        return brackets[0] + ", ".join(items) + brackets[1]
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]

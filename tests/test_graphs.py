@@ -374,6 +374,7 @@ def test_indented_json_is_json_dumps_on_the_edge_cases():
     ]
     for value in values:
         assert _indented_json(value) == json.dumps(value, indent=2), value
+        assert _indented_json(value, None) == json.dumps(value), value
 
 
 @pytest.mark.parametrize("value", [1.5, {1, 2}, [0.0], {"x": {3}}, {1: "int key"}, frozenset()])

@@ -1,10 +1,14 @@
-"""Start-up cost: a command line run loads only the modules it uses.
+"""Start-up and exit cost: a command line run loads only the modules it
+uses, and its shutdown does not sweep the objects still alive.
 
 Each run happens in a fresh interpreter, as on the command line, which
 reports the modules that importing ``ramsey_jahangir.cli`` added to
-``sys.modules`` and those the command then added.
+``sys.modules`` and those the command then added, or whether the
+collector was frozen when the interpreter began to shut down.
 """
 
+import gc
+import io
 import json
 import os
 import random
@@ -14,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from ramsey_jahangir import to_graph6
+from ramsey_jahangir import complete, to_graph6
 from ramsey_jahangir.cli import run
 
 from helpers_naive import shuffled_complete_bipartite
@@ -46,6 +50,8 @@ OPENSSL = {"hashlib", "_hashlib"}
 EDGELESS_25 = "X" + "?" * 50  # graph6 of the edgeless graph on 25 vertices
 # graph6 of K_{10,30}, labels shuffled: the path search needs more than 5 nodes
 K10_30 = to_graph6(shuffled_complete_bipartite(random.Random(5), 10, 30))
+# two hosts: the witness prints one line per host
+TWO_K30 = (to_graph6(complete(30)) + "\n") * 2
 
 
 def _probe(argv: list[str], stdin: str = "") -> tuple[int, set[str], set[str]]:
@@ -136,13 +142,14 @@ def test_a_scan_resolves_the_sha256_constructor_once():
         (["ramsey", "P4", "J2,2", "--cap", "8"], ""),
         (["suite", "thm1-s2m3", "--count", "3"], ""),
         (["witness", "-", "--theorem", "1", "-n", "23", "-s", "2", "-m", "3"], EDGELESS_25),
+        (["witness", "-", "--theorem", "1", "-n", "23", "-s", "2", "-m", "3"], TWO_K30),
     ],
-    ids=["ramsey", "suite", "witness"],
+    ids=["ramsey", "suite", "witness", "witness-two-hosts"],
 )
 def test_commands_load_no_json_package(argv, stdin):
     # Documents quote their strings through _json, the C module behind
-    # json.encoder; only a multi-host witness and a certificate check load
-    # the json package.  -X importtime lists every module a run imports.
+    # json.encoder; only a certificate check loads the json package.
+    # -X importtime lists every module a run imports.
     child = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "ramsey_jahangir", *argv],
         input=stdin, env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -172,3 +179,36 @@ def test_a_suite_without_the_c_json_module_prints_the_same_bytes(capsys):
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, check=True,
     )
     assert child.stdout == expected
+
+
+# The entry point as ``python -m ramsey_jahangir`` runs it, with an atexit
+# hook: atexit handlers run at shutdown, before its last collections.
+_FROZEN_AT_EXIT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"frozen {gc.get_freeze_count() > 0}"))
+runpy.run_module("ramsey_jahangir", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code",
+    [
+        (["witness", "-", "--theorem", "1", "-n", "23", "-s", "2", "-m", "3"], TWO_K30, 0),
+        (["witness", "-", "--theorem", "1", "-n", "23", "-s", "2", "-m", "3",
+          "--budget", "5"], K10_30, 4),
+    ],
+    ids=["witness-two-hosts", "witness-budget"],
+)
+def test_the_entry_point_exits_with_the_collector_frozen(argv, stdin, code, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert run(argv) == code
+    expected = capsys.readouterr()
+    # run() in process leaves the collector live
+    assert gc.get_freeze_count() == 0
+    child = subprocess.run(
+        [sys.executable, "-c", _FROZEN_AT_EXIT, *argv], input=stdin.encode("ascii"),
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+    )
+    assert child.returncode == code
+    assert child.stdout == expected.out.encode("ascii")
+    assert child.stderr == expected.err.encode("ascii") + b"frozen True"
