@@ -15,20 +15,25 @@ failed precondition, 3 maximality violation, 4 search budget exhausted,
 
 Each subcommand imports the modules it runs when it runs, so a process
 loads only its own: ``build`` no search engine, extractor or oracle,
-``witness`` no oracle, ``ramsey`` no extractor.  The process entry point
-``entry`` freezes the collector once ``run`` returns, so that shutdown
-does not sweep every object alive at exit; ``run`` called in process
-leaves the collector as it is.
+``witness`` no oracle, ``ramsey`` no extractor.  The options are declared
+once, in the table ``_COMMANDS``: a plainly spelled line (exact option
+strings, each value its own token) is matched against it directly, and
+only help, errors and every other spelling load argparse, whose parser is
+built from the same table and prints what it always has.  The process
+entry point ``entry`` freezes the collector once ``run`` returns, so that
+shutdown does not sweep every object alive at exit; ``run`` called in
+process leaves the collector as it is.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .families import (
     BudgetExhausted,
@@ -42,64 +47,93 @@ from .families import (
 )
 from .graphs import Graph, _graph6_pieces, _indented_json, from_graph6, to_graph6
 
-
-class _SuiteHelp(argparse.HelpFormatter):
-    """Help for ``suite``, which lists the suite names: the suite table is
-    loaded only when that help is printed."""
-
-    def _get_help_string(self, action: argparse.Action) -> str | None:
-        if action.dest != "name":
-            return action.help
-        from .suites import SUITES
-
-        return f"one of: {', '.join(sorted(SUITES))}"
+if TYPE_CHECKING:
+    import argparse
 
 
 def _parser() -> argparse.ArgumentParser:
+    """The argparse parser of the command line in ``_COMMANDS``, which reads
+    every line ``_plain`` leaves: help, errors and every other spelling."""
+    import argparse
+
+    class _SuiteHelp(argparse.HelpFormatter):
+        """Help for ``suite``, which lists the suite names: the suite table
+        is loaded only when that help is printed."""
+
+        def _get_help_string(self, action: argparse.Action) -> str | None:
+            if action.dest != "name":
+                return action.help
+            from .suites import SUITES
+
+            return f"one of: {', '.join(sorted(SUITES))}"
+
     parser = argparse.ArgumentParser(
         prog="ramsey-jahangir",
         description="Dichotomy extractors and exhaustive Ramsey oracles"
         " for paths versus generalized Jahangir graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_build = sub.add_parser("build", help="construct a pattern graph")
-    p_build.add_argument("pattern", help="pattern spec, e.g. P23, C6, W6, J2,3, 2P23, K5, K3+K1")
-    p_build.add_argument("--format", choices=("json", "graph6", "human"), default="graph6")
-    p_build.add_argument("--out", metavar="FILE", default=None)
-
-    p_wit = sub.add_parser("witness", help="run a dichotomy extraction on host graphs")
-    p_wit.add_argument("input", help="file of graph6 codes, one per line, or - for stdin")
-    p_wit.add_argument("--theorem", type=int, choices=(1, 2, 3), required=True)
-    p_wit.add_argument("-n", type=int, required=True, help="target path order")
-    p_wit.add_argument("-s", type=int, required=True, help="rim step")
-    p_wit.add_argument("-m", type=int, required=True, help="spoke count")
-    p_wit.add_argument("-t", type=int, default=1, help="number of disjoint paths (theorem 3)")
-    p_wit.add_argument("--budget", type=int, default=None)
-    p_wit.add_argument(
-        "--force", action="store_true", help="skip the n-threshold and host-order checks"
-    )
-    p_wit.add_argument("--format", choices=("json", "human"), default="json")
-    p_wit.add_argument("--out", metavar="FILE", default=None)
-
-    p_ram = sub.add_parser("ramsey", help="certified small Ramsey value")
-    p_ram.add_argument("g", help="pattern found in the host side")
-    p_ram.add_argument("h", help="pattern found in the complement side")
-    p_ram.add_argument("--cap", type=int, required=True, help="exclusive scan bound")
-    p_ram.add_argument("--budget", type=int, default=None)
-    p_ram.add_argument("--format", choices=("json", "human"), default="json")
-    p_ram.add_argument("--out", metavar="FILE", default=None)
-
-    p_suite = sub.add_parser(
-        "suite", help="run a seeded extraction suite", formatter_class=_SuiteHelp
-    )
-    p_suite.add_argument("name", help="the suite to run")
-    p_suite.add_argument("--seed", type=int, default=0)
-    p_suite.add_argument("--count", type=int, default=10)
-    p_suite.add_argument("--budget", type=int, default=None)
-    p_suite.add_argument("--format", choices=("json", "human"), default="json")
-    p_suite.add_argument("--out", metavar="FILE", default=None)
+    for command, (_, summary, arguments) in _COMMANDS.items():
+        formatter = _SuiteHelp if command == "suite" else argparse.HelpFormatter
+        p_command = sub.add_parser(command, help=summary, formatter_class=formatter)
+        for name, spec in arguments:
+            p_command.add_argument(name, **spec)
     return parser
+
+
+def _plain(argv: list[str]) -> SimpleNamespace | None:
+    """What ``_parser().parse_args(argv)`` returns, if ``argv`` is spelled
+    plainly; None for every other line, which argparse reads.
+
+    Plain is the command name, then its positionals and exact option
+    strings in any order: each valued option followed by its own value,
+    which does not start with ``-`` unless it is ``-``, no option twice,
+    every required option given, and every value converting with its
+    option's type into its choices.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, _, arguments = _COMMANDS[argv[0]]
+    options = {name: spec for name, spec in arguments if name.startswith("-")}
+    positionals = [name for name, _ in arguments if name not in options]
+    given: dict[str, str | bool] = {}
+    tokens = iter(argv[1:])
+    unfilled = iter(positionals)
+    for token in tokens:
+        if token in options:
+            if token in given:
+                return None
+            if options[token].get("action") == "store_true":
+                given[token] = True
+                continue
+            name = token
+            token = next(tokens, None)
+            if token is None:
+                return None
+        else:
+            name = next(unfilled, None)
+            if name is None:
+                return None
+        if token.startswith("-") and token != "-":
+            return None
+        given[name] = token
+    args = SimpleNamespace(command=argv[0])
+    for name, spec in arguments:
+        if name in given:
+            value = given[name]
+            if value is not True:
+                try:
+                    value = spec.get("type", str)(value)
+                except ValueError:
+                    return None
+                if "choices" in spec and value not in spec["choices"]:
+                    return None
+        elif name in positionals or spec.get("required"):
+            return None
+        else:
+            value = spec.get("default")
+        setattr(args, name.lstrip("-"), value)
+    return args
 
 
 def _emit(pieces: Iterable[str], out: str | None) -> None:
@@ -153,7 +187,7 @@ def _human_trace(doc: dict, index: int | None = None) -> str:
     return "\n".join(lines)
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
+def _cmd_build(args: argparse.Namespace | SimpleNamespace) -> int:
     spec = parse_spec(args.pattern)
     g = build(spec)
     if args.format == "graph6":
@@ -184,7 +218,7 @@ def _read_codes(source: str) -> list[str]:
     return [code for code in codes if code]
 
 
-def _regime(args: argparse.Namespace) -> TheoremCase:
+def _regime(args: argparse.Namespace | SimpleNamespace) -> TheoremCase:
     """The regime ``--theorem`` names: 1 and 3 are Thm1, with ``-t`` paths
     (read by 3 only), and 2 is Thm2EvenM or Thm2OddM by the parity of ``m``."""
     if args.theorem != 3 and args.t != 1:
@@ -194,7 +228,7 @@ def _regime(args: argparse.Namespace) -> TheoremCase:
     return (Thm2OddM if args.m % 2 else Thm2EvenM)(args.n, args.s, args.m)
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
+def _cmd_witness(args: argparse.Namespace | SimpleNamespace) -> int:
     from .witness import extract, trace_document
 
     case = _regime(args)
@@ -216,7 +250,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ramsey(args: argparse.Namespace) -> int:
+def _cmd_ramsey(args: argparse.Namespace | SimpleNamespace) -> int:
     from .oracle import RamseyIndeterminate, certificate_to_json, ramsey
 
     g_spec = parse_spec(args.g)
@@ -261,7 +295,7 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
 _MARK = "\0"
 
 
-def _cmd_suite(args: argparse.Namespace) -> int:
+def _cmd_suite(args: argparse.Namespace | SimpleNamespace) -> int:
     """Print the document ``run_suite`` returns, encoding each case as it
     finishes and keeping its text, never its record.  Nothing is written
     until every case has succeeded."""
@@ -301,24 +335,66 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return 0
 
 
+# The one declaration of the command line: each subcommand's handler, its
+# help line, and its arguments as the name and keywords of argparse's
+# add_argument, in the order the help lists them.
 _COMMANDS = {
-    "build": _cmd_build,
-    "witness": _cmd_witness,
-    "ramsey": _cmd_ramsey,
-    "suite": _cmd_suite,
+    "build": (_cmd_build, "construct a pattern graph", (
+        ("pattern", {"help": "pattern spec, e.g. P23, C6, W6, J2,3, 2P23, K5, K3+K1"}),
+        ("--format", {"choices": ("json", "graph6", "human"), "default": "graph6"}),
+        ("--out", {"metavar": "FILE"}),
+    )),
+    "witness": (_cmd_witness, "run a dichotomy extraction on host graphs", (
+        ("input", {"help": "file of graph6 codes, one per line, or - for stdin"}),
+        ("--theorem", {"type": int, "choices": (1, 2, 3), "required": True}),
+        ("-n", {"type": int, "required": True, "help": "target path order"}),
+        ("-s", {"type": int, "required": True, "help": "rim step"}),
+        ("-m", {"type": int, "required": True, "help": "spoke count"}),
+        ("-t", {"type": int, "default": 1, "help": "number of disjoint paths (theorem 3)"}),
+        ("--budget", {"type": int}),
+        ("--force", {"action": "store_true", "default": False,
+                     "help": "skip the n-threshold and host-order checks"}),
+        ("--format", {"choices": ("json", "human"), "default": "json"}),
+        ("--out", {"metavar": "FILE"}),
+    )),
+    "ramsey": (_cmd_ramsey, "certified small Ramsey value", (
+        ("g", {"help": "pattern found in the host side"}),
+        ("h", {"help": "pattern found in the complement side"}),
+        ("--cap", {"type": int, "required": True, "help": "exclusive scan bound"}),
+        ("--budget", {"type": int}),
+        ("--format", {"choices": ("json", "human"), "default": "json"}),
+        ("--out", {"metavar": "FILE"}),
+    )),
+    "suite": (_cmd_suite, "run a seeded extraction suite", (
+        ("name", {"help": "the suite to run"}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--count", {"type": int, "default": 10}),
+        ("--budget", {"type": int}),
+        ("--format", {"choices": ("json", "human"), "default": "json"}),
+        ("--out", {"metavar": "FILE"}),
+    )),
 }
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse arguments and execute; returns the process exit code."""
-    parser = _parser()
+    """Parse arguments (``sys.argv[1:]`` if None) and execute; returns the
+    process exit code.
+
+    A plainly spelled line is matched against ``_COMMANDS`` directly and
+    loads no argparse; help, errors and every other spelling go through
+    the argparse parser, with its output and exit codes.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else 2
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except MaximalityViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -20,12 +20,13 @@ if TYPE_CHECKING:
 class _Family(Frozen):
     """One pattern family: its fields, text form, parse rule and edge list.
 
-    ``SYNTAX`` matches the upper-cased text form in full; by default each
+    ``SYNTAX`` is the pattern that matches the upper-cased text form in
+    full, compiled on first use through ``re``'s cache; by default each
     capture group is one integer field, in field order.  ``hub`` is the
     vertex adjacent to the whole rim in the families that have one.
     """
 
-    SYNTAX: ClassVar[re.Pattern[str]]
+    SYNTAX: ClassVar[str]
 
     @classmethod
     def from_match(cls, match: re.Match[str]) -> PatternSpec:
@@ -38,7 +39,7 @@ class _Family(Frozen):
 
 class Cycle(_Family):
     n: int
-    SYNTAX = re.compile(r"C(\d+)")
+    SYNTAX = r"C(\d+)"
 
     def __post_init__(self) -> None:
         if self.n < 3:
@@ -59,7 +60,7 @@ class Wheel(_Family):
     """Cycle on k rim vertices plus a hub adjacent to every rim vertex."""
 
     k: int
-    SYNTAX = re.compile(r"W(\d+)")
+    SYNTAX = r"W(\d+)"
 
     def __post_init__(self) -> None:
         if self.k < 3:
@@ -89,7 +90,7 @@ class Jahangir(_Family):
 
     s: int
     m: int
-    SYNTAX = re.compile(r"J(\d+),(\d+)")
+    SYNTAX = r"J(\d+),(\d+)"
 
     def __post_init__(self) -> None:
         if self.s < 2:
@@ -121,7 +122,7 @@ class DisjointPaths(_Family):
 
     t: int
     n: int
-    SYNTAX = re.compile(r"(\d*)P(\d+)")
+    SYNTAX = r"(\d*)P(\d+)"
 
     def __post_init__(self) -> None:
         if self.t < 1:
@@ -152,7 +153,7 @@ class CliqueUnion(_Family):
     """Disjoint cliques of the given sizes, numbered block by block."""
 
     sizes: tuple[int, ...]
-    SYNTAX = re.compile(r"K\d+(?:\+K\d+)*")
+    SYNTAX = r"K\d+(?:\+K\d+)*"
 
     def __post_init__(self) -> None:
         if not self.sizes:
@@ -207,7 +208,7 @@ def parse_spec(text: str) -> PatternSpec:
         raise ValueError(f"whitespace not allowed in pattern {text!r}")
     upper = text.upper()
     for family in get_args(PatternSpec):
-        match = family.SYNTAX.fullmatch(upper)
+        match = re.fullmatch(family.SYNTAX, upper)
         if match:
             return family.from_match(match)
     raise ValueError(f"unrecognized pattern {text!r}")

@@ -389,16 +389,19 @@ _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _G6_BYTES = bytes(range(63, 127))
 _BASE64_TO_G6 = bytes.maketrans(_BASE64, _G6_BYTES)
 _G6_TO_BASE64 = bytes.maketrans(_G6_BYTES, _BASE64)
+# Each byte with its bits in reverse order: a run's little-endian bytes,
+# each reversed, are its bits from the least up in base64's big-endian order.
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def _sextets(run: int, nbits: int) -> str:
     """The graph6 bytes of the first ``nbits`` bits of ``run``, read from its
     least bit up, zero padded to a whole byte."""
-    # One reversal of the run's binary digits, zero padded to whole 24-bit
-    # quanta, converts to bytes that base64 cuts into sextets with no '='
-    # padding; the table maps them onto graph6 bytes.
+    # The run's bytes, zero padded to whole 24-bit quanta and each reversed,
+    # are bytes that base64 cuts into sextets with no '=' padding; the table
+    # maps them onto graph6 bytes.
     width = nbits + -nbits % 24
-    packed = int(bin(run)[:1:-1].ljust(width, "0"), 2).to_bytes(width // 8, "big")
+    packed = run.to_bytes(width // 8, "little").translate(_REVERSED)
     body = binascii.b2a_base64(packed, newline=False).translate(_BASE64_TO_G6)
     return body[: (nbits + 5) // 6].decode("ascii")
 
@@ -458,8 +461,8 @@ def from_graph6(line: str) -> Graph:
     if len(text) - at != expected:
         raise Graph6Error(f"body length {len(text) - at}, expected {expected} for order {n}")
     # The inverse of the encoder's fold: each window, taken back to base64
-    # (the last one padded with zero sextets to whole quanta), is spelled
-    # out once, reversed and folded into ``run`` above its ``held`` unread
+    # (the last one padded with zero sextets to whole quanta), has each of
+    # its bytes reversed and is folded into ``run`` above its ``held`` unread
     # bits, and each column is cut off the run's low end; then it is mirrored
     # into the rows of its lower neighbours edge by edge.  What the last
     # column leaves in the run is the last byte's padding.
@@ -470,8 +473,8 @@ def from_graph6(line: str) -> Graph:
             window = text[at : at + _G6_WINDOW].encode("ascii").translate(_G6_TO_BASE64)
             window += b"A" * (-len(window) % 4)
             at += _G6_WINDOW
-            value = int.from_bytes(binascii.a2b_base64(window), "big")
-            run |= int(format(value, f"0{6 * len(window)}b")[::-1], 2) << held
+            packed = binascii.a2b_base64(window).translate(_REVERSED)
+            run |= int.from_bytes(packed, "little") << held
             held += 6 * len(window)
         lower = run & ((1 << col) - 1)
         run >>= col

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -27,7 +28,7 @@ from ramsey_jahangir import (
     to_graph6,
     trace_document,
 )
-from ramsey_jahangir.cli import run
+from ramsey_jahangir.cli import _COMMANDS, _parser, _plain, run
 
 from helpers_naive import shuffled_complete_bipartite
 
@@ -579,3 +580,134 @@ def test_indented_output_is_json_dumps_bytes(monkeypatch, capsys, argv, make_hos
 def test_no_arguments(capsys):
     assert run([]) == 2
     capsys.readouterr()
+
+
+# The plain command lines of the benchmark, the CI steps and the README: each
+# subcommand with each of its formats and options at least once.
+PLAIN_LINES = [
+    "build J2,3",
+    "build J2,3 --format json",
+    "build P3 --format human",
+    "build P1200 --format graph6 --out long.g6",
+    "witness hosts.g6 --theorem 1 -n 23 -s 2 -m 3",
+    "witness - --theorem 3 -t 2 -n 23 -s 2 -m 3",
+    "witness - --theorem 2 -n 32 -s 3 -m 3 --budget 1000000",
+    "witness - --theorem 1 -n 23 -s 2 -m 3 --force --format human --out -",
+    "witness - --theorem 1 -n 23 -s 2 -m 3 --format json",
+    "ramsey P4 J2,2 --cap 8",
+    "ramsey P6 J2,2 --cap 9 --budget 489",
+    "ramsey P4 J2,2 --cap 5 --format human --out cert.json",
+    "ramsey 2P2 J2,2 --cap 8 --format json",
+    "suite thm1-s2m3 --seed 7 --count 500",
+    "suite thm2-s3m3 --count 20 --out suite.json",
+    "suite thm1-s2m3 --count 3 --format human --budget 100",
+    "suite thm2-s3m2 --seed 0 --count 40 --format json",
+]
+# Values for the plain lines' options, and edits that make a line not plain:
+# negative, non-integer, out-of-choice, empty, lone-dash and option-like
+# values, and inserted markers, help and unknown options.
+INTEGERS = ["0", "1", "3", "23", "007", "1_000", " 5"]
+NAMES = ["hosts.g6", "P5", "x y", "-", ""]
+BAD_VALUES = ["-1", "-3", "x", "2.5", "4", "xml", "", "-", "--out", "-n", "-x y", "--"]
+INSERTED = ["--", "-h", "--help", "--bogus", "-x", "-", "build", "suite"]
+
+
+def _units(line: str) -> tuple[str, list[list[str]]]:
+    """The command and its arguments: a positional, a flag, or an option
+    with its value."""
+    command, *rest = line.split()
+    options = {name: spec for name, spec in _COMMANDS[command][2] if name.startswith("-")}
+    units, tokens = [], iter(rest)
+    for token in tokens:
+        valued = token in options and "action" not in options[token]
+        units.append([token, next(tokens)] if valued else [token])
+    return command, units
+
+
+def _mutated(r: random.Random, line: str) -> list[str]:
+    """``line`` in a random order with some of its values changed to others
+    its options accept, then, in two of five lines, edited so that it is no
+    longer plain (though a drop may leave it plain)."""
+    command, units = _units(line)
+    specs = dict(_COMMANDS[command][2])
+    r.shuffle(units)
+    for unit in units:
+        if len(unit) == 2 and r.random() < 0.3:
+            spec = specs[unit[0]]
+            valid = spec.get("choices") or (INTEGERS if spec.get("type") is int else NAMES)
+            unit[1] = str(r.choice(valid))
+    for _ in range(r.choice((0, 0, 0, 1, 2))):
+        unit = r.choice(units) if units else [""]
+        option, value = unit[0], unit[-1]
+        kind = r.choice(("drop", "repeat", "abbreviate", "join", "attach", "bad", "insert",
+                         "swap"))
+        if kind == "drop" and units:
+            units.remove(unit)
+        elif kind == "repeat" and units:
+            units.insert(r.randrange(len(units) + 1), list(unit))
+        elif kind == "abbreviate" and option.startswith("--") and len(option) > 3:
+            unit[0] = option[: r.randrange(3, len(option))]
+        elif kind == "join" and len(unit) == 2:
+            unit[:] = [f"{option}={value}"]
+        elif kind == "attach" and len(unit) == 2 and len(option) == 2:
+            unit[:] = [option + value]
+        elif kind == "bad":
+            unit[-1] = r.choice(BAD_VALUES)
+        elif kind == "insert":
+            units.insert(r.randrange(len(units) + 1), [r.choice(INSERTED)])
+        elif kind == "swap" and len(units) > 1:
+            i, j = r.sample(range(len(units)), 2)
+            units[i][0], units[j][-1] = units[j][-1], units[i][0]
+    return [command, *(token for unit in units for token in unit)]
+
+
+def _corpus() -> list[list[str]]:
+    """The plain lines, 4,000 edits of them and 500 random token lists over
+    the same tokens (half of them led by a command), from one seed."""
+    r = random.Random(40)
+    corpus = [line.split() for line in PLAIN_LINES]
+    corpus += [_mutated(r, r.choice(PLAIN_LINES)) for _ in range(4000)]
+    alphabet = sorted({token for line in PLAIN_LINES for token in line.split()}
+                      | set(INTEGERS) | set(NAMES) | set(BAD_VALUES) | set(INSERTED))
+    for _ in range(500):
+        tokens = r.choices(alphabet, k=r.randrange(12))
+        corpus.append([r.choice(list(_COMMANDS)), *tokens] if r.random() < 0.5 else tokens)
+    return corpus
+
+
+def _argparse_vars(parser, argv: list[str]) -> dict | None:
+    """``vars`` of what argparse returns for ``argv``, or None if it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def test_the_plain_matcher_answers_as_argparse_or_not_at_all():
+    # The matcher returns None for any line it does not know to be plain,
+    # and argparse then reads it; whatever it does return, argparse returns
+    # too, and it never answers a line argparse rejects.
+    parser = _parser()
+    matched = declined = rejected = 0
+    for argv in _corpus():
+        expected = _argparse_vars(parser, argv)
+        got = _plain(argv)
+        if got is not None:
+            assert vars(got) == expected, argv
+            matched += 1
+        elif expected is not None:
+            declined += 1
+        else:
+            rejected += 1
+    # most lines are plain, and the corpus has lines of every other kind
+    assert matched > declined + rejected
+    assert declined > 100 and rejected > 100
+
+
+@pytest.mark.parametrize("line", PLAIN_LINES)
+def test_every_plain_line_takes_the_fast_path(line):
+    argv = line.split()
+    got = _plain(argv)
+    assert got is not None
+    assert vars(got) == vars(_parser().parse_args(argv))
